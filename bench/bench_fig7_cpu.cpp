@@ -9,19 +9,12 @@
 //   VM(T0)  -- auto-optimized SDFG on the bytecode VM (DACEPP_JIT=0)
 //   JIT(T1) -- same SDFG with every map promoted to the native tier
 // Speedups are relative to the numpy column (green/up in the paper).
-//
-// The pgo column is a warm-profile A/B: a recording run flushes its
-// tier-1 profile into the on-disk profile DB at teardown, then a fresh
-// executor under DACE_PGO=1 with an unreachably high promotion
-// threshold must pre-promote from the stored profile alone.  Reported
-// as VM(T0) median over PGO median (fig7.<kernel>.pgo_speedup).
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_common.hpp"
 #include "codegen/codegen.hpp"
 #include "codegen/jit.hpp"
-#include "common/profdb.hpp"
 #include "frontend/lowering.hpp"
 #include "frontend/parser.hpp"
 #include "kernels/suite.hpp"
@@ -32,17 +25,12 @@
 using namespace dace;
 
 int main() {
-  // A bench-local profile DB so the PGO column measures exactly the
-  // profiles recorded here, not whatever an earlier run left behind.
-  setenv("DACE_PROFILE_DB_DIR", "fig7-profdb", 1);
-  prof::ProfileDB::reset_for_testing();
-  prof::ProfileDB::instance().purge();
   printf("=== Figure 7: CPU runtime and speedup over NumPy ===\n");
-  printf("%-12s %12s %9s %9s %9s %9s %9s %8s %8s %8s %8s\n", "kernel",
-         "numpy", "-O0", "DaCe", "C++ref", "VM(T0)", "JIT(T1)", "T1/T0",
-         "T1/ref", "plan", "pgo");
+  printf("%-12s %12s %9s %9s %9s %9s %9s %8s %8s %8s\n", "kernel", "numpy",
+         "-O0", "DaCe", "C++ref", "VM(T0)", "JIT(T1)", "T1/T0", "T1/ref",
+         "plan");
   std::vector<double> sp_o0, sp_dace, sp_ref, sp_t0, sp_t1, tier_ratio,
-      ref_ratio, plan_sp, pgo_sp;
+      ref_ratio, plan_sp;
   int reps = 3;
   for (const auto& k : kernels::suite()) {
     const sym::SymbolMap& sizes = k.presets.at("paper");
@@ -154,40 +142,6 @@ int main() {
         },
         reps);
 
-    // Profile-guided A/B.  Recording run: threshold 1 promotes to the
-    // native tier and the executor teardown flushes tier=1 plus the
-    // measured ns/iter into the profile DB.  PGO run: a fresh executor
-    // under DACE_PGO=1 with a threshold no warmup could ever reach --
-    // any native launch can only come from DB-driven pre-promotion.
-    setenv("DACEPP_JIT_THRESHOLD", "1", 1);
-    setenv("DACEPP_JIT_SYNC", "1", 1);
-    {
-      rt::Executor exrec(*opt);
-      rt::Bindings b = k.init(sizes);
-      exrec.run(b, sizes);
-    }  // teardown flushes the profile
-    setenv("DACEPP_JIT_THRESHOLD", "1000000000000", 1);
-    setenv("DACE_PGO", "1", 1);
-    rt::Executor expgo(*opt);
-    {
-      rt::Bindings b = k.init(sizes);
-      expgo.run(b, sizes);
-    }
-    bool pgo_native = expgo.native_launches() > 0;
-    auto t_pgo = bench::time_median(
-        "fig7." + k.name + ".jit_pgo",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          expgo.run(b, sizes);
-        },
-        reps);
-    unsetenv("DACE_PGO");
-    unsetenv("DACEPP_JIT_THRESHOLD");
-    unsetenv("DACEPP_JIT_SYNC");
-    if (native && !pgo_native)
-      printf("  (pgo run of %s stayed on the VM: pre-promotion missed)\n",
-             k.name.c_str());
-
     double s0 = t_numpy.median_s / t_o0.median_s;
     double sd = t_numpy.median_s / t_dace.median_s;
     double sr = t_numpy.median_s / t_ref.median_s;
@@ -202,10 +156,6 @@ int main() {
     double ps = t_off.median_s / t_t1.median_s;
     bench::JsonReport::global().record("fig7." + k.name + ".plan_speedup",
                                        ps);
-    // Warm-profile speedup: bytecode VM over the DB-pre-promoted run.
-    double pg = t_t0.median_s / t_pgo.median_s;
-    bench::JsonReport::global().record("fig7." + k.name + ".pgo_speedup",
-                                       pg);
     sp_o0.push_back(s0);
     sp_dace.push_back(sd);
     sp_ref.push_back(sr);
@@ -214,21 +164,18 @@ int main() {
     tier_ratio.push_back(r);
     ref_ratio.push_back(rr);
     plan_sp.push_back(ps);
-    pgo_sp.push_back(pg);
     printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx "
-           "%7.2fx %7.2fx%s\n",
+           "%7.2fx%s\n",
            k.name.c_str(), bench::fmt_time(t_numpy.median_s).c_str(), s0, sd,
-           sr, st0, st1, r, rr, ps, pg,
-           native ? "" : "  (no native tier)");
+           sr, st0, st1, r, rr, ps, native ? "" : "  (no native tier)");
     fflush(stdout);
   }
   printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx "
-         "%7.2fx %7.2fx\n",
+         "%7.2fx\n",
          "geomean", "-", bench::geomean(sp_o0), bench::geomean(sp_dace),
          bench::geomean(sp_ref), bench::geomean(sp_t0),
          bench::geomean(sp_t1), bench::geomean(tier_ratio),
-         bench::geomean(ref_ratio), bench::geomean(plan_sp),
-         bench::geomean(pgo_sp));
+         bench::geomean(ref_ratio), bench::geomean(plan_sp));
   printf("\npaper reference: DaCe geomean speedup over best prior "
          "framework 2.47x;\nstencils gain most from subgraph fusion; "
          "C compilers win short/control-heavy kernels.\n");

@@ -26,15 +26,6 @@ namespace fs = std::filesystem;
 
 namespace dace::cg::cache {
 
-uint64_t fnv1a(const void* data, size_t n, uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 namespace {
 
 /// On-disk format generation: folded into every key and written into

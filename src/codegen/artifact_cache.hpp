@@ -51,6 +51,8 @@
 #include <string>
 #include <vector>
 
+#include "common/common.hpp"
+
 namespace dace::cg::cache {
 
 // ---------------------------------------------------------------------------
@@ -246,8 +248,7 @@ class ArtifactCache {
   mutable CacheStats stats_;
 };
 
-/// FNV-1a 64 over a byte range (the artifact checksum; also reused for
-/// key derivation).
-uint64_t fnv1a(const void* data, size_t n, uint64_t h = 1469598103934665603ull);
+/// FNV-1a 64 (common/common.hpp), kept reachable as cg::cache::fnv1a.
+using dace::fnv1a;
 
 }  // namespace dace::cg::cache

@@ -1,6 +1,7 @@
 // Common utilities shared across all DaCe++ modules.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -30,5 +31,18 @@ Error err(Args&&... args) {
   } while (0)
 
 using std::int64_t;
+
+/// FNV-1a 64 over a byte range: the artifact-cache checksum and key,
+/// the serve frame checksum and request key, and Program::hash.  Chain
+/// calls by passing the previous result as `h`.
+inline uint64_t fnv1a(const void* data, size_t n,
+                      uint64_t h = 1469598103934665603ull) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 }  // namespace dace

@@ -1,7 +1,7 @@
 // Live metrics registry: always-on, lock-free counters, gauges and
 // log2-bucket histograms unifying the ad-hoc counters scattered across
 // tiering (JIT compiles / cache hits), the artifact cache (CacheStats),
-// the fault shims, the profile DB and the serve daemon (ServeStats).
+// the fault shims and the serve daemon (ServeStats).
 //
 // Design mirrors the obs:: substrate's cost contract: the *disabled*
 // path (DACE_METRICS=0) is a single relaxed atomic load per call, and

@@ -183,14 +183,10 @@ std::string Program::disassemble() const {
 
 uint64_t Program::hash() const {
   // FNV-1a over the semantically meaningful fields (never the raw struct
-  // bytes -- padding would leak indeterminate values into the key).
+  // bytes -- padding would leak indeterminate values into the key), each
+  // field widened to 64 bits and fed in host (little-endian) byte order.
   uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  auto mix = [&h](uint64_t v) { h = fnv1a(&v, sizeof(v), h); };
   mix(static_cast<uint64_t>(code.size()));
   for (const Instr& in : code) {
     mix(static_cast<uint64_t>(in.op) | (uint64_t)in.a << 8 |

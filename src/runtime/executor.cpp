@@ -10,7 +10,6 @@
 #include "common/diag.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
-#include "common/profdb.hpp"
 #include "runtime/bytecode_opt.hpp"
 #include "runtime/tensor_ops.hpp"
 #include "runtime/thread_pool.hpp"
@@ -53,34 +52,6 @@ Executor::Executor(const ir::SDFG& sdfg, ExecutorOptions opts)
       inst_(std::make_unique<Instrumenter>(sdfg)),
       tier_cfg_(TierConfig::from_env()),
       bc_opt_(bytecode_opt_enabled()) {}
-
-Executor::~Executor() {
-  // Close the measurement loop: merge what this executor learned about
-  // its map programs into the persistent profile DB.  Best-effort only;
-  // nothing here may throw out of a destructor.
-  try {
-    std::vector<MapFlush> maps;
-    maps.reserve(programs_.size());
-    for (const auto& [key, tp] : programs_) {
-      if (tp.launches <= 0) continue;
-      MapFlush f;
-      f.program_hash = tp.prog.hash();
-      f.state = key.first;
-      f.node = key.second;
-      const ir::State& st = sdfg_.state(key.first);
-      if (const auto* me = st.node_as<const ir::MapEntry>(key.second))
-        f.label = me->name;
-      f.launches = tp.launches;
-      f.iterations = tp.total_iters;
-      f.tier = tp.tier_reached;
-      f.ns_per_iter[0] = tp.ns_per_iter[0];
-      f.ns_per_iter[1] = tp.ns_per_iter[1];
-      maps.push_back(std::move(f));
-    }
-    if (!maps.empty()) flush_profiles_to_db(*inst_, maps);
-  } catch (...) {
-  }
-}
 
 Tensor& Executor::tensor(const std::string& container) {
   auto it = env_.find(container);
@@ -385,29 +356,6 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
     TieredProgram tp;
     tp.prog = compile_map_scope(sdfg_, st, node);
     if (bc_opt_) optimize_program(tp.prog);
-    // Profile-guided seeding (DACE_PGO=1, common/profdb.*): a stored
-    // profile marks programs that reached Tier-1 before as hot -- they
-    // promote at first launch, skipping the warmup threshold -- and
-    // seeds the chunk scheduler's cost EMA with measured ns/iter in
-    // place of the bytecode-length heuristic.  With DACE_PGO unset this
-    // block never reads anything, keeping the default path untouched.
-    if (prof::pgo_enabled()) {
-      prof::MapProfile mp;
-      if (prof::ProfileDB::instance().load_map(tp.prog.hash(), &mp)) {
-        if (mp.tier >= 1 && tier_cfg_.enabled) tp.pgo_hot = true;
-        for (int t = 0; t < 2; ++t)
-          if (mp.ns_per_iter[t] > 0.0) tp.ns_per_iter[t] = mp.ns_per_iter[t];
-        METRIC_INC("dacepp_pgo_seeded_total");
-        if (obs::enabled()) {
-          std::ostringstream a;
-          a << "{\"map\":\"" << diag::json_escape(me->name)
-            << "\",\"hot\":" << (tp.pgo_hot ? "true" : "false")
-            << ",\"ns0\":" << mp.ns_per_iter[0]
-            << ",\"ns1\":" << mp.ns_per_iter[1] << "}";
-          obs::instant("tier", "pgo-seed", a.str());
-        }
-      }
-    }
     it = programs_.emplace(key, std::move(tp)).first;
     if (obs::enabled()) {
       std::ostringstream a;
@@ -446,8 +394,6 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   int64_t iters = step > 0 ? (end - begin + step - 1) / step : 0;
   if (iters <= 0) return;
   *iters_out = iters;
-  ++tp.launches;
-  tp.total_iters += iters;
 
   bool parallel = opts_.parallel &&
                   (me->schedule == ir::Schedule::CPUParallel ||
@@ -460,20 +406,16 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   bool jit_ok = tier_cfg_.enabled && !opts_.launch_hook && !tp.native_failed;
   if (jit_ok && !tp.native) {
     tp.iterations += iters;
-    // pgo_hot (a prior run's profile says this program earned Tier-1)
-    // skips the warmup threshold and promotes at the first launch.
-    if (tp.iterations >= tier_cfg_.threshold || tp.pgo_hot) {
+    if (tp.iterations >= tier_cfg_.threshold) {
       std::vector<ir::DType> dtypes(arrays.size());
       for (size_t i = 0; i < arrays.size(); ++i) dtypes[i] = arrays[i].dtype;
       tp.native = request_native(prog, dtypes, tier_cfg_);
       ++native_promotions_;
       METRIC_INC("dacepp_tier_promotions_total");
-      if (tp.pgo_hot) METRIC_INC("dacepp_pgo_prepromotions_total");
       if (obs::enabled()) {
         std::ostringstream a;
         a << "{\"map\":\"" << diag::json_escape(me->name)
-          << "\",\"iterations\":" << tp.iterations
-          << ",\"pgo\":" << (tp.pgo_hot ? "true" : "false") << "}";
+          << "\",\"iterations\":" << tp.iterations << "}";
         obs::instant("tier", "promote", a.str());
       }
     }
@@ -510,7 +452,6 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       for (size_t i = 0; i < arrays.size(); ++i) bases[i] = arrays[i].base;
       ++native_launches_;
       *tier_used = 1;
-      tp.tier_reached = 1;
       std::atomic<int64_t> guard_err{0};
       std::atomic<bool> cancelled{false};
       int chunks = parallel ? plan_chunks(tp, 1, iters) : 1;

@@ -75,7 +75,6 @@ Program compile_map_scope(const ir::SDFG& sdfg, const ir::State& st,
 class Executor {
  public:
   explicit Executor(const ir::SDFG& sdfg, ExecutorOptions opts = {});
-  ~Executor();
 
   /// Execute with the given argument tensors and symbol values.
   /// Tensors are shared views: outputs are written in place.
@@ -138,14 +137,6 @@ class Executor {
     // cost-driven chunk scheduler.
     double ns_per_iter[2] = {0.0, 0.0};
     bool plan_reported = false;  // kernel-plan obs instant emitted once
-    // Profile-DB bookkeeping (flushed at teardown, common/profdb.*):
-    // the promotion counter above freezes once a native handle exists,
-    // so launches/iterations are tracked separately for the flush.
-    int64_t launches = 0;
-    int64_t total_iters = 0;
-    int tier_reached = 0;      // highest tier that actually dispatched
-    bool pgo_hot = false;      // DACE_PGO=1 and the DB marked it Tier-1:
-                               // promote at first launch, skip warmup
   };
 
   /// Cost-driven chunk count for a parallel dispatch at `tier`: sized so

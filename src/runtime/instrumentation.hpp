@@ -82,24 +82,4 @@ class Instrumenter {
   std::map<std::pair<int, int>, NodeProfile> profiles_;
 };
 
-/// One map program's teardown snapshot, handed from the executor to the
-/// persistent profile DB (common/profdb.*) when the executor dies.
-struct MapFlush {
-  uint64_t program_hash = 0;
-  std::string label;       // map name
-  int state = -1;          // (state, node) locate the NodeProfile, if any
-  int node = -1;
-  int64_t launches = 0;    // dispatches of this program
-  int64_t iterations = 0;  // summed outer iterations across all tiers
-  int tier = 0;            // highest tier that dispatched it
-  double ns_per_iter[2] = {0.0, 0.0};  // measured per-tier cost EMA
-};
-
-/// Merge the executor's per-map snapshots into the profile DB, enriched
-/// with the Instrumenter's Tier-0 VMStats (when the run was instrumented)
-/// and the last committed rewriting pass.  Every failure is swallowed:
-/// this runs from ~Executor and must never throw.
-void flush_profiles_to_db(const Instrumenter& inst,
-                          const std::vector<MapFlush>& maps);
-
 }  // namespace dace::rt

@@ -53,6 +53,14 @@ void ThreadPool::worker_loop(int index) {
 }
 
 void ThreadPool::run_on(int k, function_ref<void(int)> body) {
+  // One dispatch at a time: a second external caller (a simMPI rank, a
+  // serve worker) that finds the workers busy runs its chunks inline on
+  // its own thread instead of overwriting the in-flight generation.
+  std::unique_lock<std::mutex> dispatch(dispatch_mu_, std::try_to_lock);
+  if (!dispatch.owns_lock()) {
+    for (int w = 0; w < k; ++w) body(w);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = body;

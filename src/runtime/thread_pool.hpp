@@ -64,7 +64,9 @@ class ThreadPool {
   int num_threads() const { return num_threads_; }
 
   /// Run body(begin, end) over [0, n) split statically across workers.
-  /// The calling thread participates. Nested calls run inline.
+  /// The calling thread participates. Nested calls run inline, and so do
+  /// calls from other threads while the workers are busy: safe to call
+  /// concurrently from any number of external threads.
   void parallel_for(int64_t n, function_ref<void(int64_t, int64_t)> body);
 
   /// Run body over [0, n) split into `chunks` contiguous ranges handed
@@ -85,11 +87,14 @@ class ThreadPool {
   void worker_loop(int index);
   /// Dispatch job_ to workers [0, k); workers >= k skip the generation
   /// without touching the job.  Caller runs index 0 and blocks for the
-  /// rest.  Precondition: k >= 2, not nested, num_threads_ > 1.
+  /// rest.  When another thread is already dispatching, the caller runs
+  /// all k indices inline instead.  Precondition: k >= 2, not nested,
+  /// num_threads_ > 1.
   void run_on(int k, function_ref<void(int)> body);
 
   int num_threads_;
   std::vector<std::thread> workers_;
+  std::mutex dispatch_mu_;  // held by the one caller owning the workers
   std::mutex mu_;
   std::condition_variable cv_start_, cv_done_;
   function_ref<void(int)> job_;  // worker index -> work

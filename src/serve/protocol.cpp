@@ -15,7 +15,7 @@
 #include <sstream>
 #include <thread>
 
-#include "codegen/artifact_cache.hpp"  // fnv1a
+#include "common/common.hpp"
 #include "common/diag.hpp"
 #include "common/obs.hpp"
 
@@ -92,7 +92,7 @@ std::string encode_frame(Verb verb, const std::string& payload) {
   put_u16(s, (uint16_t)verb);
   put_u32(s, (uint32_t)payload.size());
   put_u32(s, 0);  // reserved
-  put_u64(s, cg::cache::fnv1a(payload.data(), payload.size()));
+  put_u64(s, fnv1a(payload.data(), payload.size()));
   s += payload;
   return s;
 }
@@ -132,7 +132,7 @@ Decoded check_header(const uint8_t* h, size_t max_payload, uint16_t* verb,
 }
 
 Decoded finish_frame(uint16_t verb, uint64_t sum, std::string payload) {
-  if (cg::cache::fnv1a(payload.data(), payload.size()) != sum)
+  if (fnv1a(payload.data(), payload.size()) != sum)
     return proto_error("E604", "payload checksum mismatch");
   Decoded d;
   d.status = Decoded::Ok;
@@ -354,11 +354,11 @@ bool parse_run_request(const std::string& payload, RunRequest* out,
 }
 
 uint64_t request_key(const RunRequest& r) {
-  uint64_t h = cg::cache::fnv1a(r.source.data(), r.source.size());
-  h = cg::cache::fnv1a(r.function.data(), r.function.size(), h);
+  uint64_t h = fnv1a(r.source.data(), r.source.size());
+  h = fnv1a(r.function.data(), r.function.size(), h);
   for (const auto& [k, v] : r.symbols) {  // std::map: canonical order
-    h = cg::cache::fnv1a(k.data(), k.size(), h);
-    h = cg::cache::fnv1a(&v, sizeof(v), h);
+    h = fnv1a(k.data(), k.size(), h);
+    h = fnv1a(&v, sizeof(v), h);
   }
   return h;
 }

@@ -99,6 +99,7 @@ struct Server::Conn {
   uint64_t id = 0;
   std::mutex write_mu;       // replies race: reader vs worker threads
   std::atomic<bool> open{true};
+  std::atomic<bool> reader_done{false};  // reader thread has returned
 };
 
 struct Server::Job {
@@ -241,8 +242,8 @@ void Server::stop() {
   }
   workers_.clear();
   if (watchdog_.joinable()) watchdog_.join();
-  for (auto& t : readers_) {
-    if (t.joinable()) t.join();
+  for (auto& r : readers_) {
+    if (r.thread.joinable()) r.thread.join();
   }
   readers_.clear();
   {
@@ -320,10 +321,20 @@ void Server::accept_loop() {
     conn->fd = fd;
     {
       std::lock_guard<std::mutex> lk(mu_);
+      // Join the readers of closed connections: an unjoined thread keeps
+      // its stack, so the daemon would grow with every client it served.
+      for (Reader& r : readers_)
+        if (r.conn->reader_done.load()) r.thread.join();
+      std::erase_if(readers_,
+                    [](const Reader& r) { return !r.thread.joinable(); });
       conn->id = next_conn_id_++;
       ++stats_.connections;
       conns_.push_back(conn);
-      readers_.emplace_back([this, conn] { reader_loop(conn); });
+      std::thread t([this, conn] {
+        reader_loop(conn);
+        conn->reader_done.store(true);
+      });
+      readers_.push_back({conn, std::move(t)});
     }
   }
 }
@@ -577,7 +588,7 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
       rt::Bindings args;
       for (const auto& an : sdfg->arg_names()) {
         const auto& desc = sdfg->arrays().at(an);
-        uint64_t h = cg::cache::fnv1a(an.data(), an.size());
+        uint64_t h = fnv1a(an.data(), an.size());
         if (desc.is_scalar()) {
           args.emplace(an, rt::Tensor::scalar(
                                (double)(h % 97) / 7.0, desc.dtype));
@@ -605,8 +616,7 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
       bool first = true;
       for (const auto& an : sdfg->arg_names()) {
         const rt::Tensor& t = args.at(an);
-        uint64_t sum =
-            cg::cache::fnv1a(t.data(), (size_t)t.size() * sizeof(double));
+        uint64_t sum = fnv1a(t.data(), (size_t)t.size() * sizeof(double));
         outs << (first ? "" : ",") << "\"" << diag::json_escape(an)
              << "\":\"" << hex16(sum) << "\"";
         first = false;

@@ -224,7 +224,13 @@ class Server {
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::vector<std::thread> readers_;  // one per accepted connection
+  struct Reader {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
+  };
+  // One per accepted connection; joined at the next accept once its
+  // connection has closed, and at stop().
+  std::vector<Reader> readers_;
   std::thread watchdog_;
 
   mutable std::mutex mu_;  // queue, inflight, conns, stats, waits

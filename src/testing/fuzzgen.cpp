@@ -322,11 +322,7 @@ rt::Bindings make_inputs(uint64_t seed) {
 
 rt::Bindings clone_bindings(const rt::Bindings& b) {
   rt::Bindings out;
-  for (const auto& [name, t] : b) {
-    rt::Tensor c(t.dtype(), t.shape());
-    for (int64_t i = 0; i < t.size(); ++i) c.set_flat(i, t.get_flat(i));
-    out.emplace(name, std::move(c));
-  }
+  for (const auto& [name, t] : b) out.emplace(name, t.copy());
   return out;
 }
 

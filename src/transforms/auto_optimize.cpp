@@ -1,8 +1,5 @@
 #include "transforms/auto_optimize.hpp"
 
-#include "common/metrics.hpp"
-#include "common/obs.hpp"
-#include "common/profdb.hpp"
 #include "transforms/loop_to_map.hpp"
 #include "transforms/map_fusion.hpp"
 #include "transforms/map_transforms.hpp"
@@ -21,42 +18,9 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
   Pipeline pipe("auto_optimize");
   if (opts.verify.has_value()) pipe.set_verify(*opts.verify);
 
-  // Profile-guided pass selection (common/profdb.*): the pipeline history
-  // for this graph -- fingerprinted *before* any pass touches it -- knows
-  // which passes were only ever rolled back here.  Under DACE_PGO=1 those
-  // passes are logged and skipped; a rolled-back pass never changed the
-  // graph, so skipping it is behavior-preserving and saves its (possibly
-  // repeated) doomed snapshot/validate cycle.  With DACE_PGO unset the
-  // history is recorded but never consulted.
-  const std::string fingerprint_src = sdfg.save();
-  const uint64_t sdfg_hash =
-      prof::fnv1a(fingerprint_src.data(), fingerprint_src.size());
-  prof::PipelineProfile history;
-  const bool pgo = prof::pgo_enabled() &&
-                   prof::ProfileDB::instance().load_pipeline(sdfg_hash,
-                                                             &history);
-  auto doomed = [&](const std::string& name) {
-    if (!pgo) return false;
-    for (const prof::PassStat& s : history.passes) {
-      if (s.name == name && s.rolled_back > 0 && s.committed == 0) {
-        METRIC_INC("dacepp_pgo_pass_skips_total");
-        OBS_INSTANT("pass", "pgo-skip",
-                    "{\"pass\":\"" + name + "\"}");
-        return true;
-      }
-    }
-    return false;
-  };
-  auto add = [&](const std::string& name, Transformation t) {
-    if (!doomed(name)) pipe.add(name, std::move(t));
-  };
-  auto add_fixpoint = [&](const std::string& name, Transformation t) {
-    if (!doomed(name)) pipe.add_fixpoint(name, std::move(t));
-  };
-
   // Dataflow coarsening ("-O1").
   if (opts.coarsen) {
-    add("coarsen", [](ir::SDFG& g) {
+    pipe.add("coarsen", [](ir::SDFG& g) {
       simplify(g);
       return true;
     });
@@ -65,10 +29,10 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
   // (1)+(2) Map-scope cleanup and greedy subgraph fusion. LoopToMap needs
   // fused single-map loop bodies; fusion needs the states LoopToMap and
   // state fusion produce -- iterate the passes jointly to fixpoint.
-  add_fixpoint("trivial-map-elimination", trivial_map_elimination);
+  pipe.add_fixpoint("trivial-map-elimination", trivial_map_elimination);
   // Captures are by value: with a pass timeout the body runs on a worker
   // thread that may outlive this frame if abandoned.
-  add("fusion+loop-to-map", [opts](ir::SDFG& g) {
+  pipe.add("fusion+loop-to-map", [opts](ir::SDFG& g) {
     bool any = false;
     bool changed = true;
     while (changed) {
@@ -84,11 +48,12 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
     }
     return any;
   });
-  if (opts.collapse) add_fixpoint("map-collapse", map_collapse);
+  if (opts.collapse) pipe.add_fixpoint("map-collapse", map_collapse);
 
   // (3) Tile WCR maps to reduce atomic updates.
   if (opts.tile_wcr) {
-    add("wcr-tiling", [tile_size = opts.wcr_tile_size, device](ir::SDFG& g) {
+    pipe.add("wcr-tiling", [tile_size = opts.wcr_tile_size,
+                            device](ir::SDFG& g) {
       // Schedules must be known before tiling decides atomicity; set the
       // target schedule first.
       ir::Schedule sched = ir::Schedule::CPUParallel;
@@ -104,17 +69,17 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
 
   // (4) Transient allocation mitigation.
   if (opts.transient_mitigation) {
-    add("transient-mitigation", [](ir::SDFG& g) {
+    pipe.add("transient-mitigation", [](ir::SDFG& g) {
       mitigate_transient_allocation(g);
       return true;
     });
   }
 
   // Injected passes (tests, fuzzer fault injection).
-  for (const Pass& p : opts.extra_passes) add(p.name, p.apply);
+  for (const Pass& p : opts.extra_passes) pipe.add(p.name, p.apply);
 
   // Device specialization.
-  add("device-specialize", [device](ir::SDFG& g) {
+  pipe.add("device-specialize", [device](ir::SDFG& g) {
     switch (device) {
       case ir::DeviceType::CPU:
         set_toplevel_schedules(g, ir::Schedule::CPUParallel,
@@ -133,29 +98,6 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
   });
 
   PassReport report = pipe.run_transactional(sdfg);
-
-  // Record this run's per-pass win/loss into the pipeline history and
-  // remember the last committed rewriting pass (executor teardown stamps
-  // it into the map profiles it flushes).  Recording is write-only: it
-  // cannot perturb the run that produced it.
-  {
-    std::string last;
-    std::vector<prof::PassStat> delta;
-    delta.reserve(report.outcomes.size());
-    for (const PassOutcome& o : report.outcomes) {
-      prof::PassStat s;
-      s.name = o.name;
-      s.runs = 1;
-      s.applied = o.applied ? 1 : 0;
-      s.committed = o.committed ? 1 : 0;
-      s.rolled_back = o.rolled_back ? 1 : 0;
-      if (o.committed && o.applied) last = o.name;
-      delta.push_back(std::move(s));
-    }
-    if (!last.empty()) prof::note_last_rewrite(last);
-    prof::ProfileDB& db = prof::ProfileDB::instance();
-    if (db.enabled() && !delta.empty()) db.merge_pipeline(sdfg_hash, delta);
-  }
 
   if (opts.report) *opts.report = std::move(report);
   sdfg.validate();

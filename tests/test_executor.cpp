@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <random>
 
 #include "common/common.hpp"
 #include "frontend/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/tensor_ops.hpp"
+#include "transforms/auto_optimize.hpp"
 
 namespace dace {
 namespace {
@@ -329,6 +332,41 @@ def f(A: dace.float64[N], B: dace.float64[N]):
   ex3.run(args, {{"N", n}});
   for (int64_t i = 0; i < n; i += 997)
     EXPECT_EQ(B.get_flat(i), 2.0 * A.get_flat(i));
+}
+
+TEST(Executor, CompileBelowTier1WritesNoFiles) {
+  // With no map promoted to native code, compiling, running and tearing
+  // down a program touches nothing on disk: a fresh cache root stays
+  // free of regular files.
+  namespace fs = std::filesystem;
+  char tmpl[] = "/tmp/dacepp-nowrite-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  setenv("DACEPP_JIT", "0", 1);
+  setenv("DACE_CACHE_DIR", root.c_str(), 1);
+  {
+    auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[0:N]:
+        B[i] = 2.0 * A[i] + B[i]
+)");
+    xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+    Tensor A = random_tensor({64}, 5);
+    Tensor B(ir::DType::f64, {64});
+    Bindings args{{"A", A}, {"B", B}};
+    rt::Executor ex(*sdfg);
+    ex.run(args, {{"N", 64}});
+    EXPECT_EQ(B.get_flat(3), 2.0 * A.get_flat(3));
+  }
+  unsetenv("DACEPP_JIT");
+  unsetenv("DACE_CACHE_DIR");
+  std::vector<std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(root))
+    if (e.is_regular_file()) files.push_back(e.path().string());
+  fs::remove_all(root);
+  EXPECT_TRUE(files.empty()) << files.size() << " file(s), first "
+                             << (files.empty() ? "" : files.front());
 }
 
 // Parameterized sweep: the same program over many sizes (symbolic shape

@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,6 +351,29 @@ TEST(Serve, PingAndStats) {
   EXPECT_EQ(json_find_int(st.payload, "accepted", -1), 0);
   EXPECT_EQ(json_find_int(st.payload, "completed", -1), 0);
   EXPECT_GE(json_find_int(st.payload, "connections", -1), 1);
+  EXPECT_TRUE(srv.drain());
+}
+
+TEST(Serve, ClosedConnectionsReleaseTheirReaderThreads) {
+  // Every ping is its own connection.  A reader thread that finishes but
+  // is never joined keeps its stack mapped, so a daemon that leaked them
+  // would gain two /proc/self/maps entries (stack + guard) per client.
+  std::string sock = test_socket();
+  Server srv(test_config(sock));
+  std::string why;
+  ASSERT_TRUE(srv.start(&why)) << why;
+  Client cli = make_client(sock);
+  ASSERT_TRUE(cli.ping().ok);
+  auto mappings = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    int n = 0;
+    while (std::getline(maps, line)) ++n;
+    return n;
+  };
+  const int before = mappings();
+  for (int i = 0; i < 256; ++i) ASSERT_TRUE(cli.ping().ok) << i;
+  EXPECT_LT(mappings() - before, 128);
   EXPECT_TRUE(srv.drain());
 }
 

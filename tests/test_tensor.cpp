@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "runtime/tensor_ops.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -183,6 +187,46 @@ TEST(ThreadPool, NestedCallsRunInline) {
     });
   });
   EXPECT_EQ(total.load(), 8);
+}
+
+// Eight external threads (as simMPI ranks and serve workers are) call
+// parallel_for on one pool at once; every caller must see each index of
+// its own domain run exactly once, through both overloads.
+void hammer_parallel_for(ThreadPool& pool) {
+  constexpr int kCallers = 8, kRounds = 200;
+  constexpr int64_t kN = 1024;
+  std::atomic<int> ready{0};
+  std::vector<int> bad(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<std::atomic<int>> hits(kN);
+      auto body = [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) hits[(size_t)i]++;
+      };
+      ++ready;
+      while (ready.load() < kCallers) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        for (auto& h : hits) h.store(0);
+        if (r % 2)
+          pool.parallel_for(kN, body);
+        else
+          pool.parallel_for(kN, pool.num_threads(), body);
+        for (auto& h : hits) bad[(size_t)c] += h.load() != 1;
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(bad[(size_t)c], 0) << c;
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirDomain) {
+  ThreadPool pool(4);
+  hammer_parallel_for(pool);
+}
+
+TEST(ThreadPool, ConcurrentCallersOnGlobalPool) {
+  hammer_parallel_for(ThreadPool::global());
 }
 
 TEST(Allclose, DetectsDifferences) {
