@@ -142,9 +142,13 @@ class JsonReport {
   std::vector<std::pair<std::string, double>> entries_;
 };
 
-inline Timing time_median(const std::function<void()>& fn, int reps = 5) {
+/// Median of `reps` timed calls of `fn`.  `setup`, when given, runs
+/// before every call outside the timed region (e.g. building inputs).
+inline Timing time_median(const std::function<void()>& fn, int reps = 5,
+                          const std::function<void()>& setup = {}) {
   std::vector<double> ts;
   for (int i = 0; i < reps; ++i) {
+    if (setup) setup();
     int64_t t0 = dace::obs::now_ns();
     fn();
     ts.push_back((double)(dace::obs::now_ns() - t0) / 1e9);
@@ -161,9 +165,10 @@ inline Timing time_median(const std::function<void()>& fn, int reps = 5) {
 /// Named timing: recorded into the JSON report and, when tracing is on,
 /// covered by a "bench" span on the host timeline.
 inline Timing time_median(const std::string& name,
-                          const std::function<void()>& fn, int reps = 5) {
+                          const std::function<void()>& fn, int reps = 5,
+                          const std::function<void()>& setup = {}) {
   dace::obs::Span span("bench", name);
-  Timing t = time_median(fn, reps);
+  Timing t = time_median(fn, reps, setup);
   JsonReport::global().record(name, t.median_s * 1e9);
   return t;
 }

@@ -37,23 +37,17 @@ int main() {
 
     fe::Module mod = fe::parse(k.source);
     rt::EagerInterpreter eager(mod.functions[0]);
+    // Inputs are rebuilt before every rep, outside the timed region.
+    rt::Bindings b;
+    auto init = [&] { b = k.init(sizes); };
     auto t_numpy = bench::time_median(
-        "fig7." + k.name + ".numpy",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          eager.run(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".numpy", [&] { eager.run(b, sizes); }, reps,
+        init);
 
     auto o0 = fe::compile_to_sdfg(k.source);
     rt::Executor ex0(*o0);
     auto t_o0 = bench::time_median(
-        "fig7." + k.name + ".o0",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          ex0.run(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".o0", [&] { ex0.run(b, sizes); }, reps, init);
 
     auto opt = fe::compile_to_sdfg(k.source);
     xf::auto_optimize(*opt, ir::DeviceType::CPU);
@@ -62,7 +56,6 @@ int main() {
     auto t_dace = bench::time_median(
         "fig7." + k.name + ".dace",
         [&] {
-          rt::Bindings b = k.init(sizes);
           if (prog.valid()) {
             std::vector<double*> args;
             for (const auto& an : opt->arg_names())
@@ -75,27 +68,18 @@ int main() {
             exo.run(b, sizes);
           }
         },
-        reps);
+        reps, init);
 
     auto t_ref = bench::time_median(
-        "fig7." + k.name + ".cppref",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          k.reference(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".cppref", [&] { k.reference(b, sizes); }, reps,
+        init);
 
     // Tiered executor, Tier 0 pinned (pure bytecode VM).
     setenv("DACEPP_JIT", "0", 1);
     rt::Executor ext0(*opt);
     unsetenv("DACEPP_JIT");
     auto t_t0 = bench::time_median(
-        "fig7." + k.name + ".vm_t0",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          ext0.run(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".vm_t0", [&] { ext0.run(b, sizes); }, reps, init);
 
     // Tier 1: promote every map immediately, compile synchronously, and
     // warm up once so the timed runs measure steady-state native code.
@@ -104,18 +88,12 @@ int main() {
     rt::Executor ext1(*opt);
     unsetenv("DACEPP_JIT_THRESHOLD");
     unsetenv("DACEPP_JIT_SYNC");
-    {
-      rt::Bindings b = k.init(sizes);
-      ext1.run(b, sizes);
-    }
+    init();
+    ext1.run(b, sizes);
     bool native = ext1.native_launches() > 0;
     auto t_t1 = bench::time_median(
-        "fig7." + k.name + ".jit_t1",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          ext1.run(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".jit_t1", [&] { ext1.run(b, sizes); }, reps,
+        init);
 
     // Kernel-plan A/B: the same SDFG with the planner disabled is the
     // pre-plan Tier-1 pipeline (goto emission, -O2, static worker
@@ -127,20 +105,14 @@ int main() {
     setenv("DACEPP_JIT_SYNC", "1", 1);
     setenv("DACE_KERNEL_PLAN", "0", 1);
     rt::Executor exoff(*opt);
-    {
-      rt::Bindings b = k.init(sizes);
-      exoff.run(b, sizes);
-    }
+    init();
+    exoff.run(b, sizes);
     unsetenv("DACE_KERNEL_PLAN");
     unsetenv("DACEPP_JIT_THRESHOLD");
     unsetenv("DACEPP_JIT_SYNC");
     auto t_off = bench::time_median(
-        "fig7." + k.name + ".jit_t1_plan_off",
-        [&] {
-          rt::Bindings b = k.init(sizes);
-          exoff.run(b, sizes);
-        },
-        reps);
+        "fig7." + k.name + ".jit_t1_plan_off", [&] { exoff.run(b, sizes); },
+        reps, init);
 
     double s0 = t_numpy.median_s / t_o0.median_s;
     double sd = t_numpy.median_s / t_dace.median_s;

@@ -156,12 +156,12 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
     if (st.instrument != ir::Instrument::Off) {
       VMStats before = stats_;
       int64_t t0 = obs::now_ns();
-      execute_state(st);
+      execute_state(cur, st);
       VMStats d = stats_delta(before);
       inst_->record("state", cur, -1, st.label(), st.instrument, t0,
                     obs::now_ns() - t0, 0, 1, &d);
     } else {
-      execute_state(st);
+      execute_state(cur, st);
     }
     if (opts_.post_state_hook) opts_.post_state_hook(st, syms_);
     DACE_CHECK(++steps < kMaxSteps, "executor: state machine did not halt");
@@ -199,7 +199,9 @@ VMStats Executor::stats_delta(const VMStats& before) const {
   return d;
 }
 
-void Executor::execute_state(const ir::State& st) {
+const std::vector<int>& Executor::schedule(int sid, const ir::State& st) {
+  auto it = schedules_.find(sid);
+  if (it != schedules_.end()) return it->second;
   // Top-level nodes only; nodes inside map scopes execute via the VM.
   std::set<int> inner;
   for (int id : st.node_ids()) {
@@ -208,8 +210,14 @@ void Executor::execute_state(const ir::State& st) {
       for (int s : st.scope_nodes(id)) inner.insert(s);
     }
   }
-  for (int id : st.topological_order()) {
-    if (inner.count(id)) continue;
+  std::vector<int> order;
+  for (int id : st.topological_order())
+    if (!inner.count(id)) order.push_back(id);
+  return schedules_.emplace(sid, std::move(order)).first->second;
+}
+
+void Executor::execute_state(int sid, const ir::State& st) {
+  for (int id : schedule(sid, st)) {
     const ir::Node* n = st.node(id);
     switch (n->kind) {
       case ir::NodeKind::Access:
@@ -223,7 +231,7 @@ void Executor::execute_state(const ir::State& st) {
         notify_launch("tasklet", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("tasklet", sdfg_.state_id(&st), id,
+          inst_->record("tasklet", sid, id,
                         static_cast<const ir::Tasklet*>(n)->name, im, t0,
                         obs::now_ns() - t0, 0, 1, &d);
         }
@@ -242,7 +250,7 @@ void Executor::execute_state(const ir::State& st) {
           // Tier-1 runs produce no VMStats; only attach the delta when the
           // VM interpreted the map, so instrs/iter stays meaningful.
           VMStats d = stats_delta(before);
-          inst_->record("map", sdfg_.state_id(&st), id,
+          inst_->record("map", sid, id,
                         static_cast<const ir::MapEntry*>(n)->name, im, t0,
                         obs::now_ns() - t0, tier, iters,
                         tier == 0 ? &d : nullptr);
@@ -260,7 +268,7 @@ void Executor::execute_state(const ir::State& st) {
         notify_launch("library", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("library", sdfg_.state_id(&st), id, n->label(), im,
+          inst_->record("library", sid, id, n->label(), im,
                         t0, obs::now_ns() - t0, 0, 1, &d);
         }
         break;

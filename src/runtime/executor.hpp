@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ir/sdfg.hpp"
 #include "runtime/bytecode.hpp"
@@ -116,7 +117,11 @@ class Executor {
   void allocate_transients();
   void notify_launch(const std::string& kind, const VMStats& before);
   VMStats stats_delta(const VMStats& before) const;
-  void execute_state(const ir::State& st);
+  /// Top-level nodes of state `sid` in execution order: its topological
+  /// order minus the interiors of top-level map scopes.  Built on first
+  /// use and kept, like programs_, for the executor's lifetime.
+  const std::vector<int>& schedule(int sid, const ir::State& st);
+  void execute_state(int sid, const ir::State& st);
   void execute_tasklet(const ir::State& st, int node);
   /// `tier_used`/`iters_out` report which tier dispatched the map and how
   /// many outer iterations it ran (instrumentation bookkeeping).
@@ -154,8 +159,11 @@ class Executor {
   sym::SymbolMap syms_;
   Bindings env_;
   Bindings persistent_;  // persistent transients survive across run()
-  // Compiled map programs, keyed by (state id, entry node id).
+  // Compiled map programs, keyed by (state id, entry node id).  Like the
+  // state schedules below, they assume the SDFG does not change while
+  // this executor lives.
   std::map<std::pair<int, int>, TieredProgram> programs_;
+  std::map<int, std::vector<int>> schedules_;  // keyed by state id
   // Child executors for nested SDFG nodes.
   std::map<std::pair<int, int>, std::unique_ptr<Executor>> children_;
   VMStats stats_;

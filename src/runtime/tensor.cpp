@@ -18,6 +18,38 @@ int64_t shape_size(const std::vector<int64_t>& shape) {
   for (int64_t s : shape) n *= s;
   return n;
 }
+
+// Copy every element of a strided view into another view of the same
+// shape, casting each to `dt`.  One odometer steps both offsets over the
+// outer dimensions; the innermost dimension is a plain strided loop.
+void strided_copy(const std::vector<int64_t>& shape, double* dst,
+                  const std::vector<int64_t>& dst_strides, const double* src,
+                  const std::vector<int64_t>& src_strides, DType dt) {
+  if (shape_size(shape) == 0) return;
+  size_t r = shape.size();
+  if (r == 0) {
+    *dst = cast_to(dt, *src);
+    return;
+  }
+  int64_t inner = shape[r - 1];
+  int64_t dsi = dst_strides[r - 1], ssi = src_strides[r - 1];
+  std::vector<int64_t> idx(r - 1, 0);
+  int64_t od = 0, os = 0;
+  for (;;) {
+    for (int64_t j = 0; j < inner; ++j)
+      dst[od + j * dsi] = cast_to(dt, src[os + j * ssi]);
+    size_t d = r - 1;
+    for (;;) {
+      if (d-- == 0) return;
+      od += dst_strides[d];
+      os += src_strides[d];
+      if (++idx[d] < shape[d]) break;
+      od -= dst_strides[d] * shape[d];
+      os -= src_strides[d] * shape[d];
+      idx[d] = 0;
+    }
+  }
+}
 }  // namespace
 
 Tensor::Tensor(DType dtype, std::vector<int64_t> shape)
@@ -42,7 +74,12 @@ Tensor Tensor::from_values(std::vector<int64_t> shape,
 int64_t Tensor::size() const { return shape_size(shape_); }
 
 bool Tensor::contiguous() const {
-  return strides_ == row_major_strides(shape_);
+  int64_t expect = 1;
+  for (size_t d = shape_.size(); d-- > 0;) {
+    if (strides_[d] != expect) return false;
+    expect *= shape_[d];
+  }
+  return true;
 }
 
 double& Tensor::at(const std::vector<int64_t>& idx) {
@@ -169,11 +206,13 @@ void Tensor::assign_from(const Tensor& src) {
   // Aliasing-safe: if the views may overlap, stage through a buffer.
   if (same_buffer(src)) {
     std::vector<double> tmp(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) tmp[static_cast<size_t>(i)] = src.get_flat(i);
-    for (int64_t i = 0; i < n; ++i) set_flat(i, tmp[static_cast<size_t>(i)]);
+    std::vector<int64_t> tmp_strides = row_major_strides(shape_);
+    strided_copy(shape_, tmp.data(), tmp_strides, src.data(), src.strides_,
+                 DType::f64);
+    strided_copy(shape_, data(), strides_, tmp.data(), tmp_strides, dtype_);
     return;
   }
-  for (int64_t i = 0; i < n; ++i) set_flat(i, src.get_flat(i));
+  strided_copy(shape_, data(), strides_, src.data(), src.strides_, dtype_);
 }
 
 void Tensor::fill(double v) {

@@ -182,7 +182,25 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   }
   if (a.rank() == 1 && b.rank() == 2) {
     DACE_CHECK(a.shape()[0] == b.shape()[0], "matmul: shape mismatch");
-    return matmul(b.transpose(), a);
+    // out[j] = sum over l ascending of b[l,j] * a[l]: the rows of b are
+    // streamed through their strides, never copied.  Each output sums the
+    // same products in the same order as the matrix-vector path on b^T,
+    // so the two agree bit for bit whatever the pool width.
+    int64_t k = b.shape()[0], n = b.shape()[1];
+    Tensor out(dt, {n});
+    const double* pa = a.data();
+    const double* pb = b.data();
+    int64_t sa = a.strides()[0], sr = b.strides()[0], sc = b.strides()[1];
+    double* po = out.data();
+    ThreadPool::global().parallel_for(n, [&](int64_t lo, int64_t hi) {
+      for (int64_t l = 0; l < k; ++l) {
+        double av = pa[l * sa];
+        const double* bl = pb + l * sr;
+        for (int64_t j = lo; j < hi; ++j) po[j] += bl[j * sc] * av;
+      }
+      for (int64_t j = lo; j < hi; ++j) po[j] = cast_to(dt, po[j]);
+    });
+    return out;
   }
   DACE_CHECK(a.rank() == 2 && b.rank() == 2, "matmul: unsupported ranks ",
              a.rank(), "x", b.rank());
@@ -221,10 +239,13 @@ Tensor outer(const Tensor& a, const Tensor& b) {
   DACE_CHECK(a.rank() == 1 && b.rank() == 1, "outer: vectors required");
   int64_t m = a.shape()[0], n = b.shape()[0];
   Tensor out(promote(a.dtype(), b.dtype()), {m, n});
+  const double* pa = a.data();
+  const double* pb = b.data();
+  int64_t sa = a.strides()[0], sb = b.strides()[0];
   double* po = out.data();
   for (int64_t i = 0; i < m; ++i) {
-    double av = a.get_flat(i);
-    for (int64_t j = 0; j < n; ++j) po[i * n + j] = av * b.get_flat(j);
+    double av = pa[i * sa];
+    for (int64_t j = 0; j < n; ++j) po[i * n + j] = av * pb[j * sb];
   }
   return out;
 }
@@ -232,8 +253,11 @@ Tensor outer(const Tensor& a, const Tensor& b) {
 double dot(const Tensor& a, const Tensor& b) {
   DACE_CHECK(a.rank() == 1 && b.rank() == 1 && a.shape() == b.shape(),
              "dot: shape mismatch");
+  const double* pa = a.data();
+  const double* pb = b.data();
+  int64_t sa = a.strides()[0], sb = b.strides()[0];
   double acc = 0;
-  for (int64_t i = 0; i < a.size(); ++i) acc += a.get_flat(i) * b.get_flat(i);
+  for (int64_t i = 0, n = a.size(); i < n; ++i) acc += pa[i * sa] * pb[i * sb];
   return acc;
 }
 
@@ -250,40 +274,29 @@ double sum_all(const Tensor& a) {
 
 Tensor sum_axis(const Tensor& a, int axis) {
   DACE_CHECK(axis >= 0 && axis < (int)a.rank(), "sum_axis: bad axis");
-  std::vector<int64_t> oshape;
+  std::vector<int64_t> oshape, ostrides;  // kept dims, with a's strides
   for (size_t d = 0; d < a.rank(); ++d) {
-    if ((int)d != axis) oshape.push_back(a.shape()[d]);
+    if ((int)d == axis) continue;
+    oshape.push_back(a.shape()[d]);
+    ostrides.push_back(a.strides()[d]);
   }
   Tensor out(a.dtype(), oshape);
-  int64_t n = out.size();
-  int64_t red = a.shape()[axis];
-  for (int64_t i = 0; i < n; ++i) {
-    // Reconstruct multi-index of the output, insert the reduced axis.
-    std::vector<int64_t> idx(a.rank(), 0);
-    int64_t rem = i;
-    for (size_t d = a.rank(); d-- > 0;) {
-      if ((int)d == axis) continue;
-      size_t od = d > (size_t)axis ? d - 1 : d;
-      (void)od;
-    }
-    // Simpler: decode against output shape.
-    rem = i;
-    std::vector<int64_t> oidx(oshape.size(), 0);
-    for (size_t d = oshape.size(); d-- > 0;) {
-      oidx[d] = rem % oshape[d];
-      rem /= oshape[d];
-    }
-    size_t oi = 0;
-    for (size_t d = 0; d < a.rank(); ++d) {
-      if ((int)d == axis) continue;
-      idx[d] = oidx[oi++];
-    }
+  const double* pa = a.data();
+  double* po = out.data();
+  int64_t red = a.shape()[axis], rs = a.strides()[axis];
+  // Odometer over the output index; `off` is its element's offset in a.
+  std::vector<int64_t> idx(oshape.size(), 0);
+  int64_t off = 0;
+  for (int64_t i = 0, n = out.size(); i < n; ++i) {
     double acc = 0;
-    for (int64_t r = 0; r < red; ++r) {
-      idx[axis] = r;
-      acc += a.at(idx);
+    for (int64_t r = 0; r < red; ++r) acc += pa[off + r * rs];
+    po[i] = cast_to(out.dtype(), acc);
+    for (size_t d = idx.size(); d-- > 0;) {
+      off += ostrides[d];
+      if (++idx[d] < oshape[d]) break;
+      off -= ostrides[d] * oshape[d];
+      idx[d] = 0;
     }
-    out.set_flat(i, acc);
   }
   return out;
 }
@@ -291,14 +304,24 @@ Tensor sum_axis(const Tensor& a, int axis) {
 double max_all(const Tensor& a) {
   DACE_CHECK(a.size() > 0, "max_all: empty tensor");
   double m = a.get_flat(0);
-  for (int64_t i = 1; i < a.size(); ++i) m = std::max(m, a.get_flat(i));
+  if (a.contiguous()) {
+    const double* p = a.data();
+    for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::max(m, p[i]);
+    return m;
+  }
+  for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::max(m, a.get_flat(i));
   return m;
 }
 
 double min_all(const Tensor& a) {
   DACE_CHECK(a.size() > 0, "min_all: empty tensor");
   double m = a.get_flat(0);
-  for (int64_t i = 1; i < a.size(); ++i) m = std::min(m, a.get_flat(i));
+  if (a.contiguous()) {
+    const double* p = a.data();
+    for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::min(m, p[i]);
+    return m;
+  }
+  for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::min(m, a.get_flat(i));
   return m;
 }
 

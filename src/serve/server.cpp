@@ -182,8 +182,8 @@ bool Server::start(std::string* why) {
                 "{\"path\":\"" + diag::json_escape(sock_path_) + "\"}");
   }
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
+  int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (lfd < 0) {
     if (why) *why = std::string("socket: ") + std::strerror(errno);
     return false;
   }
@@ -192,19 +192,18 @@ bool Server::start(std::string* why) {
   sa.sun_family = AF_UNIX;
   if (sock_path_.size() >= sizeof(sa.sun_path)) {
     if (why) *why = "socket path too long: " + sock_path_;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(lfd);
     return false;
   }
   std::strncpy(sa.sun_path, sock_path_.c_str(), sizeof(sa.sun_path) - 1);
-  if (::bind(listen_fd_, (struct sockaddr*)&sa, sizeof(sa)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
+  if (::bind(lfd, (struct sockaddr*)&sa, sizeof(sa)) != 0 ||
+      ::listen(lfd, 64) != 0) {
     if (why)
       *why = "bind/listen on " + sock_path_ + ": " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(lfd);
     return false;
   }
+  listen_fd_.store(lfd);
 
   running_.store(true);
   draining_.store(false);
@@ -223,13 +222,13 @@ void Server::stop() {
   if (!running_.exchange(false)) return;
   // Unblock the accept loop, then everything downstream.
   accepting_.store(false);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  close_listener();
   if (accept_thread_.joinable()) accept_thread_.join();
   {
+    // No write_mu here: shutdown() is what unblocks a worker stuck in
+    // send() to a client that stopped reading.  Reading Conn::fd under
+    // mu_ alone is safe because reader_loop() leaves conns_ before it
+    // closes the fd.
     std::lock_guard<std::mutex> lk(mu_);
     for (auto& c : conns_) {
       c->open.store(false);
@@ -264,17 +263,23 @@ void Server::stop() {
   }
 }
 
+void Server::close_listener() {
+  // exchange(): drain() and stop() may both get here, and the accept
+  // loop reads the fd concurrently; only one caller closes it.
+  int lfd = listen_fd_.exchange(-1);
+  if (lfd >= 0) {
+    ::shutdown(lfd, SHUT_RDWR);
+    ::close(lfd);
+  }
+}
+
 bool Server::drain() {
   if (!running_.load()) return true;
   draining_.store(true);
   // Stop accepting new connections; existing readers keep answering
   // (Run gets E610 from here on).
   accepting_.store(false);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  close_listener();
   if (accept_thread_.joinable()) accept_thread_.join();
 
   // Wait, bounded, for the queue and every in-flight job to finish;
@@ -306,7 +311,7 @@ void Server::accept_loop() {
   while (running_.load() && accepting_.load()) {
     // Snapshot the fd: drain()/stop() close it and write -1 concurrently,
     // and poll(-1) would "succeed" by timing out, spinning this loop.
-    int lfd = listen_fd_;
+    int lfd = listen_fd_.load();
     if (lfd < 0) return;
     struct pollfd p = {lfd, POLLIN, 0};
     int pr = ::poll(&p, 1, 100);
@@ -365,15 +370,17 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
   }
   conn->open.store(false);
   {
-    // Close under the write lock so a worker mid-reply never races a
-    // reused descriptor; writers check fd under the same lock.
-    std::lock_guard<std::mutex> wl(conn->write_mu);
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
+    std::lock_guard<std::mutex> lk(mu_);
+    queue_.forget_flow(conn->id);
+    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
+                 conns_.end());
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  queue_.forget_flow(conn->id);
-  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
+  // Close under the write lock so a worker mid-reply never races a
+  // reused descriptor; writers check fd under the same lock.  Only after
+  // the erase: stop() reads the fd of every conn in conns_ under mu_.
+  std::lock_guard<std::mutex> wl(conn->write_mu);
+  if (conn->fd >= 0) ::close(conn->fd);
+  conn->fd = -1;
 }
 
 bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {

@@ -193,6 +193,8 @@ class Server {
   struct Inflight;
   struct Conn;
 
+  /// Shut down and close the listening socket, once across callers.
+  void close_listener();
   void accept_loop();
   void reader_loop(std::shared_ptr<Conn> conn);
   void worker_loop();
@@ -210,7 +212,7 @@ class Server {
 
   ServeConfig cfg_;
   std::string sock_path_;
-  int listen_fd_ = -1;
+  std::atomic<int> listen_fd_{-1};
   int lock_fd_ = -1;
   std::string lock_path_;
 

@@ -65,6 +65,20 @@ TEST_P(KernelSuite, AutoOptimizedMatchesReference) {
   compare(b, ref);
 }
 
+TEST_P(KernelSuite, RepeatedRunsOnOneExecutorMatchReference) {
+  // An executor keeps its map programs and state schedules across runs;
+  // every run on fresh inputs must still match the reference.
+  Bindings ref = run_reference();
+  auto sdfg = fe::compile_to_sdfg(k().source);
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  rt::Executor ex(*sdfg);
+  for (int run = 0; run < 3; ++run) {
+    Bindings b = k().init(sizes());
+    ex.run(b, sizes());
+    compare(b, ref);
+  }
+}
+
 TEST_P(KernelSuite, AutoOptimizeReducesOrKeepsMapLaunches) {
   auto o0 = fe::compile_to_sdfg(k().source);
   auto opt = o0->clone();

@@ -12,8 +12,9 @@
 //                   + persisted negative cache, overload shedding,
 //                   in-flight dedup (the 32-clients-one-compile
 //                   acceptance), deadlines, wedged-job abandonment,
-//                   malformed-frame isolation, drain, restart recovery,
-//                   symlink refusal
+//                   malformed-frame isolation, drain, stop with a
+//                   writer stuck on a non-reading client, restart
+//                   recovery, symlink refusal
 //   ServeChaos*  -- the robustness core: a seeded connection-level fault
 //                   plan (mid-frame disconnect, slow-loris, corrupt
 //                   frames, executor crashes, wedged jobs, deadline
@@ -34,6 +35,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -709,6 +711,45 @@ TEST(Serve, DrainingDaemonRejectsNewWorkWithE610) {
   }
   ::close(fd);
   drainer.join();
+}
+
+TEST(Serve, StopReleasesAConnectionStuckOnAClientThatStoppedReading) {
+  // A client that sends pings but never reads the replies fills both
+  // socket buffers, until the daemon's reader blocks in send() holding
+  // that connection's write lock.  stop() must still return: shutting the
+  // connection down is what fails the blocked send.
+  std::string sock = test_socket();
+  Server srv(test_config(sock));
+  std::string why;
+  ASSERT_TRUE(srv.start(&why)) << why;
+  int fd = connect_raw(sock);
+  std::string one = encode_frame(Verb::Ping, "");
+  std::string pings;
+  for (int i = 0; i < 200000; ++i) pings += one;
+  // Push without blocking until the daemon has stopped reading for a
+  // while; partial sends resume mid-frame, so the stream stays framed.
+  size_t off = 0;
+  auto last = std::chrono::steady_clock::now();
+  while (off < pings.size() &&
+         std::chrono::steady_clock::now() - last <
+             std::chrono::milliseconds(300)) {
+    ssize_t w = ::send(fd, pings.data() + off, pings.size() - off,
+                       MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w > 0) {
+      off += (size_t)w;
+      last = std::chrono::steady_clock::now();
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ASSERT_LT(off, pings.size()) << "the daemon never stopped reading";
+  auto stopped = std::async(std::launch::async, [&] { srv.stop(); });
+  bool returned =
+      stopped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(fd);  // lets a hung stop() finish, so the test can report it
+  stopped.get();
+  EXPECT_TRUE(returned) << "stop() waited on a writer blocked in send()";
 }
 
 TEST(Serve, StaleSocketIsRecoveredLiveAndSymlinkRefused) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -85,6 +87,82 @@ TEST(Tensor, AssignFromOverlappingViews) {
   EXPECT_EQ(t.get_flat(3), 4.0);
 }
 
+// Every multi-index of `shape`, in row-major order.
+std::vector<std::vector<int64_t>> all_indices(
+    const std::vector<int64_t>& shape) {
+  int64_t n = 1;
+  for (int64_t s : shape) n *= s;
+  std::vector<std::vector<int64_t>> out;
+  for (int64_t i = 0; i < n; ++i) {
+    std::vector<int64_t> idx(shape.size());
+    int64_t rem = i;
+    for (size_t d = shape.size(); d-- > 0;) {
+      idx[d] = rem % shape[d];
+      rem /= shape[d];
+    }
+    out.push_back(idx);
+  }
+  return out;
+}
+
+// Distinct values, most of them not representable in f32.
+Tensor numbered(std::vector<int64_t> shape) {
+  Tensor t(DType::f64, std::move(shape));
+  for (int64_t i = 0; i < t.size(); ++i) t.set_flat(i, 0.1 + 1.3 * (double)i);
+  return t;
+}
+
+// dst.assign_from(src), checked element by element through at(); the
+// expected values are read before the assignment, so overlapping views
+// are checked against the source as it was.
+void expect_assign(Tensor dst, const Tensor& src) {
+  std::vector<std::vector<int64_t>> idx = all_indices(src.shape());
+  std::vector<double> want;
+  for (const auto& i : idx) want.push_back(cast_to(dst.dtype(), src.at(i)));
+  dst.assign_from(src);
+  ASSERT_EQ(dst.shape(), src.shape());
+  for (size_t e = 0; e < idx.size(); ++e)
+    EXPECT_EQ(dst.at(idx[e]), want[e]) << "element " << e;
+}
+
+TEST(Tensor, AssignFromStridedViews) {
+  Tensor m = numbered({3, 5});
+  // Transposed 2-D view, into a contiguous and into a transposed target.
+  expect_assign(Tensor(DType::f64, {5, 3}), m.transpose());
+  expect_assign(Tensor(DType::f64, {3, 5}).transpose(), m.transpose());
+  // Stepped slice.
+  Tensor big = numbered({6, 7});
+  expect_assign(Tensor(DType::f64, {3, 3}), big.slice({1, 0}, {6, 7}, {2, 3}));
+  // Permuted rank-3 view, also through copy() and astype().
+  Tensor cube = numbered({2, 3, 4});
+  Tensor perm = cube.transpose({2, 0, 1});
+  expect_assign(Tensor(DType::f64, {4, 2, 3}), perm);
+  Tensor c = perm.copy();
+  EXPECT_TRUE(c.contiguous());
+  for (const auto& i : all_indices(perm.shape())) EXPECT_EQ(c.at(i), perm.at(i));
+  Tensor h = perm.astype(DType::f32);
+  EXPECT_EQ(h.dtype(), DType::f32);
+  for (const auto& i : all_indices(perm.shape()))
+    EXPECT_EQ(h.at(i), (double)(float)perm.at(i));
+  // Zero-extent dimension.
+  Tensor empty = big.slice({2, 1}, {2, 7}, {1, 2});
+  EXPECT_EQ(empty.shape(), (std::vector<int64_t>{0, 3}));
+  expect_assign(Tensor(DType::f64, {0, 3}), empty);
+  // Rank 0: a scalar, and a view with every dimension dropped.
+  expect_assign(Tensor(), Tensor::scalar(2.5));
+  expect_assign(Tensor(), big.slice({4, 5}, {5, 6}, {1, 1}, {true, true}));
+  // f32 destination: every element is cast on store.
+  expect_assign(Tensor(DType::f32, {5, 3}), m.transpose());
+  expect_assign(Tensor(DType::f32, {3, 3}), big.slice({1, 0}, {6, 7}, {2, 3}));
+  // Overlapping views of one buffer: an in-place transpose, and a
+  // shifted transposed window.
+  Tensor sq = numbered({4, 4});
+  expect_assign(sq, sq.transpose());
+  Tensor sq2 = numbered({5, 5});
+  expect_assign(sq2.slice({0, 0}, {4, 4}, {1, 1}),
+                sq2.slice({1, 1}, {5, 5}, {1, 1}).transpose());
+}
+
 TEST(TensorOps, BroadcastAdd) {
   Tensor a = Tensor::from_values({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = Tensor::from_values({3}, {10, 20, 30});
@@ -139,6 +217,42 @@ TEST(TensorOps, MatMulMatchesNaive) {
       double acc = 0;
       for (int64_t l = 0; l < k; ++l) acc += a.at({i, l}) * b.at({l, j});
       EXPECT_NEAR(c.at({i, j}), acc, 1e-9);
+    }
+  }
+}
+
+TEST(TensorOps, VecMatIsBitIdenticalToOrderedSum) {
+  const int64_t k = 37, n = 29;
+  for (DType dt : {DType::f64, DType::f32}) {
+    auto filled = [&](std::vector<int64_t> shape, double phase) {
+      Tensor t(dt, std::move(shape));
+      for (int64_t i = 0; i < t.size(); ++i)
+        t.set_flat(i, std::sin(phase + 0.37 * (double)i));
+      return t;
+    };
+    Tensor v = filled({k}, 1.0);
+    Tensor contiguous = filled({k, n}, 2.0);
+    Tensor transposed = filled({n, k}, 3.0).transpose();
+    Tensor stepped =
+        filled({2 * k + 1, 2 * n}, 4.0).slice({1, 0}, {2 * k + 1, 2 * n},
+                                              {2, 2});
+    for (const Tensor& a : {contiguous, transposed, stepped}) {
+      ASSERT_EQ(a.shape(), (std::vector<int64_t>{k, n}));
+      Tensor got = ops::matmul(v, a);
+      Tensor mv = ops::matmul(a.transpose(), v);
+      ASSERT_EQ(got.shape(), (std::vector<int64_t>{n}));
+      EXPECT_EQ(got.dtype(), dt);
+      for (int64_t j = 0; j < n; ++j) {
+        double acc = 0;
+        for (int64_t l = 0; l < k; ++l) acc += a.at({l, j}) * v.at({l});
+        double want = cast_to(dt, acc);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
+                  std::bit_cast<uint64_t>(want))
+            << "column " << j;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
+                  std::bit_cast<uint64_t>(mv.at({j})))
+            << "column " << j;
+      }
     }
   }
 }
