@@ -304,24 +304,14 @@ Tensor sum_axis(const Tensor& a, int axis) {
 double max_all(const Tensor& a) {
   DACE_CHECK(a.size() > 0, "max_all: empty tensor");
   double m = a.get_flat(0);
-  if (a.contiguous()) {
-    const double* p = a.data();
-    for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::max(m, p[i]);
-    return m;
-  }
-  for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::max(m, a.get_flat(i));
+  for (int64_t i = 1; i < a.size(); ++i) m = std::max(m, a.get_flat(i));
   return m;
 }
 
 double min_all(const Tensor& a) {
   DACE_CHECK(a.size() > 0, "min_all: empty tensor");
   double m = a.get_flat(0);
-  if (a.contiguous()) {
-    const double* p = a.data();
-    for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::min(m, p[i]);
-    return m;
-  }
-  for (int64_t i = 1, n = a.size(); i < n; ++i) m = std::min(m, a.get_flat(i));
+  for (int64_t i = 1; i < a.size(); ++i) m = std::min(m, a.get_flat(i));
   return m;
 }
 

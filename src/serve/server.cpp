@@ -375,9 +375,14 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
     conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
                  conns_.end());
   }
+  // stop() reads the fd of every conn in conns_ under mu_, so the close
+  // waits for the erase.  Once erased, stop() no longer shuts this conn
+  // down, so shut it down here: that fails a worker's send() to a client
+  // that stopped reading, which would otherwise hold write_mu forever.
+  // This thread owns the fd; writers only read it, under write_mu.
+  if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   // Close under the write lock so a worker mid-reply never races a
-  // reused descriptor; writers check fd under the same lock.  Only after
-  // the erase: stop() reads the fd of every conn in conns_ under mu_.
+  // reused descriptor; writers check fd under the same lock.
   std::lock_guard<std::mutex> wl(conn->write_mu);
   if (conn->fd >= 0) ::close(conn->fd);
   conn->fd = -1;

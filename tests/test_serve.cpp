@@ -13,8 +13,8 @@
 //                   in-flight dedup (the 32-clients-one-compile
 //                   acceptance), deadlines, wedged-job abandonment,
 //                   malformed-frame isolation, drain, stop with a
-//                   writer stuck on a non-reading client, restart
-//                   recovery, symlink refusal
+//                   reader or a worker stuck on a non-reading client,
+//                   restart recovery, symlink refusal
 //   ServeChaos*  -- the robustness core: a seeded connection-level fault
 //                   plan (mid-frame disconnect, slow-loris, corrupt
 //                   frames, executor crashes, wedged jobs, deadline
@@ -24,6 +24,7 @@
 //                   `ctest -L chaos` sweeps this suite across seeds via
 //                   DACE_SERVE_FAULT_SEED.
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -750,6 +751,50 @@ TEST(Serve, StopReleasesAConnectionStuckOnAClientThatStoppedReading) {
   ::close(fd);  // lets a hung stop() finish, so the test can report it
   stopped.get();
   EXPECT_TRUE(returned) << "stop() waited on a writer blocked in send()";
+}
+
+TEST(Serve, StopReleasesAWorkerStuckReplyingToAHalfClosedClient) {
+  // A Run reply far larger than the socket buffers, to a client that never
+  // reads, blocks the worker in send() holding the connection's write
+  // lock.  The client then half-closes, so the reader sees EOF and leaves
+  // its loop while the worker is still stuck.  stop() must still return.
+  std::string sock = test_socket();
+  Server srv(test_config(sock));
+  std::string why;
+  ASSERT_TRUE(srv.start(&why)) << why;
+  int fd = connect_raw(sock);
+  RunRequest req;
+  req.source = axpy_src("stuck", "2.0");
+  req.symbols["N"] = 16;
+  req.id = std::string(2 << 20, 'x');  // echoed in the reply
+  ASSERT_TRUE(write_frame(fd, Verb::Run, format_run_request(req), &why))
+      << why;
+  // The job counts as completed just before its reply is sent; once the
+  // bytes queued at the client stop growing, the worker is in send().
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (srv.stats().completed == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(srv.stats().completed, 1u) << "the job never finished";
+  int queued = -1;
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    int now = 0;
+    ASSERT_EQ(::ioctl(fd, FIONREAD, &now), 0);
+    if (now == queued || std::chrono::steady_clock::now() > give_up) break;
+    queued = now;
+  }
+  ASSERT_LT((size_t)queued, req.id.size())
+      << "the reply fit in the socket buffers";
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  // Let the reader see EOF and leave its loop before stop() runs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto stopped = std::async(std::launch::async, [&] { srv.stop(); });
+  bool returned =
+      stopped.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(fd);  // lets a hung stop() finish, so the test can report it
+  stopped.get();
+  EXPECT_TRUE(returned) << "stop() waited on a worker blocked in send()";
 }
 
 TEST(Serve, StaleSocketIsRecoveredLiveAndSymlinkRefused) {
