@@ -26,11 +26,10 @@ using namespace dace;
 
 int main() {
   printf("=== Figure 7: CPU runtime and speedup over NumPy ===\n");
-  printf("%-12s %12s %9s %9s %9s %9s %9s %8s %8s %8s\n", "kernel", "numpy",
-         "-O0", "DaCe", "C++ref", "VM(T0)", "JIT(T1)", "T1/T0", "T1/ref",
-         "plan");
+  printf("%-12s %12s %9s %9s %9s %9s %9s %8s %8s\n", "kernel", "numpy",
+         "-O0", "DaCe", "C++ref", "VM(T0)", "JIT(T1)", "T1/T0", "T1/ref");
   std::vector<double> sp_o0, sp_dace, sp_ref, sp_t0, sp_t1, tier_ratio,
-      ref_ratio, plan_sp;
+      ref_ratio;
   int reps = 3;
   for (const auto& k : kernels::suite()) {
     const sym::SymbolMap& sizes = k.presets.at("paper");
@@ -95,25 +94,6 @@ int main() {
         "fig7." + k.name + ".jit_t1", [&] { ext1.run(b, sizes); }, reps,
         init);
 
-    // Kernel-plan A/B: the same SDFG with the planner disabled is the
-    // pre-plan Tier-1 pipeline (goto emission, -O2, static worker
-    // split).  Measured in-process, back to back with the plan-on
-    // timing, so machine-load drift between runs cancels out.
-    // DACE_KERNEL_PLAN is read at map-compile time and keyed into
-    // Program::hash, so both native variants coexist in the JIT cache.
-    setenv("DACEPP_JIT_THRESHOLD", "1", 1);
-    setenv("DACEPP_JIT_SYNC", "1", 1);
-    setenv("DACE_KERNEL_PLAN", "0", 1);
-    rt::Executor exoff(*opt);
-    init();
-    exoff.run(b, sizes);
-    unsetenv("DACE_KERNEL_PLAN");
-    unsetenv("DACEPP_JIT_THRESHOLD");
-    unsetenv("DACEPP_JIT_SYNC");
-    auto t_off = bench::time_median(
-        "fig7." + k.name + ".jit_t1_plan_off", [&] { exoff.run(b, sizes); },
-        reps, init);
-
     double s0 = t_numpy.median_s / t_o0.median_s;
     double sd = t_numpy.median_s / t_dace.median_s;
     double sr = t_numpy.median_s / t_ref.median_s;
@@ -124,10 +104,6 @@ int main() {
     // median (1.0 = parity, below 1.0 = the generated code wins).
     double rr = t_t1.median_s / t_ref.median_s;
     bench::JsonReport::global().record("fig7." + k.name + ".ref_ratio", rr);
-    // Plan-on over plan-off, same process: the planner's own speedup.
-    double ps = t_off.median_s / t_t1.median_s;
-    bench::JsonReport::global().record("fig7." + k.name + ".plan_speedup",
-                                       ps);
     sp_o0.push_back(s0);
     sp_dace.push_back(sd);
     sp_ref.push_back(sr);
@@ -135,19 +111,16 @@ int main() {
     sp_t1.push_back(st1);
     tier_ratio.push_back(r);
     ref_ratio.push_back(rr);
-    plan_sp.push_back(ps);
-    printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx "
-           "%7.2fx%s\n",
+    printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx%s\n",
            k.name.c_str(), bench::fmt_time(t_numpy.median_s).c_str(), s0, sd,
-           sr, st0, st1, r, rr, ps, native ? "" : "  (no native tier)");
+           sr, st0, st1, r, rr, native ? "" : "  (no native tier)");
     fflush(stdout);
   }
-  printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx "
-         "%7.2fx\n",
+  printf("%-12s %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %7.2fx %7.2fx\n",
          "geomean", "-", bench::geomean(sp_o0), bench::geomean(sp_dace),
          bench::geomean(sp_ref), bench::geomean(sp_t0),
          bench::geomean(sp_t1), bench::geomean(tier_ratio),
-         bench::geomean(ref_ratio), bench::geomean(plan_sp));
+         bench::geomean(ref_ratio));
   printf("\npaper reference: DaCe geomean speedup over best prior "
          "framework 2.47x;\nstencils gain most from subgraph fusion; "
          "C compilers win short/control-heavy kernels.\n");

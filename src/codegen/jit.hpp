@@ -108,15 +108,18 @@ class CompiledMapNative {
   double compile_seconds_ = 0;
 };
 
-/// Lower a Tier-0 bytecode program to standalone C++ (goto-structured;
-/// the host compiler rediscovers the loop nest and vectorizes).
-/// `dtypes[slot]` is the container dtype of each array slot, baked into
-/// the generated store casts.  Implemented in program_codegen.cpp.
+/// Lower a Tier-0 bytecode program to standalone C++ along its kernel
+/// plan (structured loops; codegen/kernel_plan.hpp).  Returns "" when the
+/// planner cannot structure the program.  `dtypes[slot]` is the container
+/// dtype of each array slot, baked into the generated store casts.
+/// Implemented in program_codegen.cpp.
 std::string generate_map_source(const rt::Program& prog,
                                 const std::vector<ir::DType>& dtypes,
                                 const std::string& fn_name);
 
 /// Build generate_map_source output with the host compiler and load it.
+/// A program with no source yields an invalid handle without running the
+/// compiler.
 CompiledMapNative compile_map_native(const rt::Program& prog,
                                      const std::vector<ir::DType>& dtypes,
                                      const std::string& fn_name,

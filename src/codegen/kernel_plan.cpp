@@ -1,7 +1,6 @@
 #include "codegen/kernel_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 namespace dace::cg {
@@ -396,24 +395,22 @@ class Planner {
 
 }  // namespace
 
-std::string KernelPlan::describe() const {
-  if (!valid) return "goto-fallback";
-  std::ostringstream os;
-  os << "loops=" << loops.size();
-  int jam = 1, unroll = 1;
-  size_t sinks = 0;
+KernelPlan::Summary KernelPlan::summary() const {
+  Summary s;
   for (const PlanLoop& l : loops) {
-    jam = std::max(jam, l.jam);
-    unroll = std::max(unroll, l.unroll);
-    sinks += l.sinks.size();
+    s.jam = std::max(s.jam, l.jam);
+    s.unroll = std::max(s.unroll, l.unroll);
+    s.sinks += l.sinks.size();
   }
-  os << " jam=" << jam << " unroll=" << unroll << " sink=" << sinks;
-  return os.str();
+  return s;
 }
 
-bool kernel_plan_enabled() {
-  const char* env = std::getenv("DACE_KERNEL_PLAN");
-  return !(env && env[0] == '0' && env[1] == '\0');
+std::string KernelPlan::describe() const {
+  Summary s = summary();
+  std::ostringstream os;
+  os << "loops=" << loops.size() << " jam=" << s.jam
+     << " unroll=" << s.unroll << " sink=" << s.sinks;
+  return os.str();
 }
 
 KernelPlan plan_kernel(const rt::Program& prog) {

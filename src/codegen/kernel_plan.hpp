@@ -11,12 +11,10 @@
 //   l: Jmp  h                    offset updates after the var step)
 //
 // plan_kernel() reconstructs that nest from the *optimized* instruction
-// stream -- crucially accepting multi-increment latches, which the older
-// innermost-`for` detector in program_codegen could not -- and decides a
-// KernelPlan the emitter executes:
+// stream -- multi-increment latches included -- and decides a KernelPlan
+// the emitter executes:
 //
-//   - structured `for` emission for the whole nest (gotos stay the
-//     fallback when reconstruction fails),
+//   - structured `for` emission for the whole nest,
 //   - WCR sinking: an innermost StoreWcr whose address is loop-invariant
 //     accumulates into a scalar register and combines once after the
 //     loop (one atomic per output element instead of one per iteration),
@@ -26,9 +24,9 @@
 //   - innermost unrolling by the vector width with a scalar epilogue for
 //     non-divisible trip counts.
 //
-// The plan is a pure function of the Program, so it is keyed into
-// Program::hash via the `kernel_plan` flag (DACE_KERNEL_PLAN=0 restores
-// the scalar goto pipeline and distinct native-cache entries).
+// The plan is a pure function of the Program, so Program::hash already
+// keys the native cache.  A program the planner cannot structure has no
+// Tier-1 form and stays on the Tier-0 VM.
 #pragma once
 
 #include <cstddef>
@@ -81,17 +79,22 @@ struct KernelPlan {
     return false;
   }
 
+  /// Largest jam and unroll factors and total sunk stores over the nest.
+  struct Summary {
+    int jam = 1;
+    int unroll = 1;
+    size_t sinks = 0;
+  };
+  Summary summary() const;
+
   /// Compact human-readable summary, e.g. "loops=3 jam=4 unroll=4 sink=1".
   std::string describe() const;
 };
 
-/// DACE_KERNEL_PLAN gate: unset or any value but "0" enables planning.
-bool kernel_plan_enabled();
-
 /// Reconstruct the loop nest of a map-scope program and plan its Tier-1
 /// emission.  Returns an invalid plan (valid == false) when the control
-/// flow is not a properly nested canonical loop forest; codegen then
-/// falls back to the goto form.
+/// flow is not a properly nested canonical loop forest; such a program
+/// has no Tier-1 source (generate_map_source returns "").
 KernelPlan plan_kernel(const rt::Program& prog);
 
 }  // namespace dace::cg

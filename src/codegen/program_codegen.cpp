@@ -1,23 +1,17 @@
 // Lowers a Tier-0 bytecode program to standalone C++ (Tier 1 of the
 // tiered map executor).
 //
-// Two emission strategies share one per-instruction translator:
+// cg::plan_kernel reconstructs the canonical loop nest and the emitter
+// prints structured `for` loops, sinks invariant-address WCR stores into
+// register accumulators, unroll-and-jams the accumulator-carrying loop
+// with per-lane register renaming, and unrolls innermost loops by the
+// vector width with a scalar epilogue.  The host compiler sees countable
+// loops over __restrict__ arrays and auto-vectorizes.  A program the
+// planner cannot structure gets no source and stays on the VM.
 //
-//  - Plan-driven (default, DACE_KERNEL_PLAN=1): cg::plan_kernel
-//    reconstructs the canonical loop nest and the emitter prints
-//    structured `for` loops, sinks invariant-address WCR stores into
-//    register accumulators, unroll-and-jams the accumulator-carrying
-//    loop with per-lane register renaming, and unrolls innermost loops
-//    by the vector width with a scalar epilogue.  The host compiler sees
-//    countable loops over __restrict__ arrays and auto-vectorizes.
-//
-//  - Goto fallback (plan invalid or DACE_KERNEL_PLAN=0): one statement
-//    per instruction, labels on jump targets, gotos for Jmp/JGe -- the
-//    original deliberately-direct translation.
-//
-// Both keep the vm_run chunk protocol -- splittable programs read their
-// outer bounds from lo/hi -- so ThreadPool worksharing and the atomic
-// WCR path are shared with the interpreter verbatim.
+// The entry point keeps the vm_run chunk protocol -- splittable programs
+// read their outer bounds from lo/hi -- so ThreadPool worksharing and the
+// atomic WCR path are shared with the interpreter verbatim.
 #include <functional>
 #include <map>
 #include <set>
@@ -120,7 +114,7 @@ const char* wcr_identity(int kind) {
   }
 }
 
-/// Shared per-instruction translator.  `sunk` maps StoreWcr pcs to the
+/// Per-instruction translator.  `sunk` maps StoreWcr pcs to the
 /// accumulator variable currently standing in for their array slot.
 class InstrPrinter {
  public:
@@ -498,6 +492,8 @@ std::string generate_map_source(const rt::Program& prog,
                                 const std::string& fn_name) {
   DACE_CHECK(dtypes.size() == prog.arrays.size(),
              "map codegen: dtype count does not match array slots");
+  KernelPlan plan = plan_kernel(prog);
+  if (!plan.valid) return "";
   std::ostringstream os;
   os << "// Generated by the DaCe++ tiered map executor (Tier 1).\n"
      << "#include <math.h>\n\n"
@@ -552,105 +548,9 @@ std::string generate_map_source(const rt::Program& prog,
     os << "  double f" << r << " = 0.0; (void)f" << r << ";\n";
   }
 
-  // Plan-driven structured emission; the goto translation below stays
-  // the fallback for irreducible shapes and DACE_KERNEL_PLAN=0.
-  if (prog.kernel_plan) {
-    KernelPlan plan = plan_kernel(prog);
-    if (plan.valid) {
-      PlanEmitter em(prog, dtypes, plan, os);
-      em.emit_lane_decls();
-      em.emit();
-      os << "  return;\n}\n";
-      return os.str();
-    }
-  }
-
-  // Structured innermost loops: when interval analysis proved the
-  // innermost loop free of loop-carried dependences (vec_innermost), the
-  // canonical counted-loop shape
-  //   h:   JGe v, end -> l+1
-  //        ... straight-line body ...
-  //   l-1: IAdd v, v, step
-  //   l:   Jmp h
-  // is re-emitted as a `for` statement under `#pragma GCC ivdep`, giving
-  // the host vectorizer a dependence-free loop instead of gotos.
-  std::map<size_t, size_t> structured;  // header pc -> latch pc
-  if (prog.vec_innermost) {
-    for (size_t l = 2; l < prog.code.size(); ++l) {
-      const Instr& jmp = prog.code[l];
-      if (jmp.op != Op::Jmp || jmp.imm < 0 || (size_t)jmp.imm + 2 > l)
-        continue;
-      size_t h = (size_t)jmp.imm;
-      const Instr& jge = prog.code[h];
-      const Instr& inc = prog.code[l - 1];
-      if (jge.op != Op::JGe || jge.imm != (int64_t)(l + 1)) continue;
-      if (inc.op != Op::IAdd || inc.a != jge.a || inc.b != jge.a) continue;
-      bool straight = true;
-      for (size_t pc = h + 1; pc < l - 1 && straight; ++pc) {
-        Op op = prog.code[pc].op;
-        if (op == Op::Jmp || op == Op::JGe || op == Op::Guard ||
-            op == Op::Halt)
-          straight = false;
-      }
-      // No jump from outside the pattern may land in [h, l].
-      for (size_t pc = 0; pc < prog.code.size() && straight; ++pc) {
-        if (pc == h || pc == l) continue;
-        const Instr& in = prog.code[pc];
-        if ((in.op == Op::Jmp || in.op == Op::JGe) && in.imm >= (int64_t)h &&
-            in.imm <= (int64_t)l)
-          straight = false;
-      }
-      if (straight) structured[h] = l;
-    }
-  }
-  std::map<size_t, size_t> latch_of;  // latch pc -> header pc
-  for (auto [h, l] : structured) latch_of[l] = h;
-
-  // Labels only where a jump lands (structured jumps emit no gotos).
-  std::vector<bool> is_target(prog.code.size() + 1, false);
-  for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-    const Instr& in = prog.code[pc];
-    if (structured.count(pc) || latch_of.count(pc)) continue;
-    if (in.op == Op::Jmp || in.op == Op::JGe)
-      is_target[(size_t)in.imm] = true;
-  }
-
-  InstrPrinter printer(prog, dtypes);
-  Ren base = [](char bank, int reg) { return base_name(bank, reg); };
-  size_t open_latch = SIZE_MAX;  // latch pc of the currently open `for`
-  for (size_t pc = 0; pc < prog.code.size(); ++pc) {
-    const Instr& in = prog.code[pc];
-    if (is_target[pc]) os << "L" << pc << ":\n";
-    if (auto it = structured.find(pc); it != structured.end()) {
-      const Instr& inc = prog.code[it->second - 1];
-      os << "  #pragma GCC ivdep\n"
-         << "  for (; i" << in.a << " < i" << in.b << "; i" << in.a
-         << " += i" << inc.c << ") {\n";
-      open_latch = it->second;
-      continue;
-    }
-    if (pc + 1 == open_latch) continue;  // the IAdd, now the for-increment
-    if (pc == open_latch) {
-      os << "  }\n";
-      open_latch = SIZE_MAX;
-      continue;
-    }
-    os << "  ";
-    switch (in.op) {
-      case Op::Jmp:
-        os << "goto L" << in.imm << ";";
-        break;
-      case Op::JGe:
-        os << "if (i" << in.a << " >= i" << in.b << ") goto L" << in.imm
-           << ";";
-        break;
-      default:
-        os << printer.stmt(pc, base);
-        break;
-    }
-    os << "\n";
-  }
-  if (is_target[prog.code.size()]) os << "L" << prog.code.size() << ":\n";
+  PlanEmitter em(prog, dtypes, plan, os);
+  em.emit_lane_decls();
+  em.emit();
   os << "  return;\n}\n";
   return os.str();
 }

@@ -204,8 +204,7 @@ uint64_t Program::hash() const {
   mix(splittable ? 1 : 0);
   // The absint-derived codegen flags change the generated Tier-1 source,
   // so they must key the native cache too.
-  mix((use_restrict ? 1 : 0) | (vec_innermost ? 2 : 0) |
-      (kernel_plan ? 4 : 0));
+  mix((use_restrict ? 1 : 0) | (vec_innermost ? 2 : 0));
   return h;
 }
 

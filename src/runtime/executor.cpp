@@ -304,30 +304,15 @@ void Executor::execute_tasklet(const ir::State& st, int node) {
 
 namespace {
 
-int64_t env_ns(const char* name, int64_t dflt) {
-  if (const char* v = std::getenv(name)) {
-    long long x = std::atoll(v);
-    if (x > 0) return x;
-  }
-  return dflt;
-}
-
-// Chunk-grain knobs: a chunk should carry about CHUNK_TARGET_NS of work,
-// and a map cheaper than CHUNK_MIN_NS in total is not worth a dispatch.
-int64_t chunk_target_ns() {
-  static int64_t v = env_ns("DACE_CHUNK_TARGET_NS", 100000);
-  return v;
-}
-int64_t chunk_min_ns() {
-  static int64_t v = env_ns("DACE_CHUNK_MIN_NS", 20000);
-  return v;
-}
+// Chunk grain: a chunk should carry about kChunkTargetNs of work, and a
+// map cheaper than kChunkMinNs in total is not worth a dispatch.
+constexpr double kChunkTargetNs = 100000;
+constexpr double kChunkMinNs = 20000;
 
 }  // namespace
 
 int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
   int nt = ThreadPool::global().num_threads();
-  if (!tp.prog.kernel_plan) return nt;  // legacy static split
   double nspi = tp.ns_per_iter[tier];
   if (nspi <= 0.0) {
     // Pre-measurement heuristic: cost scales with bytecode length;
@@ -335,9 +320,8 @@ int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
     nspi = (double)tp.prog.code.size() * (tier == 1 ? 0.4 : 2.5);
   }
   double total = nspi * (double)iters;
-  if (total < (double)chunk_min_ns()) return 1;
-  double per_chunk = (double)chunk_target_ns();
-  int chunks = (int)((total + per_chunk - 1.0) / per_chunk);
+  if (total < kChunkMinNs) return 1;
+  int chunks = (int)((total + kChunkTargetNs - 1.0) / kChunkTargetNs);
   chunks = std::max(chunks, 1);
   chunks = (int)std::min<int64_t>(chunks, iters);
   return std::min(chunks, nt);
@@ -495,19 +479,12 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       }
       if (!tp.plan_reported && obs::enabled()) {
         tp.plan_reported = true;
-        cg::KernelPlan plan;
-        if (prog.kernel_plan) plan = cg::plan_kernel(prog);
-        int jam = 1, unroll = 1;
-        size_t sinks = 0;
-        for (const auto& l : plan.loops) {
-          jam = std::max(jam, l.jam);
-          unroll = std::max(unroll, l.unroll);
-          sinks += l.sinks.size();
-        }
+        cg::KernelPlan plan = cg::plan_kernel(prog);
+        cg::KernelPlan::Summary sum = plan.summary();
         std::ostringstream a;
         a << "{\"map\":\"" << diag::json_escape(me->name) << "\",\"plan\":\""
-          << plan.describe() << "\",\"jam\":" << jam
-          << ",\"unroll\":" << unroll << ",\"sinks\":" << sinks
+          << plan.describe() << "\",\"jam\":" << sum.jam
+          << ",\"unroll\":" << sum.unroll << ",\"sinks\":" << sum.sinks
           << ",\"chunks\":" << chunks << ",\"ns_per_iter\":"
           << tp.ns_per_iter[1] << "}";
         obs::instant("tier", "kernel-plan", a.str());

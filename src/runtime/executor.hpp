@@ -145,10 +145,8 @@ class Executor {
   };
 
   /// Cost-driven chunk count for a parallel dispatch at `tier`: sized so
-  /// each chunk runs ~DACE_CHUNK_TARGET_NS of measured (or estimated)
-  /// work, 1 when the whole map is cheaper than DACE_CHUNK_MIN_NS (the
-  /// pool is then skipped entirely).  Plan-off programs keep the
-  /// historical one-chunk-per-worker split.
+  /// each chunk runs ~100 us of measured (or estimated) work, 1 when the
+  /// whole map is cheaper than 20 us (the pool is then skipped entirely).
   static int plan_chunks(const TieredProgram& tp, int tier, int64_t iters);
   /// Fold a measured launch into the per-iteration cost EMA.
   static void update_cost(TieredProgram& tp, int tier, int64_t iters,

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "analysis/absint.hpp"
-#include "codegen/kernel_plan.hpp"
 #include "runtime/executor.hpp"
 
 namespace dace::rt {
@@ -46,7 +45,6 @@ class MapCompiler {
       prog_.use_restrict = facts_.innermost_contiguous;
       prog_.vec_innermost = facts_.vectorizable;
     }
-    prog_.kernel_plan = cg::kernel_plan_enabled();
     // Scalar transients with an access node inside this scope live in
     // (thread-private) registers; scalars produced outside the scope are
     // memory-resident and loaded/stored like rank-0 arrays.

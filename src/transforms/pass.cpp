@@ -37,48 +37,6 @@ bool Pipeline::verify() const {
   return verify_.value_or(analysis::verify_env());
 }
 
-int Pipeline::run(ir::SDFG& sdfg) const {
-  const bool verifying = verify();
-  last_report_ = analysis::AnalysisReport();
-  std::set<std::string> baseline;
-  if (verifying) {
-    sdfg.validate();
-    baseline = analysis::analyze(sdfg).error_fingerprints();
-  }
-  int changed = 0;
-  for (const Pass& p : passes_) {
-    obs::Span pspan("pass", p.name);
-    bool applied = false;
-    try {
-      applied = p.apply(sdfg);
-    } catch (const Error& e) {
-      throw err("pipeline '", name_, "': pass '", p.name,
-                "' failed: ", e.what());
-    }
-    if (pspan.active()) {
-      pspan.set_args("{\"pipeline\":\"" + diag::json_escape(name_) +
-                     "\",\"applied\":" + (applied ? "true" : "false") + "}");
-    }
-    if (!applied) continue;
-    ++changed;
-    if (!verifying) continue;
-    try {
-      sdfg.validate();
-    } catch (const Error& e) {
-      throw err("pipeline '", name_, "': pass '", p.name,
-                "' broke structural validation: ", e.what());
-    }
-    last_report_ = analysis::analyze(sdfg);
-    for (const auto& d : last_report_.diagnostics()) {
-      if (d.severity != analysis::Severity::Error) continue;
-      if (baseline.count(d.fingerprint())) continue;
-      throw err("pipeline '", name_, "': pass '", p.name,
-                "' introduced a semantic error: ", d.to_string());
-    }
-  }
-  return changed;
-}
-
 // -- transactional execution ------------------------------------------------
 
 namespace {
@@ -147,8 +105,7 @@ PassRun execute_pass(const Pass& p, std::shared_ptr<ir::SDFG> graph,
 /// semantic analyzer against the pre-pipeline baseline.  Returns the
 /// reason the graph must not be committed, or empty.
 std::string integrity_error(ir::SDFG& g, bool verifying,
-                            const std::set<std::string>& baseline,
-                            analysis::AnalysisReport* out_report) {
+                            const std::set<std::string>& baseline) {
   try {
     g.validate();
   } catch (const Error& e) {
@@ -168,7 +125,6 @@ std::string integrity_error(ir::SDFG& g, bool verifying,
       if (baseline.count(d.fingerprint())) continue;
       return "introduced a semantic error: " + d.to_string();
     }
-    if (out_report) *out_report = std::move(rep);
   }
   return "";
 }
@@ -212,7 +168,6 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
   const int timeout_ms = pass_timeout_ms();
   PassReport report;
   report.pipeline = name_;
-  last_report_ = analysis::AnalysisReport();
 
   std::set<std::string> baseline;
   try {
@@ -248,7 +203,7 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
     o.timed_out = r.timed_out;
     std::string why = r.error;
     if (why.empty() && r.applied)
-      why = integrity_error(*work, verifying, baseline, &last_report_);
+      why = integrity_error(*work, verifying, baseline);
     if (!why.empty()) {
       o.rolled_back = true;
       o.error = std::move(why);
@@ -294,8 +249,7 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
         } catch (...) {
           continue;  // a throwing pass was already rolled back above
         }
-        if (!integrity_error(*g, /*verifying=*/true, baseline, nullptr)
-                 .empty()) {
+        if (!integrity_error(*g, /*verifying=*/true, baseline).empty()) {
           report.first_broken_pass = p.name;
           report.bisected = true;
           break;

@@ -6,13 +6,14 @@
 // transformation to fixpoint, mirroring the paper's dataflow-coarsening
 // pass; auto_optimize.hpp chains them into the -O3-equivalent pipeline.
 //
-// Pipeline sequences named passes and, in verify mode (set_verify(true)
-// or DACE_VERIFY_PASSES=1), re-validates the graph and runs the semantic
-// analyzer (analysis/analysis.hpp) after every pass that changed it --
+// Pipeline sequences named passes and runs each one transactionally: the
+// pass rewrites a snapshot, which is committed only if it survives the
+// commit gate.  In verify mode (set_verify(true) or DACE_VERIFY_PASSES=1)
+// the gate also runs the semantic analyzer (analysis/analysis.hpp) --
 // the verify-after-every-transformation discipline of the paper's
-// correctness story.  A pass that introduces a new semantic error
-// (race, out-of-bounds memlet, uninitialized read) aborts the pipeline
-// with a dace::Error naming the pass and the finding.
+// correctness story.  A pass that introduces a new error-severity
+// finding (race, out-of-bounds memlet, uninitialized read) is rolled back
+// and named, with the finding, in the PassReport.
 #pragma once
 
 #include <functional>
@@ -85,23 +86,18 @@ class Pipeline {
   const std::string& name() const { return name_; }
   const std::vector<Pass>& passes() const { return passes_; }
 
-  /// Run all passes in order; returns how many changed the graph.  In
-  /// verify mode the semantic findings present *before* the pipeline are
-  /// taken as the baseline, and any pass whose application adds a new
-  /// error-severity finding (or breaks structural validation) throws.
-  int run(ir::SDFG& sdfg) const;
-
-  /// Crash-safe variant: every pass executes against a deep-clone
+  /// Run all passes in order.  Every pass executes against a deep-clone
   /// snapshot and is committed only if it survives structural validation
-  /// and a serializer round-trip (plus the semantic analyzer in verify
-  /// mode).  A pass that throws, corrupts the graph, or exceeds the
-  /// per-pass timeout (DACE_XF_PASS_TIMEOUT, milliseconds) is rolled
-  /// back and recorded in the report; the pipeline continues degraded
-  /// with the remaining passes.  Never throws on pass failure -- the
-  /// graph left in `sdfg` is always the best verified one.  With
-  /// DACE_XF_BISECT=1, corruption that only surfaces at the end of a
-  /// non-verifying run is attributed to the first breaking pass by
-  /// bisection over pass prefixes.
+  /// and a serializer round-trip (plus, in verify mode, the semantic
+  /// analyzer: findings present *before* the pipeline are the baseline,
+  /// and a new error-severity finding fails the gate).  A pass that
+  /// throws, fails the gate, or exceeds the per-pass timeout
+  /// (DACE_XF_PASS_TIMEOUT, milliseconds) is rolled back and recorded in
+  /// the report; the pipeline continues degraded with the remaining
+  /// passes.  Never throws on pass failure -- the graph left in `sdfg` is
+  /// always the best verified one.  With DACE_XF_BISECT=1, corruption
+  /// that only surfaces at the end of a non-verifying run is attributed
+  /// to the first breaking pass by bisection over pass prefixes.
   PassReport run_transactional(ir::SDFG& sdfg) const;
 
   /// Per-pass timeout in milliseconds from DACE_XF_PASS_TIMEOUT (0 = off).
@@ -109,15 +105,10 @@ class Pipeline {
   /// True if DACE_XF_BISECT is set to a truthy value.
   static bool bisect_env();
 
-  /// Report of the last analysis performed by run() in verify mode
-  /// (empty when verify is off).
-  const analysis::AnalysisReport& last_report() const { return last_report_; }
-
  private:
   std::string name_;
   std::vector<Pass> passes_;
   std::optional<bool> verify_;
-  mutable analysis::AnalysisReport last_report_;
 };
 
 // -- shared graph-surgery helpers -------------------------------------------

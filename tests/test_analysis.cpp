@@ -203,23 +203,9 @@ TEST(DefUse, DeadWriteWarns) {
 
 // -- pipeline verify mode ----------------------------------------------------
 
-TEST(PipelineVerify, PassIntroducingRaceAborts) {
-  auto g = map_writing(Subset::element({S("i")}), WCR::None);
-  xf::Pipeline pipe("test");
-  pipe.add("break-it", [](ir::SDFG& sdfg) {
-    // Rewrite the store index to a constant: every iteration now
-    // collides -- exactly the class of bug verify mode must catch.
-    for (auto& e : sdfg.state(0).edges()) {
-      if (!e.memlet.empty() && e.memlet.wcr == ir::WCR::None &&
-          e.memlet.subset.is_element()) {
-        e.memlet.subset = Subset::element({Expr(0)});
-      }
-    }
-    return true;
-  });
-  pipe.set_verify(true);
-  EXPECT_THROW(pipe.run(*g), Error);
-}
+// A pass that adds a new error-severity finding is rolled back
+// (TransactionalPipeline.VerifyModeCatchesSemanticBreakImmediately); these
+// pin the other side of the gate.
 
 TEST(PipelineVerify, PreexistingFindingsAreBaseline) {
   // The input graph already races; a pass that does not make things
@@ -231,16 +217,27 @@ TEST(PipelineVerify, PreexistingFindingsAreBaseline) {
     return true;
   });
   pipe.set_verify(true);
-  EXPECT_NO_THROW(pipe.run(*g));
+  xf::PassReport report = pipe.run_transactional(*g);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_TRUE(report.outcomes[0].committed) << report.summary();
+  EXPECT_EQ(report.rolled_back, 0);
+  EXPECT_EQ(g->state(0).label(), "renamed");
 }
 
 TEST(PipelineVerify, CleanPipelineReportsNoErrors) {
   auto g = map_writing(Subset::element({S("i")}), WCR::None);
   xf::Pipeline pipe("test");
-  pipe.add("noop", [](ir::SDFG&) { return false; });
+  pipe.add("rename", [](ir::SDFG& sdfg) {
+    sdfg.state(0).set_label("renamed");
+    return true;
+  });
   pipe.set_verify(true);
-  EXPECT_NO_THROW(pipe.run(*g));
-  EXPECT_FALSE(pipe.last_report().has_errors());
+  xf::PassReport report = pipe.run_transactional(*g);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_TRUE(report.outcomes[0].committed) << report.summary();
+  EXPECT_TRUE(report.all_committed());
+  EXPECT_TRUE(report.first_broken_pass.empty());
+  EXPECT_FALSE(analysis::analyze(*g).has_errors());
 }
 
 // -- whole-suite integration -------------------------------------------------

@@ -1,8 +1,9 @@
 // Kernel-planner tests: loop-nest reconstruction from optimized bytecode,
-// WCR sinking and unroll-and-jam legality, the DACE_KERNEL_PLAN escape
-// hatch and its Program::hash keying, tiling edge cases (non-divisible
-// trip counts, zero/one-trip loops, epilogue correctness), and the
-// cost-driven chunked ThreadPool::parallel_for.
+// the invariant that every map-compiler program is plannable, WCR sinking
+// and unroll-and-jam legality, unplannable programs staying on Tier 0,
+// tiling edge cases (non-divisible trip counts, zero/one-trip loops,
+// epilogue correctness), and the cost-driven chunked
+// ThreadPool::parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "runtime/bytecode_opt.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/thread_pool.hpp"
+#include "testing/fuzzgen.hpp"
 #include "transforms/auto_optimize.hpp"
 
 namespace dace {
@@ -85,7 +87,6 @@ Program compile_first_map(const std::string& source) {
 
 TEST(KernelPlan, MatmulNestGetsJamAndSink) {
   Program p = compile_first_map(kMatmulSource);
-  ASSERT_TRUE(p.kernel_plan);
   cg::KernelPlan plan = cg::plan_kernel(p);
   ASSERT_TRUE(plan.valid);
   ASSERT_EQ(plan.loops.size(), 3u);
@@ -105,7 +106,6 @@ TEST(KernelPlan, MatmulNestGetsJamAndSink) {
 
 TEST(KernelPlan, MatmulSourceIsStructuredWithAccumulators) {
   Program p = compile_first_map(kMatmulSource);
-  ASSERT_TRUE(p.kernel_plan);
   std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
   std::string src = cg::generate_map_source(p, dts, "kern");
   EXPECT_EQ(src.find("goto"), std::string::npos);
@@ -116,30 +116,12 @@ TEST(KernelPlan, MatmulSourceIsStructuredWithAccumulators) {
   EXPECT_NE(src.find("dacepp_wcr_atomic(A2 + "), std::string::npos);
 }
 
-TEST(KernelPlan, PlanOffRestoresGotoPipeline) {
-  EnvGuard off("DACE_KERNEL_PLAN", "0");
-  Program p = compile_first_map(kMatmulSource);
-  EXPECT_FALSE(p.kernel_plan);
-  std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
-  std::string src = cg::generate_map_source(p, dts, "kern");
-  EXPECT_NE(src.find("goto"), std::string::npos);
-  EXPECT_EQ(src.find("acc"), std::string::npos);
-}
-
-TEST(KernelPlan, HashIsKeyedOnPlanFlag) {
-  Program p = compile_first_map(kMatmulSource);
-  Program q = p;
-  q.kernel_plan = !p.kernel_plan;
-  EXPECT_NE(p.hash(), q.hash());
-}
-
 // A splittable WCR loop whose store address is the loop variable: the
 // address is not invariant, so no sink and no jam -- and the structured
 // emission must still be exact.
 Program varying_addr_wcr_program() {
   Program p;
   p.splittable = true;
-  p.kernel_plan = true;
   p.n_iregs = 5;  // i0/i1 bounds, i2 var, i3 zero, i4 step
   p.n_fregs = 1;
   p.arrays = {"A", "B"};
@@ -185,14 +167,77 @@ TEST(KernelPlan, GuardedLoopExcludedFromSinking) {
   EXPECT_TRUE(plan.loops[0].sinks.empty());
 }
 
-TEST(KernelPlan, IrreducibleFlowFallsBackToGotos) {
+TEST(KernelPlan, IrreducibleFlowStaysOnTier0) {
   Program p = varying_addr_wcr_program();
   p.code[7].imm = 8;  // forward jump: no longer a canonical latch
   cg::KernelPlan plan = cg::plan_kernel(p);
   EXPECT_FALSE(plan.valid);
+  // No Tier-1 source and no compiler run; the tiering layer takes its
+  // build-failure path, which pins the program to the VM.
   std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
-  std::string src = cg::generate_map_source(p, dts, "kern");
-  EXPECT_NE(src.find("goto"), std::string::npos);
+  EXPECT_EQ(cg::generate_map_source(p, dts, "kern"), "");
+  uint64_t builds = cg::jit_compile_count();
+  EXPECT_FALSE(cg::compile_map_native(p, dts, "kern").valid());
+  rt::TierConfig cfg;
+  cfg.sync = true;
+  EXPECT_EQ(rt::request_native(p, dts, cfg)->state.load(),
+            rt::NativeProgram::kFailed);
+  EXPECT_EQ(cg::jit_compile_count(), builds);
+}
+
+/// Plan every program the executor would build for `sdfg`: each top-level
+/// map, as emitted and after the bytecode optimizer, recursing into
+/// nested SDFGs.  Returns the number of maps checked.
+int expect_all_maps_plannable(const ir::SDFG& sdfg, const std::string& what) {
+  int checked = 0;
+  for (int s : sdfg.state_ids()) {
+    const ir::State& st = sdfg.state(s);
+    for (int id : st.node_ids()) {
+      const ir::Node* n = st.node(id);
+      if (const auto* nn = st.node_as<const ir::NestedSDFGNode>(id)) {
+        checked += expect_all_maps_plannable(*nn->sdfg, what);
+        continue;
+      }
+      if (n->kind != ir::NodeKind::MapEntry || st.scope_of(id) != -1)
+        continue;
+      Program p;
+      try {
+        p = rt::compile_map_scope(sdfg, st, id);
+      } catch (const Error&) {
+        continue;  // the executor cannot run this map at any tier
+      }
+      EXPECT_TRUE(cg::plan_kernel(p).valid)
+          << what << ": state " << s << " map " << id << " as emitted";
+      rt::optimize_program(p);
+      EXPECT_TRUE(cg::plan_kernel(p).valid)
+          << what << ": state " << s << " map " << id << " optimized";
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+// Tier 1 has a single emitter: it rests on the map compiler producing only
+// canonical loop nests, which the bytecode optimizer preserves.
+TEST(KernelPlan, MapCompilerOutputIsAlwaysPlannable) {
+  int checked = 0;
+  auto check = [&](ir::SDFG& sdfg, const std::string& what) {
+    checked += expect_all_maps_plannable(sdfg, what + " -O0");
+    xf::auto_optimize(sdfg, ir::DeviceType::CPU);
+    checked += expect_all_maps_plannable(sdfg, what + " auto-opt");
+  };
+  for (const kernels::Kernel& k : kernels::suite())
+    check(*fe::compile_to_sdfg(k.source), k.name);
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    std::unique_ptr<ir::SDFG> sdfg;
+    try {
+      sdfg = fe::compile_to_sdfg(fuzz::generate_program(seed));
+    } catch (const Error&) {
+      continue;  // rejected by the frontend: never reaches a tier
+    }
+    check(*sdfg, "fuzz seed " + std::to_string(seed));
+  }
+  EXPECT_GT(checked, 2000);
 }
 
 // ---------------------------------------------------------------------------

@@ -501,16 +501,8 @@ Report aggregate(const JV& doc) {
       ++pa->runs;
       if (args && args->get("applied") && args->get("applied")->as_bool())
         ++pa->applied;
-      bool committed =
-          args && args->get("committed") && args->get("committed")->as_bool();
-      // Pipeline::run emits applied without a commit gate; treat an
-      // applied pass with no commit/rollback info as having rewritten
-      // the graph.
-      if (!committed && args && args->get("applied") &&
-          args->get("applied")->as_bool() && !args->get("committed")) {
-        committed = true;
-      }
-      if (committed) {
+      if (args && args->get("committed") &&
+          args->get("committed")->as_bool()) {
         ++pa->committed;
         committed_passes.emplace_back(ts + dur, name);
       }
