@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -481,23 +480,31 @@ std::string ServeFaultPlan::to_string() const {
 
 ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
   ServeFaultPlan p;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    size_t eq = kv.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = kv.substr(0, eq);
-    double val = std::atof(kv.c_str() + eq + 1);
-    if (key == "seed") p.seed = (uint64_t)std::atoll(kv.c_str() + eq + 1);
-    else if (key == "disconnect") p.disconnect_prob = val;
-    else if (key == "slow") p.slow_prob = val;
-    else if (key == "corrupt") p.corrupt_prob = val;
-    else if (key == "crash") p.crash_prob = val;
-    else if (key == "wedge") p.wedge_prob = val;
-    else if (key == "storm") p.storm_prob = val;
+  std::istringstream is(spec);
+  std::string item;
+  while (std::getline(is, item, ',')) {
+    if (item.empty()) continue;
+    size_t eq = item.find('=');
+    DACE_CHECK(eq != std::string::npos,
+               "serve fault plan: expected key=value, got '", item, "' in '",
+               spec, "'");
+    std::string key = item.substr(0, eq);
+    std::string val = item.substr(eq + 1);
+    size_t used = 0;  // characters of `val` the number took
+    try {
+      if (key == "seed") p.seed = std::stoull(val, &used);
+      else if (key == "disconnect") p.disconnect_prob = std::stod(val, &used);
+      else if (key == "slow") p.slow_prob = std::stod(val, &used);
+      else if (key == "corrupt") p.corrupt_prob = std::stod(val, &used);
+      else if (key == "crash") p.crash_prob = std::stod(val, &used);
+      else if (key == "wedge") p.wedge_prob = std::stod(val, &used);
+      else if (key == "storm") p.storm_prob = std::stod(val, &used);
+      else throw err("serve fault plan: unknown key '", key, "'");
+    } catch (const std::logic_error&) {
+      // Not a number, or out of range: `used` stays 0.
+    }
+    DACE_CHECK(used > 0 && used == val.size(), "serve fault plan: bad value '",
+               val, "' for key '", key, "'");
   }
   return p;
 }
@@ -508,29 +515,15 @@ ServeFaultPlan ServeFaultPlan::from_env() {
     p = parse(spec);
   }
   if (const char* seed = std::getenv("DACE_SERVE_FAULT_SEED")) {
-    if (*seed) p.seed = (uint64_t)std::atoll(seed);
+    if (*seed) p.seed = parse(std::string("seed=") + seed).seed;
   }
   return p;
 }
 
 namespace {
-std::mutex g_fault_mu;
-ServeFaultPlan g_fault_plan;
 std::atomic<uint64_t> g_fault_op{0};
 std::atomic<uint64_t> g_faults_injected{0};
 }  // namespace
-
-void set_fault_plan(const ServeFaultPlan& plan) {
-  std::lock_guard<std::mutex> lk(g_fault_mu);
-  g_fault_plan = plan;
-}
-
-const ServeFaultPlan& fault_plan() {
-  static ServeFaultPlan* snap = new ServeFaultPlan();
-  std::lock_guard<std::mutex> lk(g_fault_mu);
-  *snap = g_fault_plan;
-  return *snap;
-}
 
 ServeFault next_fault(const ServeFaultPlan& plan) {
   ServeFault f = plan.decide(g_fault_op.fetch_add(1,

@@ -172,17 +172,14 @@ struct ServeFaultPlan {
   /// Canonical "key=value,..." spec (inverse of parse); "" when inactive.
   std::string to_string() const;
   /// Parse "seed=3,disconnect=0.2,slow=0.1,corrupt=0.2,crash=0.1,
-  /// wedge=0.05,storm=0.1".
+  /// wedge=0.05,storm=0.1".  Throws dace::Error on an item without '=',
+  /// an unknown key, or a value that is not wholly a number.
   static ServeFaultPlan parse(const std::string& spec);
-  /// DACE_SERVE_FAULTS (spec) with DACE_SERVE_FAULT_SEED overriding seed.
+  /// DACE_SERVE_FAULTS (spec) with DACE_SERVE_FAULT_SEED overriding seed;
+  /// throws like parse() on a malformed spec or a non-numeric seed.
   static ServeFaultPlan from_env();
 };
 
-/// Install a plan process-wide (the server consults it per job; client
-/// write faults use the plan carried in ClientOptions instead).  A
-/// default-constructed plan disarms the shim.
-void set_fault_plan(const ServeFaultPlan& plan);
-const ServeFaultPlan& fault_plan();
 /// Draw the next fault decision from `plan` and count/trace injections.
 ServeFault next_fault(const ServeFaultPlan& plan);
 /// Faults injected since process start (monotonic; test assertions).

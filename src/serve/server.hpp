@@ -67,6 +67,7 @@ struct ServeConfig {
 
   /// DACE_SERVE_SOCKET/_WORKERS/_QUEUE_MAX/_DEADLINE_MS/_WEDGE_GRACE_MS/
   /// _IO_TIMEOUT_MS/_MAX_FRAME_KB/_DRAIN_TIMEOUT_MS/_FAULTS/_FAULT_SEED.
+  /// Throws dace::Error on a malformed _FAULTS or _FAULT_SEED.
   static ServeConfig from_env();
 };
 

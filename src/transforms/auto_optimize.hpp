@@ -2,8 +2,10 @@
 //
 // Pipeline: dataflow coarsening (simplify) -> map-scope cleanup
 // (degenerate map removal, repeated LoopToMap, map collapsing) -> greedy
-// subgraph fusion -> WCR map tiling -> transient allocation mitigation ->
-// device-specific scheduling ({CPU,GPU,FPGA} specialization).
+// subgraph fusion -> WCR map tiling (tiles of 1024) -> transient
+// allocation mitigation -> device-specific scheduling ({CPU,GPU,FPGA}
+// specialization).  Every pass reports whether it changed the graph, so
+// only the passes that did pay the pipeline's commit gate.
 #pragma once
 
 #include <optional>
@@ -15,13 +17,9 @@
 namespace dace::xf {
 
 struct AutoOptOptions {
-  bool coarsen = true;          // dataflow coarsening (simplify)
-  bool loop_to_map = true;      // map-scope cleanup: LoopToMap
-  bool collapse = true;         // map-scope cleanup: MapCollapse
-  bool fusion = true;           // greedy subgraph fusion
-  bool tile_wcr = true;         // tile WCR maps
+  bool fusion = true;    // greedy subgraph fusion
+  bool tile_wcr = true;  // tile WCR maps
   bool transient_mitigation = true;
-  int64_t wcr_tile_size = 1024;
   /// Run the semantic analyzer after every pass (Pipeline verify mode);
   /// unset = follow DACE_VERIFY_PASSES.
   std::optional<bool> verify;
@@ -36,9 +34,10 @@ struct AutoOptOptions {
 
 /// Run the full heuristic pipeline for the given device.  The pipeline is
 /// transactional (Pipeline::run_transactional): a pass that throws, hangs
-/// past DACE_XF_PASS_TIMEOUT, or corrupts the graph is rolled back and
-/// recorded, and the graph left in `sdfg` is the best verified one --
-/// auto_optimize never fails because one transformation does.
+/// past DACE_XF_PASS_TIMEOUT, or breaks the graph's structure -- or, in
+/// verify mode, its semantics -- is rolled back and recorded, and the
+/// graph left in `sdfg` is the best verified one -- auto_optimize never
+/// fails because one transformation does.
 void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
                    const AutoOptOptions& opts = {});
 

@@ -11,11 +11,12 @@
 
 namespace dace::xf {
 
-void fpga_transform_sdfg(ir::SDFG& sdfg) {
+bool fpga_transform_sdfg(ir::SDFG& sdfg) {
   std::vector<std::string> names;
   for (const auto& [name, d] : sdfg.arrays()) {
     if (d.transient && !d.is_stream && !d.is_scalar()) names.push_back(name);
   }
+  bool changed = false;
   for (const auto& name : names) {
     ir::DataDesc& d = sdfg.array(name);
     if (d.storage == ir::Storage::Default) {
@@ -25,8 +26,10 @@ void fpga_transform_sdfg(ir::SDFG& sdfg) {
       d.storage = (n.is_constant() && n.constant() <= 4096)
                       ? ir::Storage::FPGALocal
                       : ir::Storage::FPGAGlobal;
+      changed = true;
     }
   }
+  return changed;
 }
 
 }  // namespace dace::xf

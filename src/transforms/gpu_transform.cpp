@@ -8,18 +8,21 @@
 
 namespace dace::xf {
 
-void gpu_transform_sdfg(ir::SDFG& sdfg) {
+bool gpu_transform_sdfg(ir::SDFG& sdfg) {
   std::vector<std::string> names;
   for (const auto& [name, d] : sdfg.arrays()) {
     if (d.transient && !d.is_stream && !d.is_scalar()) names.push_back(name);
   }
+  bool changed = false;
   for (const auto& name : names) {
     ir::DataDesc& d = sdfg.array(name);
     if (d.storage == ir::Storage::Default ||
         d.storage == ir::Storage::CPUStack) {
       d.storage = ir::Storage::GPUGlobal;
+      changed = true;
     }
   }
+  return changed;
 }
 
 }  // namespace dace::xf

@@ -222,17 +222,21 @@ bool tile_wcr_map(SDFG& sdfg, int64_t tile_size) {
 // Schedules
 // ---------------------------------------------------------------------------
 
-void set_toplevel_schedules(SDFG& sdfg, ir::Schedule schedule,
+bool set_toplevel_schedules(SDFG& sdfg, ir::Schedule schedule,
                             bool omp_collapse) {
+  bool changed = false;
   for (int sid : sdfg.state_ids()) {
     State& st = sdfg.state(sid);
     for (int id : st.node_ids()) {
       auto* me = st.node_as<MapEntry>(id);
       if (!me || st.scope_of(id) != -1) continue;
+      bool collapse = omp_collapse && me->params.size() > 1;
+      changed |= me->schedule != schedule || me->omp_collapse != collapse;
       me->schedule = schedule;
-      me->omp_collapse = omp_collapse && me->params.size() > 1;
+      me->omp_collapse = collapse;
     }
   }
+  return changed;
 }
 
 }  // namespace dace::xf

@@ -15,8 +15,9 @@ bool map_collapse(ir::SDFG& sdfg);
 bool tile_wcr_map(ir::SDFG& sdfg, int64_t tile_size = 1024);
 
 /// Set every top-level map's schedule (CPU_Multicore / GPU_Device /
-/// FPGA_Pipeline) and mark CPU maps for OpenMP collapse.
-void set_toplevel_schedules(ir::SDFG& sdfg, ir::Schedule schedule,
+/// FPGA_Pipeline) and mark CPU maps for OpenMP collapse; returns true if
+/// any map changed.
+bool set_toplevel_schedules(ir::SDFG& sdfg, ir::Schedule schedule,
                             bool omp_collapse);
 
 }  // namespace dace::xf

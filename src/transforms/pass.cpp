@@ -41,11 +41,6 @@ bool Pipeline::verify() const {
 
 namespace {
 
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v && *v && std::string(v) != "0";
-}
-
 /// Result of executing one pass body (no commit decision yet).
 struct PassRun {
   bool applied = false;
@@ -135,10 +130,8 @@ std::string PassReport::summary() const {
   std::ostringstream os;
   os << "pipeline '" << pipeline << "': " << committed << " committed, "
      << rolled_back << " rolled back";
-  if (!first_broken_pass.empty()) {
+  if (!first_broken_pass.empty())
     os << "; first broken pass: '" << first_broken_pass << "'";
-    if (bisected) os << " (bisected)";
-  }
   os << "\n";
   for (const auto& o : outcomes) {
     const char* tag = o.rolled_back ? (o.timed_out ? "TIMEOUT" : "ROLLBACK")
@@ -161,18 +154,17 @@ int Pipeline::pass_timeout_ms() {
   return std::atoi(v);
 }
 
-bool Pipeline::bisect_env() { return env_truthy("DACE_XF_BISECT"); }
-
 PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
   const bool verifying = verify();
   const int timeout_ms = pass_timeout_ms();
   PassReport report;
   report.pipeline = name_;
 
+  // Verify mode is the only reader of the baseline; plain runs skip it.
   std::set<std::string> baseline;
   try {
     sdfg.validate();
-    baseline = analysis::analyze(sdfg).error_fingerprints();
+    if (verifying) baseline = analysis::analyze(sdfg).error_fingerprints();
   } catch (const Error& e) {
     PassOutcome o;
     o.name = "<input>";
@@ -183,9 +175,6 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
     report.first_broken_pass = "<input>";
     return report;
   }
-
-  const bool bisecting = !verifying && bisect_env();
-  std::unique_ptr<ir::SDFG> pristine = bisecting ? sdfg.clone() : nullptr;
 
   for (const Pass& p : passes_) {
     PassOutcome o;
@@ -225,46 +214,6 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
       obs::complete("pass", p.name, obs_t0, obs::now_ns() - obs_t0, a.str());
     }
     report.outcomes.push_back(std::move(o));
-  }
-
-  // Without per-pass semantic verification a pass can corrupt the graph
-  // in ways only the analyzer sees.  Under DACE_XF_BISECT, attribute the
-  // corruption to the first breaking pass by replaying prefixes from the
-  // pristine snapshot, then recover the best verified graph by re-running
-  // with verification forced on (which rolls the culprit back).
-  if (bisecting && report.first_broken_pass.empty()) {
-    bool corrupt = false;
-    analysis::AnalysisReport rep = analysis::analyze(sdfg);
-    for (const auto& d : rep.diagnostics()) {
-      if (d.severity != analysis::Severity::Error) continue;
-      if (baseline.count(d.fingerprint())) continue;
-      corrupt = true;
-      break;
-    }
-    if (corrupt) {
-      auto g = pristine->clone();
-      for (const Pass& p : passes_) {
-        try {
-          if (!p.apply(*g)) continue;
-        } catch (...) {
-          continue;  // a throwing pass was already rolled back above
-        }
-        if (!integrity_error(*g, /*verifying=*/true, baseline).empty()) {
-          report.first_broken_pass = p.name;
-          report.bisected = true;
-          break;
-        }
-      }
-      Pipeline repaired(*this);
-      repaired.set_verify(true);
-      PassReport fixed = repaired.run_transactional(*pristine);
-      sdfg.swap(*pristine);
-      report.committed = fixed.committed;
-      report.rolled_back = fixed.rolled_back;
-      report.outcomes = std::move(fixed.outcomes);
-      if (report.first_broken_pass.empty())
-        report.first_broken_pass = fixed.first_broken_pass;
-    }
   }
   return report;
 }

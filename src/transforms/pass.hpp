@@ -6,14 +6,15 @@
 // transformation to fixpoint, mirroring the paper's dataflow-coarsening
 // pass; auto_optimize.hpp chains them into the -O3-equivalent pipeline.
 //
-// Pipeline sequences named passes and runs each one transactionally: the
-// pass rewrites a snapshot, which is committed only if it survives the
-// commit gate.  In verify mode (set_verify(true) or DACE_VERIFY_PASSES=1)
-// the gate also runs the semantic analyzer (analysis/analysis.hpp) --
-// the verify-after-every-transformation discipline of the paper's
-// correctness story.  A pass that introduces a new error-severity
-// finding (race, out-of-bounds memlet, uninitialized read) is rolled back
-// and named, with the finding, in the PassReport.
+// Pipeline sequences named passes and runs each one transactionally: a
+// pass rewrites a snapshot, which is committed only if the pass reports a
+// change and the snapshot survives the commit gate.  In verify mode
+// (set_verify(true) or DACE_VERIFY_PASSES=1) the gate also runs the
+// semantic analyzer (analysis/analysis.hpp) -- the verify-after-every-
+// transformation discipline of the paper's correctness story, and the one
+// recovery path for a pass that breaks semantics but not structure: that
+// pass is rolled back and named, with its new error-severity finding
+// (race, out-of-bounds memlet, uninitialized read), in the PassReport.
 #pragma once
 
 #include <functional>
@@ -52,15 +53,12 @@ struct PassOutcome {
 };
 
 /// Report of a transactional pipeline run: one outcome per pass, plus the
-/// name of the first pass proven to break the graph (filled directly when
-/// a pass fails its own transaction, or by auto-bisection under
-/// DACE_XF_BISECT=1 when corruption only surfaces later).
+/// name of the first pass that failed its own transaction.
 struct PassReport {
   std::vector<PassOutcome> outcomes;
   int committed = 0;
   int rolled_back = 0;
-  bool bisected = false;            // first_broken_pass found by bisection
-  std::string first_broken_pass;    // empty if every pass committed
+  std::string first_broken_pass;  // empty if every pass committed
   std::string pipeline;
 
   bool all_committed() const { return rolled_back == 0; }
@@ -83,27 +81,21 @@ class Pipeline {
   /// Effective verify mode: explicit setting, else DACE_VERIFY_PASSES.
   bool verify() const;
 
-  const std::string& name() const { return name_; }
-  const std::vector<Pass>& passes() const { return passes_; }
-
   /// Run all passes in order.  Every pass executes against a deep-clone
-  /// snapshot and is committed only if it survives structural validation
-  /// and a serializer round-trip (plus, in verify mode, the semantic
-  /// analyzer: findings present *before* the pipeline are the baseline,
-  /// and a new error-severity finding fails the gate).  A pass that
-  /// throws, fails the gate, or exceeds the per-pass timeout
-  /// (DACE_XF_PASS_TIMEOUT, milliseconds) is rolled back and recorded in
-  /// the report; the pipeline continues degraded with the remaining
-  /// passes.  Never throws on pass failure -- the graph left in `sdfg` is
-  /// always the best verified one.  With DACE_XF_BISECT=1, corruption
-  /// that only surfaces at the end of a non-verifying run is attributed
-  /// to the first breaking pass by bisection over pass prefixes.
+  /// snapshot.  A pass that reports no change is neither gated nor
+  /// committed; one that does is committed only if the snapshot survives
+  /// structural validation and a serializer round-trip (plus, in verify
+  /// mode, the semantic analyzer: findings present *before* the pipeline
+  /// are the baseline, taken only in verify mode, and a new error-severity
+  /// finding fails the gate).  A pass that throws, fails the gate, or
+  /// exceeds the per-pass timeout (DACE_XF_PASS_TIMEOUT, milliseconds) is
+  /// rolled back and recorded in the report; the pipeline continues
+  /// degraded with the remaining passes.  Never throws on pass failure --
+  /// the graph left in `sdfg` is always the best verified one.
   PassReport run_transactional(ir::SDFG& sdfg) const;
 
   /// Per-pass timeout in milliseconds from DACE_XF_PASS_TIMEOUT (0 = off).
   static int pass_timeout_ms();
-  /// True if DACE_XF_BISECT is set to a truthy value.
-  static bool bisect_env();
 
  private:
   std::string name_;

@@ -582,7 +582,8 @@ bool trivial_map_elimination(SDFG& sdfg) {
 // Pipeline
 // ---------------------------------------------------------------------------
 
-void simplify(ir::SDFG& sdfg) {
+bool simplify(ir::SDFG& sdfg) {
+  bool any = false;
   bool changed = true;
   int guard = 0;
   while (changed && guard++ < 1000) {
@@ -592,8 +593,10 @@ void simplify(ir::SDFG& sdfg) {
     changed |= apply_repeated(sdfg, redundant_copy_removal) > 0;
     changed |= dead_state_elimination(sdfg);
     changed |= dead_dataflow_elimination(sdfg);
+    any |= changed;
   }
   sdfg.validate();
+  return any;
 }
 
 }  // namespace dace::xf

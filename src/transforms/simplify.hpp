@@ -33,7 +33,7 @@ bool inline_nested_sdfg(ir::SDFG& sdfg);
 /// parameter values ("degenerate maps", Section 3.1 map-scope cleanup).
 bool trivial_map_elimination(ir::SDFG& sdfg);
 
-/// Full coarsening pass to fixpoint.
-void simplify(ir::SDFG& sdfg);
+/// Full coarsening pass to fixpoint; returns true if the graph changed.
+bool simplify(ir::SDFG& sdfg);
 
 }  // namespace dace::xf

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/obs.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
+#include "testing/fuzzgen.hpp"
 #include "transforms/auto_optimize.hpp"
 #include "transforms/pass.hpp"
 
@@ -238,6 +240,53 @@ TEST(PipelineVerify, CleanPipelineReportsNoErrors) {
   EXPECT_TRUE(report.all_committed());
   EXPECT_TRUE(report.first_broken_pass.empty());
   EXPECT_FALSE(analysis::analyze(*g).has_errors());
+}
+
+// Verify mode is the baseline analysis' only reader, so a plain run must
+// not pay for it.  Spans are matched by name: loop_to_map's absint.*
+// spans share the `analysis` category.
+TEST(PipelineVerify, BaselineAnalysisOnlyInVerifyMode) {
+  for (bool verify : {false, true}) {
+    auto g = fe::compile_to_sdfg(kernels::kernel("jacobi_2d").source);
+    xf::PassReport report;
+    xf::AutoOptOptions opts;
+    opts.verify = verify;
+    opts.report = &report;
+    obs::set_enabled(true);
+    obs::clear();
+    xf::auto_optimize(*g, ir::DeviceType::CPU, opts);
+    int races = 0, applied = 0;
+    for (const auto& e : obs::snapshot())
+      races += std::string(e.cat) == "analysis" && e.name == "race";
+    obs::clear();
+    obs::set_enabled(false);
+    for (const auto& o : report.outcomes) applied += o.applied;
+    ASSERT_EQ(report.rolled_back, 0) << report.summary();
+    EXPECT_GT(applied, 0);
+    EXPECT_EQ(races, verify ? 1 + applied : 0) << report.summary();
+  }
+}
+
+// Verify mode is the pipeline's one recovery path; on the suite and the
+// fuzz corpus it rolls nothing back and commits what plain mode commits.
+TEST(PipelineVerify, VerifyModeCommitsThePlainGraph) {
+  std::vector<std::string> sources;
+  for (const auto& k : kernels::suite()) sources.push_back(k.source);
+  for (uint64_t seed = 0; seed < 100; ++seed)
+    sources.push_back(fuzz::generate_program(seed));
+  for (const auto& source : sources) {
+    auto plain = fe::compile_to_sdfg(source);
+    auto verified = plain->clone();
+    xf::AutoOptOptions opts;
+    opts.verify = false;
+    xf::auto_optimize(*plain, ir::DeviceType::CPU, opts);
+    xf::PassReport report;
+    opts.verify = true;
+    opts.report = &report;
+    xf::auto_optimize(*verified, ir::DeviceType::CPU, opts);
+    EXPECT_EQ(report.rolled_back, 0) << source << report.summary();
+    EXPECT_EQ(verified->save(), plain->save()) << source;
+  }
 }
 
 // -- whole-suite integration -------------------------------------------------

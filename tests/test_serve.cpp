@@ -286,6 +286,11 @@ TEST(ServeProto, FaultPlanIsDeterministicAndParsesItsOwnSpec) {
   EXPECT_GT(diff, 0);
   EXPECT_FALSE(ServeFaultPlan().active());
   EXPECT_EQ(ServeFaultPlan().decide(3), ServeFault::None);
+  // A typo must not silently run a sweep that injects nothing.
+  EXPECT_THROW(ServeFaultPlan::parse("disconnect"), Error);
+  EXPECT_THROW(ServeFaultPlan::parse("disconect=0.2"), Error);
+  EXPECT_THROW(ServeFaultPlan::parse("disconnect=x"), Error);
+  EXPECT_THROW(ServeFaultPlan::parse("seed=x"), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   sdfg-serve [--socket PATH] [--workers N] [--queue-max N]
-//              [--deadline-ms N] [--io-timeout-ms N] [--once]
+//              [--deadline-ms N] [--io-timeout-ms N]
 //   sdfg-serve --selftest
 //
 // Accepts DaCeLang compile-and-run jobs over a unix-domain socket using
@@ -12,14 +12,12 @@
 // socket left by a crashed daemon is recovered at startup; a live
 // daemon on the same path, or a symlinked path, refuses to start.
 //
-// --once serves until the first drain signal with no extra behavior --
-// it exists so scripts can read "the daemon runs until told otherwise"
-// explicitly.  --selftest runs a full in-process lifecycle against a
-// private socket: start, ping, run, protocol abuse, stats, drain,
-// restart recovery.
+// --selftest runs a full in-process lifecycle against a private socket:
+// start, ping, run, protocol abuse, stats, drain, restart recovery.
 //
 // Exit codes: 0 = clean drain / selftest pass, 1 = startup or drain
-// failure / selftest failure, 64 = usage error.
+// failure / selftest failure, 64 = usage error (including a malformed
+// DACE_SERVE_FAULTS or DACE_SERVE_FAULT_SEED).
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -33,6 +31,7 @@
 #include <string>
 #include <thread>
 
+#include "common/common.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -43,8 +42,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: sdfg-serve [--socket PATH] [--workers N] "
-               "[--queue-max N] [--deadline-ms N] [--io-timeout-ms N] "
-               "[--once]\n"
+               "[--queue-max N] [--deadline-ms N] [--io-timeout-ms N]\n"
                "       sdfg-serve --selftest\n";
   return 64;
 }
@@ -162,17 +160,20 @@ int selftest() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ServeConfig cfg = ServeConfig::from_env();
-  bool once = false;
+  ServeConfig cfg;
+  try {
+    cfg = ServeConfig::from_env();
+  } catch (const dace::Error& e) {
+    std::cerr << "sdfg-serve: " << e.what() << "\n";
+    return 64;
+  }
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (a == "--selftest") return selftest();
-    if (a == "--once") {
-      once = true;
-    } else if (a == "--socket") {
+    if (a == "--socket") {
       const char* v = next();
       if (!v) return usage();
       cfg.socket_path = v;
@@ -196,7 +197,6 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  (void)once;
 
   install_handlers();
   Server srv(cfg);
