@@ -3,10 +3,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <deque>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::analysis::absint {
@@ -726,12 +726,11 @@ MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
 }
 
 Mode mode() {
-  const char* env = std::getenv("DACE_ABSINT");
-  if (!env || !*env) return Mode::On;
-  std::string v(env);
-  if (v == "0" || v == "off") return Mode::Off;
-  if (v == "all") return Mode::All;
-  return Mode::On;
+  return env::choice("DACE_ABSINT", Mode::On,
+                     {{"0", Mode::Off},
+                      {"off", Mode::Off},
+                      {"1", Mode::On},
+                      {"all", Mode::All}});
 }
 
 // ---------------------------------------------------------------------------

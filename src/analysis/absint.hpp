@@ -196,11 +196,12 @@ struct MapFacts {
 MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
                      const Env& state_env);
 
-/// DACE_ABSINT knob: Off ("0") disables all absint-driven codegen
+/// DACE_ABSINT knob: Off ("0"/"off") disables all absint-driven codegen
 /// (guards, restrict, vectorization hints) and restores pre-absint
-/// behavior; On (default) emits guards only for unproven accesses; All
-/// ("all") guards every access, used by the fuzzer to cross-validate
-/// "proven in-range" verdicts dynamically.
+/// behavior; On ("1", default) emits guards only for unproven accesses;
+/// All ("all") guards every access, used by the fuzzer to cross-validate
+/// "proven in-range" verdicts dynamically.  mode() throws dace::Error on
+/// any other value.
 enum class Mode { Off, On, All };
 Mode mode();
 

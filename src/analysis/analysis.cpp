@@ -1,9 +1,9 @@
 // AnalysisReport plumbing and the all-analyses entry point.
 #include "analysis/analysis.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::analysis {
@@ -87,9 +87,6 @@ AnalysisReport analyze(const ir::SDFG& sdfg) {
   return report;
 }
 
-bool verify_env() {
-  const char* env = std::getenv("DACE_VERIFY_PASSES");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
+bool verify_env() { return env::flag("DACE_VERIFY_PASSES", false); }
 
 }  // namespace dace::analysis

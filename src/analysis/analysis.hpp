@@ -94,9 +94,9 @@ void analyze_defuse(const ir::SDFG& sdfg, AnalysisReport& report);
 /// SDFG it contains.
 AnalysisReport analyze(const ir::SDFG& sdfg);
 
-/// True if DACE_VERIFY_PASSES is set to a non-empty, non-"0" value:
-/// transformation pipelines verify after every pass and the executor
-/// analyzes before the first run.
+/// True if DACE_VERIFY_PASSES=1: transformation pipelines verify after
+/// every pass and the executor analyzes before the first run.  Throws
+/// dace::Error on a value other than 0 or 1.
 bool verify_env();
 
 }  // namespace dace::analysis

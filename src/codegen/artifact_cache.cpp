@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "common/common.hpp"
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
 
@@ -34,19 +35,6 @@ namespace {
 constexpr int kFormatVersion = 1;
 constexpr const char* kMetaMagic = "daceppcache";
 constexpr const char* kNegMagic = "daceppneg";
-
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform draw in [0,1) from the plan seed and the op index.
-double draw(uint64_t seed, uint64_t op) {
-  uint64_t h = mix64(seed ^ mix64(op ^ 0xcafef00dd15ea5e5ULL));
-  return (double)(h >> 11) * (1.0 / 9007199254740992.0);  // 53-bit mantissa
-}
 
 std::string hex64(uint64_t v) {
   char buf[17];
@@ -246,79 +234,42 @@ const char* fs_fault_name(FsFault k) {
   return "?";
 }
 
-bool FsFaultPlan::active() const {
-  return torn_prob > 0 || rename_prob > 0 || corrupt_prob > 0 ||
-         enospc_prob > 0 || crash_prob > 0;
-}
+namespace {
+
+constexpr env::SpecField<FsFaultPlan> kFields[] = {
+    {"seed", env::SpecKind::Seed, &FsFaultPlan::seed},
+    {"torn", env::SpecKind::Probability, &FsFaultPlan::torn_prob},
+    {"rename", env::SpecKind::Probability, &FsFaultPlan::rename_prob},
+    {"corrupt", env::SpecKind::Probability, &FsFaultPlan::corrupt_prob},
+    {"enospc", env::SpecKind::Probability, &FsFaultPlan::enospc_prob},
+    {"crash", env::SpecKind::Probability, &FsFaultPlan::crash_prob},
+};
+constexpr env::Spec<FsFaultPlan> kSpec("cache fault plan", kFields);
+
+}  // namespace
+
+bool FsFaultPlan::active() const { return kSpec.active(*this); }
 
 FsFault FsFaultPlan::decide(uint64_t op_index) const {
   if (!active()) return FsFault::None;
-  double u = draw(seed, op_index);
-  double t = torn_prob;
-  if (u < t) return FsFault::TornWrite;
-  if (u < (t += rename_prob)) return FsFault::RenameFail;
-  if (u < (t += corrupt_prob)) return FsFault::Corrupt;
-  if (u < (t += enospc_prob)) return FsFault::NoSpace;
-  if (u < (t += crash_prob)) return FsFault::CrashCommit;
-  return FsFault::None;
+  // kFields lists the probabilities in FsFault's order.
+  return (FsFault)kSpec.pick(
+      *this, fault_draw(seed, {op_index, 0xcafef00dd15ea5e5ULL}));
 }
 
-std::string FsFaultPlan::to_string() const {
-  if (!active() && seed == 0) return "";
-  std::ostringstream os;
-  os << "seed=" << seed;
-  if (torn_prob > 0) os << ",torn=" << torn_prob;
-  if (rename_prob > 0) os << ",rename=" << rename_prob;
-  if (corrupt_prob > 0) os << ",corrupt=" << corrupt_prob;
-  if (enospc_prob > 0) os << ",enospc=" << enospc_prob;
-  if (crash_prob > 0) os << ",crash=" << crash_prob;
-  return os.str();
-}
+std::string FsFaultPlan::to_string() const { return kSpec.to_string(*this); }
 
 FsFaultPlan FsFaultPlan::parse(const std::string& spec) {
-  FsFaultPlan p;
-  std::istringstream is(spec);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) continue;
-    auto eq = item.find('=');
-    DACE_CHECK(eq != std::string::npos,
-               "cache fault plan: expected key=value, got '", item, "' in '",
-               spec, "'");
-    std::string key = item.substr(0, eq);
-    std::string val = item.substr(eq + 1);
-    try {
-      if (key == "seed") p.seed = (uint64_t)std::stoull(val);
-      else if (key == "torn") p.torn_prob = std::stod(val);
-      else if (key == "rename") p.rename_prob = std::stod(val);
-      else if (key == "corrupt") p.corrupt_prob = std::stod(val);
-      else if (key == "enospc") p.enospc_prob = std::stod(val);
-      else if (key == "crash") p.crash_prob = std::stod(val);
-      else throw err("cache fault plan: unknown key '", key, "'");
-    } catch (const std::invalid_argument&) {
-      throw err("cache fault plan: bad value '", val, "' for key '", key, "'");
-    }
-  }
-  return p;
+  return kSpec.parse(spec);
 }
 
 FsFaultPlan FsFaultPlan::from_env() {
-  FsFaultPlan p;
-  if (const char* spec = std::getenv("DACE_CACHE_FAULTS")) p = parse(spec);
-  if (const char* s = std::getenv("DACE_CACHE_FAULT_SEED")) {
-    p.seed = (uint64_t)std::strtoull(s, nullptr, 10);
-  }
-  return p;
+  return kSpec.from_env("DACE_CACHE_FAULTS", "DACE_CACHE_FAULT_SEED");
 }
 
 void set_fault_plan(const FsFaultPlan& plan) {
   std::lock_guard<std::mutex> lk(g_fault_mu);
   g_fault_plan = plan;
-}
-
-const FsFaultPlan& fault_plan() {
-  // Returned by reference for inspection; installs race only in tests.
-  return g_fault_plan;
 }
 
 uint64_t faults_injected() {
@@ -331,31 +282,21 @@ uint64_t faults_injected() {
 
 CacheConfig CacheConfig::from_env() {
   CacheConfig cfg;
-  if (const char* e = std::getenv("DACE_CACHE")) {
-    cfg.enabled = std::string(e) != "0";
-  }
-  if (const char* e = std::getenv("DACE_CACHE_DIR"); e && *e) {
-    cfg.dir = e;
-  } else if (const char* x = std::getenv("XDG_CACHE_HOME"); x && *x) {
-    cfg.dir = std::string(x) + "/dacepp";
-  } else if (const char* h = std::getenv("HOME"); h && *h) {
-    cfg.dir = std::string(h) + "/.cache/dacepp";
+  cfg.enabled = env::flag("DACE_CACHE", true);
+  if (std::string d = env::text("DACE_CACHE_DIR"); !d.empty()) {
+    cfg.dir = d;
+  } else if (std::string x = env::text("XDG_CACHE_HOME"); !x.empty()) {
+    cfg.dir = x + "/dacepp";
+  } else if (std::string h = env::text("HOME"); !h.empty()) {
+    cfg.dir = h + "/.cache/dacepp";
   } else {
     cfg.dir = "/tmp/dacepp-cache-" + std::to_string((long)getuid());
   }
-  if (const char* e = std::getenv("DACE_CACHE_SIZE_MB")) {
-    char* end = nullptr;
-    double mb = std::strtod(e, &end);
-    if (end != e && mb >= 0) cfg.size_limit_bytes = (int64_t)(mb * 1048576.0);
-  }
-  if (const char* e = std::getenv("DACE_CACHE_NEG_TTL_S")) {
-    long long v = std::atoll(e);
-    if (v >= 0) cfg.negative_ttl_s = v;
-  }
-  if (const char* e = std::getenv("DACE_CACHE_LOCK_TIMEOUT_MS")) {
-    int v = std::atoi(e);
-    if (v >= 0) cfg.lock_timeout_ms = v;
-  }
+  // Bounded so the byte count fits an int64_t.
+  double mb = env::number("DACE_CACHE_SIZE_MB",
+                          cfg.size_limit_bytes / 1048576.0, 0,
+                          (double)(INT64_MAX >> 20));
+  cfg.size_limit_bytes = (int64_t)(mb * 1048576.0);
   return cfg;
 }
 
@@ -464,8 +405,8 @@ ArtifactCache::ArtifactCache(CacheConfig cfg) : cfg_(std::move(cfg)) {
                 "{\"dir\":\"" + cfg_.dir + "\"}");
     return;
   }
-  if (std::getenv("DACE_CACHE_FAULTS") || std::getenv("DACE_CACHE_FAULT_SEED"))
-    set_fault_plan(FsFaultPlan::from_env());
+  if (FsFaultPlan p = FsFaultPlan::from_env(); p.active() || p.seed != 0)
+    set_fault_plan(p);
   collect_stale_build_dirs();
 }
 

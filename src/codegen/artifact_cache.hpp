@@ -35,15 +35,8 @@
 // driven through the `ctest -L chaos` cache sweep.  Determinism makes
 // every chaos finding reproducible from its seed alone.
 //
-// Env knobs (numba-dpex-style config surface, docs/CACHE.md):
-//   DACE_CACHE=0                 disable entirely (escape hatch)
-//   DACE_CACHE_DIR=path          cache root (default $XDG_CACHE_HOME/dacepp,
-//                                $HOME/.cache/dacepp, /tmp/dacepp-cache-UID)
-//   DACE_CACHE_SIZE_MB=N         LRU size bound (default 512; fractional ok)
-//   DACE_CACHE_NEG_TTL_S=N       negative-entry lifetime (default 86400)
-//   DACE_CACHE_LOCK_TIMEOUT_MS=N writer-lock wait bound (default 5000)
-//   DACE_CACHE_FAULTS=spec       fault plan, e.g. "seed=3,torn=0.5"
-//   DACE_CACHE_FAULT_SEED=N      seed override (chaos sweeps)
+// Env knobs (values in docs/RUNTIME.md): DACE_CACHE, DACE_CACHE_DIR,
+// DACE_CACHE_SIZE_MB, DACE_CACHE_FAULTS, DACE_CACHE_FAULT_SEED.
 #pragma once
 
 #include <cstdint>
@@ -85,18 +78,20 @@ struct FsFaultPlan {
   bool active() const;
   FsFault decide(uint64_t op_index) const;
 
-  /// Canonical "key=value,..." spec (inverse of parse); "" when inactive.
+  /// Canonical "key=value,..." spec (inverse of parse); "" when inactive
+  /// with seed 0.
   std::string to_string() const;
   /// Parse "seed=3,torn=0.5,rename=0.1,corrupt=1,enospc=0.2,crash=0.1".
+  /// Throws dace::Error like dist::FaultPlan::parse.
   static FsFaultPlan parse(const std::string& spec);
-  /// DACE_CACHE_FAULTS (spec) with DACE_CACHE_FAULT_SEED overriding seed.
+  /// DACE_CACHE_FAULTS (spec) with DACE_CACHE_FAULT_SEED overriding seed;
+  /// throws like parse().
   static FsFaultPlan from_env();
 };
 
 /// Install a plan process-wide (tests; from_env() is installed at cache
 /// construction).  Passing a default-constructed plan disarms the shim.
 void set_fault_plan(const FsFaultPlan& plan);
-const FsFaultPlan& fault_plan();
 /// Faults injected since process start (monotonic; test assertions).
 uint64_t faults_injected();
 

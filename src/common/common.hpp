@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -43,6 +45,26 @@ inline uint64_t fnv1a(const void* data, size_t n,
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// splitmix64's finalizer: the mixer behind every seeded fault schedule.
+inline uint64_t mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Uniform draw in [0,1) for one fault decision: a pure function of the
+/// plan seed and the decision's coordinates, folded from the right
+/// (h = last; h = mix64(c ^ h) for each earlier c; then mix64(seed ^ h)).
+inline double fault_draw(uint64_t seed,
+                         std::initializer_list<uint64_t> coords) {
+  const uint64_t* c = std::data(coords) + coords.size() - 1;
+  uint64_t h = *c;
+  while (c != std::data(coords)) h = mix64(*--c ^ h);
+  h = mix64(seed ^ h);
+  return (double)(h >> 11) * (1.0 / 9007199254740992.0);  // 53-bit mantissa
 }
 
 }  // namespace dace

@@ -1,7 +1,6 @@
 #include "common/metrics.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,9 +10,6 @@
 namespace dace::metrics {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
-std::atomic<bool> g_env_read{false};
 
 /// Registration tables.  Leaked (instruments must outlive detached
 /// threads); node-based maps keep instrument addresses stable forever.
@@ -29,26 +25,7 @@ Registry& registry() {
   return *r;
 }
 
-void read_env_once() {
-  if (g_env_read.load(std::memory_order_acquire)) return;
-  const char* e = std::getenv("DACE_METRICS");
-  if (e && std::string(e) == "0") {
-    g_enabled.store(false, std::memory_order_relaxed);
-  }
-  g_env_read.store(true, std::memory_order_release);
-}
-
 }  // namespace
-
-bool enabled() {
-  read_env_once();
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) {
-  read_env_once();
-  g_enabled.store(on, std::memory_order_relaxed);
-}
 
 Counter& counter(const std::string& name) {
   Registry& r = registry();

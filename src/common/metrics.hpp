@@ -3,22 +3,17 @@
 // tiering (JIT compiles / cache hits), the artifact cache (CacheStats),
 // the fault shims and the serve daemon (ServeStats).
 //
-// Design mirrors the obs:: substrate's cost contract: the *disabled*
-// path (DACE_METRICS=0) is a single relaxed atomic load per call, and
-// the enabled hot path is one relaxed fetch_add -- no locks, no
-// allocation.  Instruments are interned by name on first use (the only
-// mutex in the layer guards registration); call sites cache the returned
-// reference in a function-local static via the METRIC_* macros, so the
-// registry lookup happens once per site, not once per event.
+// An event is one relaxed fetch_add -- no locks, no allocation.
+// Instruments are interned by name on first use (the only mutex in the
+// layer guards registration); call sites cache the returned reference in
+// a function-local static via the METRIC_* macros, so the registry lookup
+// happens once per site, not once per event.
 //
 // Exposition is Prometheus text format (expose_text()), served three
 // ways: the DSRV `Metrics` verb on sdfg-serve (`sdfg-client --metrics`),
 // `sdfg-cache stat --json` (cache counters), and `sdfg-prof --metrics`
-// (offline, derived from a trace).  Unlike obs:: tracing, metrics are on
-// by default: they are cheap enough to leave running in production.
-//
-// Env knobs: DACE_METRICS=0 disables collection (values freeze at their
-// last state; exposition still works).
+// (offline, derived from a trace).  Unlike obs:: tracing, metrics are
+// always on: they are cheap enough to leave running in production.
 #pragma once
 
 #include <atomic>
@@ -27,19 +22,10 @@
 
 namespace dace::metrics {
 
-/// True when collection is on (default).  One relaxed atomic load; the
-/// first call reads DACE_METRICS.
-bool enabled();
-/// Programmatic switch (tests).
-void set_enabled(bool on);
-
 /// Monotonic event counter.
 class Counter {
  public:
-  void inc(uint64_t n = 1) {
-    if (!enabled()) return;
-    v_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -50,14 +36,8 @@ class Counter {
 /// Last-write-wins instantaneous value (queue depths, sizes).
 class Gauge {
  public:
-  void set(int64_t v) {
-    if (!enabled()) return;
-    v_.store(v, std::memory_order_relaxed);
-  }
-  void add(int64_t d) {
-    if (!enabled()) return;
-    v_.fetch_add(d, std::memory_order_relaxed);
-  }
+  void set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -74,7 +54,6 @@ class Histogram {
   static constexpr int kBuckets = 65;  // bucket i: values < 2^i; [64]=rest
 
   void observe(uint64_t v) {
-    if (!enabled()) return;
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -134,7 +113,7 @@ void reset_for_testing();
 // -- macro API ---------------------------------------------------------------
 // The registry lookup is cached in a function-local static, so each call
 // site pays one mutex acquisition ever; after that an event costs one
-// enabled() load plus one relaxed fetch_add.
+// relaxed fetch_add.
 #define METRIC_INC(name)                                              \
   do {                                                                \
     static ::dace::metrics::Counter& dace_metric_c_ =                 \

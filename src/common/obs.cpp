@@ -10,10 +10,14 @@
 #include <sstream>
 
 #include "common/diag.hpp"
+#include "common/env.hpp"
 
 namespace dace::obs {
 
 namespace {
+
+/// Events a thread's ring holds before the oldest are overwritten.
+constexpr size_t kBufferCap = 1 << 16;
 
 /// One thread's ring buffer.  Only the owning thread appends; snapshot()
 /// and clear() take the same mutex, so flushing while detached JIT worker
@@ -21,7 +25,6 @@ namespace {
 struct Buffer {
   std::mutex mu;
   std::vector<TraceEvent> ring;
-  size_t cap = 0;
   size_t next = 0;        // overwrite cursor once the ring is full
   uint64_t dropped = 0;   // events that displaced an older one
   int tid = 0;
@@ -31,10 +34,7 @@ struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<Buffer>> buffers;
   int next_tid = 0;
-  size_t buffer_cap = 1 << 16;
   std::string trace_file;
-  bool have_rank_filter = false;
-  std::vector<int> rank_filter;
 };
 
 // Leaked: detached compile threads and atexit handlers may still touch it
@@ -64,24 +64,9 @@ int init_slow() {
   std::lock_guard<std::mutex> lk(r.mu);
   int cur = g_enabled.load(std::memory_order_relaxed);
   if (cur >= 0) return cur;
-  int on = 0;
-  if (const char* f = std::getenv("DACE_TRACE_FILE"); f && *f) {
-    r.trace_file = f;
-    on = 1;
-    std::atexit(write_trace_at_exit);
-  }
-  if (const char* ranks = std::getenv("DACE_TRACE_RANKS"); ranks && *ranks) {
-    r.have_rank_filter = true;
-    std::istringstream is(ranks);
-    std::string tok;
-    while (std::getline(is, tok, ',')) {
-      if (!tok.empty()) r.rank_filter.push_back(std::atoi(tok.c_str()));
-    }
-  }
-  if (const char* cap = std::getenv("DACE_TRACE_BUFFER"); cap && *cap) {
-    long long v = std::atoll(cap);
-    if (v > 0) r.buffer_cap = (size_t)v;
-  }
+  r.trace_file = env::text("DACE_TRACE_FILE");
+  int on = r.trace_file.empty() ? 0 : 1;
+  if (on) std::atexit(write_trace_at_exit);
   g_enabled.store(on, std::memory_order_relaxed);
   return on;
 }
@@ -93,7 +78,6 @@ Buffer& local_buffer() {
     auto b = std::make_shared<Buffer>();
     Registry& r = registry();
     std::lock_guard<std::mutex> lk(r.mu);
-    b->cap = r.buffer_cap;
     b->tid = r.next_tid++;
     r.buffers.push_back(b);
     t_buf = b;
@@ -104,11 +88,11 @@ Buffer& local_buffer() {
 void push(TraceEvent e) {
   Buffer& b = local_buffer();
   std::lock_guard<std::mutex> lk(b.mu);
-  if (b.ring.size() < b.cap) {
+  if (b.ring.size() < kBufferCap) {
     b.ring.push_back(std::move(e));
   } else {
     b.ring[b.next] = std::move(e);
-    b.next = (b.next + 1) % b.cap;
+    b.next = (b.next + 1) % kBufferCap;
     ++b.dropped;
   }
 }
@@ -148,7 +132,7 @@ bool enabled() {
 }
 
 void set_enabled(bool on) {
-  init_slow();  // consume env config (rank filter, trace file) first
+  init_slow();  // consume DACE_TRACE_FILE first
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
@@ -249,7 +233,8 @@ std::vector<TraceEvent> snapshot() {
     std::lock_guard<std::mutex> lk(b->mu);
     // Chronological per buffer: [next, end) is the older half once full.
     for (size_t i = 0; i < b->ring.size(); ++i) {
-      size_t idx = b->ring.size() == b->cap ? (b->next + i) % b->cap : i;
+      size_t idx =
+          b->ring.size() == kBufferCap ? (b->next + i) % kBufferCap : i;
       out.push_back(b->ring[idx]);
     }
   }
@@ -338,22 +323,6 @@ bool write_trace(const std::string& path) {
   size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
   std::fclose(f);
   return written == doc.size();
-}
-
-const std::string& trace_file() {
-  init_slow();
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  return r.trace_file;
-}
-
-bool rank_traced(int rank) {
-  init_slow();
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  if (!r.have_rank_filter) return true;
-  return std::find(r.rank_filter.begin(), r.rank_filter.end(), rank) !=
-         r.rank_filter.end();
 }
 
 }  // namespace dace::obs

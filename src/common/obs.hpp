@@ -20,10 +20,8 @@
 //   pid 1 -- simMPI *virtual* time; tid is the rank, timestamps are the
 //            rank's modeled clock (distributed/simmpi.cpp stamps these)
 //
-// Env knobs:
-//   DACE_TRACE_FILE=out.json   enable tracing; write the trace at exit
-//   DACE_TRACE_RANKS=0,3       restrict virtual-rank events to these ranks
-//   DACE_TRACE_BUFFER=N        per-thread ring capacity (default 65536)
+// DACE_TRACE_FILE=out.json enables tracing and writes the trace at exit.
+// Each thread's ring holds the latest 65536 events.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +47,10 @@ struct TraceEvent {
 };
 
 /// True if tracing is on.  The fast path is one relaxed atomic load; the
-/// first call reads DACE_TRACE_FILE / DACE_TRACE_RANKS / DACE_TRACE_BUFFER.
+/// first call reads DACE_TRACE_FILE.
 bool enabled();
-/// Programmatic switch (tests, tools).  Parses the env config first so a
-/// later write_trace/rank_traced sees DACE_TRACE_* settings.
+/// Programmatic switch (tests, tools).  Reads DACE_TRACE_FILE first, so
+/// the trace is still written at exit when it is set.
 void set_enabled(bool on);
 
 /// Monotonic nanoseconds since process start: the shared timer every
@@ -112,12 +110,6 @@ void clear();
 std::string to_chrome_json();
 /// Write to_chrome_json() to `path`; false if the file cannot be written.
 bool write_trace(const std::string& path);
-
-/// DACE_TRACE_FILE value ("" when unset).
-const std::string& trace_file();
-/// True if virtual-rank events for `rank` pass the DACE_TRACE_RANKS filter
-/// (no filter = all ranks).
-bool rank_traced(int rank);
 
 }  // namespace dace::obs
 

@@ -7,8 +7,8 @@
 // model onto the rank's virtual clock through the executor launch hook.
 //
 // Resilience: the executor inherits the transport's retry policy
-// (DACE_COMM_RETRIES exponential-backoff retransmits, charged to the
-// virtual clock) and per-op deadlines (DACE_COMM_TIMEOUT); a FaultPlan
+// (CommConfig: exponential-backoff retransmits, charged to the virtual
+// clock, and per-op deadlines); a FaultPlan
 // installed on the World (or via DACE_FAULT_PLAN/DACE_FAULT_SEED) chaos-
 // tests the run deterministically.  Rank crashes degrade gracefully:
 // tolerant collectives (allreduce, barrier) re-form over the survivors,

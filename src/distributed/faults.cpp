@@ -1,7 +1,8 @@
 #include "distributed/faults.hpp"
 
-#include <cstdlib>
 #include <sstream>
+
+#include "common/env.hpp"
 
 namespace dace::dist {
 
@@ -31,33 +32,30 @@ std::string FaultEvent::to_string() const {
 
 namespace {
 
-/// splitmix64: the standard cheap mixer; good enough for Bernoulli draws.
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform draw in [0,1) from the plan seed and the op coordinates.
-double draw(uint64_t seed, uint64_t a, uint64_t b, uint64_t c, uint64_t d,
-            uint64_t e) {
-  uint64_t h = mix64(seed ^ mix64(a ^ mix64(b ^ mix64(c ^ mix64(d ^ e)))));
-  return (double)(h >> 11) * (1.0 / 9007199254740992.0);  // 53-bit mantissa
-}
+constexpr env::SpecField<FaultPlan> kFields[] = {
+    {"seed", env::SpecKind::Seed, &FaultPlan::seed},
+    {"drop", env::SpecKind::Probability, &FaultPlan::drop_prob},
+    {"delay", env::SpecKind::Probability, &FaultPlan::delay_prob},
+    {"delay_s", env::SpecKind::Seconds, &FaultPlan::delay_s, true},
+    {"dup", env::SpecKind::Probability, &FaultPlan::dup_prob},
+    {"reorder", env::SpecKind::Probability, &FaultPlan::reorder_prob},
+    {"stall_rank", env::SpecKind::Index, &FaultPlan::stall_rank},
+    {"stall_at", env::SpecKind::Index, &FaultPlan::stall_at_op, true},
+    {"stall_s", env::SpecKind::Seconds, &FaultPlan::stall_s, true},
+    {"crash_rank", env::SpecKind::Index, &FaultPlan::crash_rank},
+    {"crash_at", env::SpecKind::Index, &FaultPlan::crash_at_op, true},
+};
+constexpr env::Spec<FaultPlan> kSpec("fault plan", kFields);
 
 }  // namespace
 
-bool FaultPlan::active() const {
-  return drop_prob > 0 || delay_prob > 0 || dup_prob > 0 ||
-         reorder_prob > 0 || (stall_rank >= 0 && stall_at_op >= 0) ||
-         (crash_rank >= 0 && crash_at_op >= 0);
-}
+bool FaultPlan::active() const { return kSpec.active(*this); }
 
 FaultKind FaultPlan::decide_message(int src, int dst, int tag, uint64_t seq,
                                     int attempt) const {
-  double u = draw(seed, (uint64_t)src, (uint64_t)dst, (uint64_t)(tag + 1),
-                  seq, (uint64_t)(attempt + 1));
+  double u = fault_draw(seed, {(uint64_t)src, (uint64_t)dst,
+                              (uint64_t)(tag + 1), seq,
+                              (uint64_t)(attempt + 1)});
   double t = drop_prob;
   if (u < t) return FaultKind::Drop;
   // Non-drop faults fire only on the first transmission: retransmissions
@@ -75,67 +73,14 @@ FaultKind FaultPlan::decide_rank_op(int rank, int64_t op_index) const {
   return FaultKind::None;
 }
 
-std::string FaultPlan::to_string() const {
-  if (!active() && seed == 0) return "";
-  std::ostringstream os;
-  os << "seed=" << seed;
-  if (drop_prob > 0) os << ",drop=" << drop_prob;
-  if (delay_prob > 0) os << ",delay=" << delay_prob << ",delay_s=" << delay_s;
-  if (dup_prob > 0) os << ",dup=" << dup_prob;
-  if (reorder_prob > 0) os << ",reorder=" << reorder_prob;
-  if (stall_rank >= 0 && stall_at_op >= 0)
-    os << ",stall_rank=" << stall_rank << ",stall_at=" << stall_at_op
-       << ",stall_s=" << stall_s;
-  if (crash_rank >= 0 && crash_at_op >= 0)
-    os << ",crash_rank=" << crash_rank << ",crash_at=" << crash_at_op;
-  return os.str();
-}
+std::string FaultPlan::to_string() const { return kSpec.to_string(*this); }
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
-  FaultPlan p;
-  std::istringstream is(spec);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) continue;
-    auto eq = item.find('=');
-    DACE_CHECK(eq != std::string::npos, "fault plan: expected key=value, got '",
-               item, "' in '", spec, "'");
-    std::string key = item.substr(0, eq);
-    std::string val = item.substr(eq + 1);
-    try {
-      if (key == "seed") p.seed = (uint64_t)std::stoull(val);
-      else if (key == "drop") p.drop_prob = std::stod(val);
-      else if (key == "delay") p.delay_prob = std::stod(val);
-      else if (key == "delay_s") p.delay_s = std::stod(val);
-      else if (key == "dup") p.dup_prob = std::stod(val);
-      else if (key == "reorder") p.reorder_prob = std::stod(val);
-      else if (key == "stall_rank") p.stall_rank = std::stoi(val);
-      else if (key == "stall_at") p.stall_at_op = std::stoll(val);
-      else if (key == "stall_s") p.stall_s = std::stod(val);
-      else if (key == "crash_rank") p.crash_rank = std::stoi(val);
-      else if (key == "crash_at") p.crash_at_op = std::stoll(val);
-      else throw err("fault plan: unknown key '", key, "'");
-    } catch (const std::invalid_argument&) {
-      throw err("fault plan: bad value '", val, "' for key '", key, "'");
-    }
-  }
-  return p;
+  return kSpec.parse(spec);
 }
 
 FaultPlan FaultPlan::from_env() {
-  FaultPlan p;
-  if (const char* spec = std::getenv("DACE_FAULT_PLAN")) p = parse(spec);
-  if (const char* s = std::getenv("DACE_FAULT_SEED")) {
-    p.seed = (uint64_t)std::strtoull(s, nullptr, 10);
-  }
-  return p;
-}
-
-CommConfig CommConfig::from_env() {
-  CommConfig c;
-  if (const char* e = std::getenv("DACE_COMM_TIMEOUT")) c.timeout_s = std::atof(e);
-  if (const char* e = std::getenv("DACE_COMM_RETRIES")) c.max_retries = std::atoi(e);
-  return c;
+  return kSpec.from_env("DACE_FAULT_PLAN", "DACE_FAULT_SEED");
 }
 
 namespace {

@@ -72,11 +72,16 @@ struct FaultPlan {
   /// Rank-level decision at the rank's `op_index`-th communication op.
   FaultKind decide_rank_op(int rank, int64_t op_index) const;
 
-  /// Canonical "key=value,..." spec (inverse of parse); "" when inactive.
+  /// Canonical "key=value,..." spec (inverse of parse); "" when inactive
+  /// with seed 0.
   std::string to_string() const;
   /// Parse a spec like "seed=42,drop=0.01,stall_rank=2,stall_at=5".
+  /// Throws dace::Error on an item without '=', an unknown key, or a
+  /// value that is not wholly a number of its kind (probabilities lie in
+  /// [0, 1]).
   static FaultPlan parse(const std::string& spec);
-  /// DACE_FAULT_PLAN (spec) with DACE_FAULT_SEED overriding the seed.
+  /// DACE_FAULT_PLAN (spec) with DACE_FAULT_SEED overriding the seed;
+  /// throws like parse().
   static FaultPlan from_env();
 };
 
@@ -88,9 +93,6 @@ struct CommConfig {
   double timeout_s = 30.0;     // wall seconds before an op times out
   int max_retries = 4;         // retransmissions after the first attempt
   double backoff_s = 100e-6;   // virtual backoff base, doubled per retry
-
-  /// DACE_COMM_TIMEOUT (seconds), DACE_COMM_RETRIES.
-  static CommConfig from_env();
 };
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
 
@@ -27,7 +27,7 @@ SteadyClock::time_point deadline_from(double seconds) {
 // rank thread's program order, so traces of a seeded chaos run are
 // deterministic.
 void obs_fault(const FaultEvent& e) {
-  if (!obs::enabled() || !obs::rank_traced(e.rank)) return;
+  if (!obs::enabled()) return;
   std::ostringstream a;
   a << "{\"peer\":" << e.peer << ",\"tag\":" << e.tag
     << ",\"bytes\":" << e.bytes << ",\"seq\":" << e.seq
@@ -43,10 +43,10 @@ World::World(int nranks, NetModel net)
       net_(net),
       clocks_((size_t)nranks, 0.0),
       dead_((size_t)nranks, 0),
-      fault_plan_(FaultPlan::from_env()),
-      comm_cfg_(CommConfig::from_env()) {
+      fault_plan_(FaultPlan::from_env()) {
   DACE_CHECK(nranks >= 1, "simmpi: need at least one rank");
-  if (const char* t = std::getenv("DACE_COMM_TRACE")) enable_trace(t);
+  if (std::string t = env::text("DACE_COMM_TRACE"); !t.empty())
+    enable_trace(t);
 }
 
 World::~World() = default;
@@ -226,7 +226,7 @@ void Comm::on_comm_op(const char* op, int peer, int tag, int64_t n,
     }
     world_.trace_line(os.str());
   }
-  if (obs::enabled() && obs::rank_traced(rank_)) {
+  if (obs::enabled()) {
     std::ostringstream a;
     if (peer >= 0) {
       a << "{\"peer\":" << peer << ",\"tag\":" << tag << ",\"n\":" << n
@@ -305,7 +305,7 @@ void Comm::send_vector(const double* buf, int64_t count, int64_t block,
         if (attempt < cc.max_retries) {
           ++world_.total_retries_;
           backoff += cc.backoff_s * (double)(1LL << attempt);
-          if (obs::enabled() && obs::rank_traced(rank_)) {
+          if (obs::enabled()) {
             std::ostringstream a;
             a << "{\"peer\":" << dst << ",\"tag\":" << tag
               << ",\"attempt\":" << attempt << ",\"backoff_s\":" << backoff

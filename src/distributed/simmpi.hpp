@@ -93,11 +93,8 @@ class World {
   // -- chaos / resilience configuration --------------------------------------
   /// Install a seeded fault schedule (overrides DACE_FAULT_PLAN/SEED).
   void set_fault_plan(const FaultPlan& p) { fault_plan_ = p; }
-  const FaultPlan& fault_plan() const { return fault_plan_; }
-  /// Override timeouts/retries (defaults come from DACE_COMM_TIMEOUT /
-  /// DACE_COMM_RETRIES).
+  /// Override timeouts/retries (default: CommConfig{}).
   void set_comm_config(const CommConfig& c) { comm_cfg_ = c; }
-  const CommConfig& comm_config() const { return comm_cfg_; }
 
   /// Every fault injected during the last run, in injection order.
   std::vector<FaultEvent> fault_events() const;

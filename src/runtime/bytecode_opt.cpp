@@ -1,13 +1,13 @@
 #include "runtime/bytecode_opt.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "common/common.hpp"
+#include "common/env.hpp"
 
 namespace dace::rt {
 
@@ -682,9 +682,6 @@ OptStats optimize_program(Program& prog) {
   return opt.run();
 }
 
-bool bytecode_opt_enabled() {
-  const char* env = std::getenv("DACEPP_BC_OPT");
-  return env == nullptr || std::string(env) != "0";
-}
+bool bytecode_opt_enabled() { return env::flag("DACEPP_BC_OPT", true); }
 
 }  // namespace dace::rt

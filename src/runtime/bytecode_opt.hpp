@@ -28,8 +28,8 @@ struct OptStats {
 /// the microbenchmarks). Idempotent: a second call is a no-op.
 OptStats optimize_program(Program& prog);
 
-/// False when DACEPP_BC_OPT=0 is set in the environment (Tier 0 then
-/// runs the unoptimized bytecode exactly as compiled).
+/// False when DACEPP_BC_OPT=0 (Tier 0 then runs the unoptimized bytecode
+/// exactly as compiled).
 bool bytecode_opt_enabled();
 
 }  // namespace dace::rt

@@ -1,22 +1,19 @@
 #include "runtime/instrumentation.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <vector>
 
 #include "common/diag.hpp"
+#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::rt {
 
 ir::Instrument Instrumenter::env_default() {
-  const char* e = std::getenv("DACE_INSTRUMENT");
-  if (!e || !*e) return ir::Instrument::Off;
-  std::string v(e);
-  if (v == "timer" || v == "1") return ir::Instrument::Timer;
-  if (v == "counter") return ir::Instrument::Counter;
-  return ir::Instrument::Off;
+  return env::choice("DACE_INSTRUMENT", ir::Instrument::Off,
+                     {{"0", ir::Instrument::Off},
+                      {"1", ir::Instrument::Timer},
+                      {"timer", ir::Instrument::Timer},
+                      {"counter", ir::Instrument::Counter}});
 }
 
 Instrumenter::Instrumenter(const ir::SDFG& sdfg)
@@ -75,35 +72,6 @@ void Instrumenter::record(const char* kind, int state_id, int node_id,
   }
   a << "}";
   obs::complete("node", label, t0_ns, dur_ns, a.str());
-}
-
-std::string Instrumenter::summary() const {
-  std::vector<const NodeProfile*> rows;
-  rows.reserve(profiles_.size());
-  for (const auto& [k, p] : profiles_) rows.push_back(&p);
-  std::sort(rows.begin(), rows.end(),
-            [](const NodeProfile* a, const NodeProfile* b) {
-              return a->total_ns > b->total_ns;
-            });
-  std::ostringstream os;
-  os << "instrumentation report for '" << sdfg_name_ << "':\n";
-  char line[256];
-  snprintf(line, sizeof(line), "  %-24s %-8s %10s %8s %12s %11s %5s\n",
-           "node", "kind", "total ms", "calls", "iters", "instrs/iter",
-           "tier");
-  os << line;
-  for (const NodeProfile* p : rows) {
-    double ipi = p->iterations > 0
-                     ? (double)p->vm.instrs / (double)p->iterations
-                     : 0.0;
-    snprintf(line, sizeof(line),
-             "  %-24s %-8s %10.3f %8lld %12lld %11.1f %5d\n",
-             p->label.c_str(), p->kind.c_str(), (double)p->total_ns / 1e6,
-             (long long)p->invocations, (long long)p->iterations, ipi,
-             p->tier);
-    os << line;
-  }
-  return os.str();
 }
 
 }  // namespace dace::rt

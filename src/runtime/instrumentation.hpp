@@ -7,13 +7,12 @@
 // executor launch_hook (which disables Tier-1 promotion so the device
 // cost models keep their VMStats), so an instrumented run tiers exactly
 // like an uninstrumented one.  Measurements flow two ways:
-//   - accumulated NodeProfile records, queryable in-process (tests,
-//     Instrumenter::summary())
+//   - accumulated NodeProfile records, queryable in-process (tests)
 //   - obs:: span/counter events ("node" category) when tracing is on,
 //     which tools/sdfg-prof aggregates into the hot-map report
 //
 // What gets measured is the per-node Instrument attribute; nodes left at
-// Off inherit the process default from DACE_INSTRUMENT=timer|counter|1
+// Off inherit the process default from DACE_INSTRUMENT=timer|counter|1|0
 // (launch-granularity nodes only -- states are measured only when their
 // attribute is set explicitly).
 #pragma once
@@ -43,8 +42,8 @@ struct NodeProfile {
 
 class Instrumenter {
  public:
-  /// Process default from DACE_INSTRUMENT: "timer"/"1" -> Timer,
-  /// "counter" -> Counter, anything else -> Off.
+  /// Process default from DACE_INSTRUMENT: "0" -> Off, "1"/"timer" ->
+  /// Timer, "counter" -> Counter; throws dace::Error on anything else.
   static ir::Instrument env_default();
 
   explicit Instrumenter(const ir::SDFG& sdfg);
@@ -71,9 +70,6 @@ class Instrumenter {
   const std::map<std::pair<int, int>, NodeProfile>& profiles() const {
     return profiles_;
   }
-
-  /// Human-readable per-node table, hottest first.
-  std::string summary() const;
 
  private:
   std::string sdfg_name_;

@@ -1,7 +1,8 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "common/env.hpp"
 
 namespace dace::rt {
 
@@ -115,12 +116,9 @@ void ThreadPool::parallel_for(int64_t n,
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool([] {
-    if (const char* env = std::getenv("DACEPP_NUM_THREADS")) {
-      int v = std::atoi(env);
-      if (v > 0) return v;
-    }
     unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
+    return (int)env::integer("DACEPP_NUM_THREADS", hc > 0 ? (int)hc : 1, 1,
+                             INT32_MAX);
   }());
   return pool;
 }

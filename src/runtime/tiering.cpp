@@ -1,7 +1,6 @@
 #include "runtime/tiering.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <set>
@@ -10,6 +9,7 @@
 #include <tuple>
 
 #include "codegen/artifact_cache.hpp"
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
 
@@ -80,18 +80,11 @@ void compile_into(std::shared_ptr<NativeProgram> native, Program prog,
 
 TierConfig TierConfig::from_env() {
   TierConfig cfg;
-  if (const char* e = std::getenv("DACEPP_JIT")) {
-    cfg.enabled = std::string(e) != "0";
-  }
-  if (const char* e = std::getenv("DACEPP_JIT_THRESHOLD")) {
-    cfg.threshold = std::atoll(e);
-  }
-  if (const char* e = std::getenv("DACEPP_JIT_SYNC")) {
-    cfg.sync = std::string(e) == "1";
-  }
-  if (const char* e = std::getenv("DACEPP_JIT_CC")) {
-    cfg.compiler = e;
-  }
+  cfg.enabled = env::flag("DACEPP_JIT", cfg.enabled);
+  cfg.threshold = env::integer("DACEPP_JIT_THRESHOLD", cfg.threshold, 0);
+  cfg.sync = env::flag("DACEPP_JIT_SYNC", cfg.sync);
+  if (std::string cc = env::text("DACEPP_JIT_CC"); !cc.empty())
+    cfg.compiler = cc;
   return cfg;
 }
 

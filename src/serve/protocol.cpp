@@ -16,6 +16,7 @@
 
 #include "common/common.hpp"
 #include "common/diag.hpp"
+#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::serve {
@@ -41,19 +42,6 @@ uint64_t get_u64(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
-}
-
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Uniform draw in [0,1) from the plan seed and the op index.
-double draw(uint64_t seed, uint64_t op) {
-  uint64_t h = mix64(seed ^ mix64(op ^ 0x5e12f00dd15ea5e5ULL));
-  return (double)(h >> 11) * (1.0 / 9007199254740992.0);
 }
 
 }  // namespace
@@ -431,93 +419,42 @@ const char* serve_fault_name(ServeFault f) {
   return "?";
 }
 
-bool ServeFaultPlan::active() const {
-  return disconnect_prob > 0 || slow_prob > 0 || corrupt_prob > 0 ||
-         crash_prob > 0 || wedge_prob > 0 || storm_prob > 0;
-}
+namespace {
+
+constexpr env::SpecField<ServeFaultPlan> kFields[] = {
+    {"seed", env::SpecKind::Seed, &ServeFaultPlan::seed},
+    {"disconnect", env::SpecKind::Probability,
+     &ServeFaultPlan::disconnect_prob},
+    {"slow", env::SpecKind::Probability, &ServeFaultPlan::slow_prob},
+    {"corrupt", env::SpecKind::Probability, &ServeFaultPlan::corrupt_prob},
+    {"crash", env::SpecKind::Probability, &ServeFaultPlan::crash_prob},
+    {"wedge", env::SpecKind::Probability, &ServeFaultPlan::wedge_prob},
+    {"storm", env::SpecKind::Probability, &ServeFaultPlan::storm_prob},
+};
+constexpr env::Spec<ServeFaultPlan> kSpec("serve fault plan", kFields);
+
+}  // namespace
+
+bool ServeFaultPlan::active() const { return kSpec.active(*this); }
 
 ServeFault ServeFaultPlan::decide(uint64_t op_index) const {
   if (!active()) return ServeFault::None;
-  double u = draw(seed, op_index);
-  double acc = 0;
-  struct {
-    double p;
-    ServeFault f;
-  } kinds[] = {
-      {disconnect_prob, ServeFault::Disconnect},
-      {slow_prob, ServeFault::SlowLoris},
-      {corrupt_prob, ServeFault::Corrupt},
-      {crash_prob, ServeFault::CrashJob},
-      {wedge_prob, ServeFault::Wedge},
-      {storm_prob, ServeFault::DeadlineStorm},
-  };
-  for (const auto& k : kinds) {
-    acc += k.p;
-    if (u < acc) return k.f;
-  }
-  return ServeFault::None;
+  // kFields lists the probabilities in ServeFault's order.
+  return (ServeFault)kSpec.pick(
+      *this, fault_draw(seed, {op_index, 0x5e12f00dd15ea5e5ULL}));
 }
 
 std::string ServeFaultPlan::to_string() const {
-  if (!active()) return "";
-  std::ostringstream os;
-  os << "seed=" << seed;
-  auto emit = [&](const char* k, double p) {
-    if (p > 0) {
-      char buf[32];
-      snprintf(buf, sizeof(buf), "%g", p);
-      os << "," << k << "=" << buf;
-    }
-  };
-  emit("disconnect", disconnect_prob);
-  emit("slow", slow_prob);
-  emit("corrupt", corrupt_prob);
-  emit("crash", crash_prob);
-  emit("wedge", wedge_prob);
-  emit("storm", storm_prob);
-  return os.str();
+  // Unlike the other plans, a seed alone prints nothing.
+  return active() ? kSpec.to_string(*this) : "";
 }
 
 ServeFaultPlan ServeFaultPlan::parse(const std::string& spec) {
-  ServeFaultPlan p;
-  std::istringstream is(spec);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (item.empty()) continue;
-    size_t eq = item.find('=');
-    DACE_CHECK(eq != std::string::npos,
-               "serve fault plan: expected key=value, got '", item, "' in '",
-               spec, "'");
-    std::string key = item.substr(0, eq);
-    std::string val = item.substr(eq + 1);
-    size_t used = 0;  // characters of `val` the number took
-    try {
-      if (key == "seed") p.seed = std::stoull(val, &used);
-      else if (key == "disconnect") p.disconnect_prob = std::stod(val, &used);
-      else if (key == "slow") p.slow_prob = std::stod(val, &used);
-      else if (key == "corrupt") p.corrupt_prob = std::stod(val, &used);
-      else if (key == "crash") p.crash_prob = std::stod(val, &used);
-      else if (key == "wedge") p.wedge_prob = std::stod(val, &used);
-      else if (key == "storm") p.storm_prob = std::stod(val, &used);
-      else throw err("serve fault plan: unknown key '", key, "'");
-    } catch (const std::logic_error&) {
-      // Not a number, or out of range: `used` stays 0.
-    }
-    DACE_CHECK(used > 0 && used == val.size(), "serve fault plan: bad value '",
-               val, "' for key '", key, "'");
-  }
-  return p;
+  return kSpec.parse(spec);
 }
 
 ServeFaultPlan ServeFaultPlan::from_env() {
-  ServeFaultPlan p;
-  if (const char* spec = std::getenv("DACE_SERVE_FAULTS")) {
-    p = parse(spec);
-  }
-  if (const char* seed = std::getenv("DACE_SERVE_FAULT_SEED")) {
-    if (*seed) p.seed = parse(std::string("seed=") + seed).seed;
-  }
-  return p;
+  return kSpec.from_env("DACE_SERVE_FAULTS", "DACE_SERVE_FAULT_SEED");
 }
 
 namespace {

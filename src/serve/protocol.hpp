@@ -172,11 +172,11 @@ struct ServeFaultPlan {
   /// Canonical "key=value,..." spec (inverse of parse); "" when inactive.
   std::string to_string() const;
   /// Parse "seed=3,disconnect=0.2,slow=0.1,corrupt=0.2,crash=0.1,
-  /// wedge=0.05,storm=0.1".  Throws dace::Error on an item without '=',
-  /// an unknown key, or a value that is not wholly a number.
+  /// wedge=0.05,storm=0.1".  Throws dace::Error like
+  /// dist::FaultPlan::parse.
   static ServeFaultPlan parse(const std::string& spec);
   /// DACE_SERVE_FAULTS (spec) with DACE_SERVE_FAULT_SEED overriding seed;
-  /// throws like parse() on a malformed spec or a non-numeric seed.
+  /// throws like parse() on a malformed spec or seed.
   static ServeFaultPlan from_env();
 };
 

@@ -11,13 +11,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
 #include "codegen/artifact_cache.hpp"
 #include "common/common.hpp"
 #include "common/diag.hpp"
+#include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
 #include "frontend/lowering.hpp"
@@ -27,12 +27,6 @@
 namespace dace::serve {
 
 namespace {
-
-int64_t env_int(const char* name, int64_t dflt) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return dflt;
-  return std::atoll(v);
-}
 
 int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -55,37 +49,35 @@ std::string hex16(uint64_t v) {
 std::string default_socket_path() {
   std::string fname = "dacepp-serve-" + std::to_string((long)getuid()) +
                       ".sock";
-  if (const char* xdg = std::getenv("XDG_RUNTIME_DIR")) {
-    if (*xdg) return std::string(xdg) + "/" + fname;
-  }
-  if (const char* home = std::getenv("HOME")) {
-    if (*home) {
-      std::string dir = std::string(home) + "/.cache";
-      ::mkdir(dir.c_str(), 0755);
-      dir += "/dacepp";
-      ::mkdir(dir.c_str(), 0755);
-      struct stat st;
-      if (::stat(dir.c_str(), &st) == 0 && S_ISDIR(st.st_mode))
-        return dir + "/serve-" + std::to_string((long)getuid()) + ".sock";
-    }
+  if (std::string xdg = env::text("XDG_RUNTIME_DIR"); !xdg.empty())
+    return xdg + "/" + fname;
+  if (std::string home = env::text("HOME"); !home.empty()) {
+    std::string dir = home + "/.cache";
+    ::mkdir(dir.c_str(), 0755);
+    dir += "/dacepp";
+    ::mkdir(dir.c_str(), 0755);
+    struct stat st;
+    if (::stat(dir.c_str(), &st) == 0 && S_ISDIR(st.st_mode))
+      return dir + "/serve-" + std::to_string((long)getuid()) + ".sock";
   }
   return "/tmp/" + fname;
 }
 
 ServeConfig ServeConfig::from_env() {
+  auto positive = [](const char* name, int dflt) {
+    return (int)env::integer(name, dflt, 1, INT32_MAX);
+  };
   ServeConfig c;
-  if (const char* s = std::getenv("DACE_SERVE_SOCKET"))
-    if (*s) c.socket_path = s;
-  c.workers = (int)env_int("DACE_SERVE_WORKERS", c.workers);
-  c.workers = std::max(1, std::min(c.workers, 64));
-  c.queue_max = (int)env_int("DACE_SERVE_QUEUE_MAX", c.queue_max);
-  c.queue_max = std::max(1, c.queue_max);
-  c.deadline_ms = env_int("DACE_SERVE_DEADLINE_MS", c.deadline_ms);
-  c.wedge_grace_ms = env_int("DACE_SERVE_WEDGE_GRACE_MS", c.wedge_grace_ms);
-  c.io_timeout_ms = (int)env_int("DACE_SERVE_IO_TIMEOUT_MS", c.io_timeout_ms);
-  c.max_frame_kb = (int)env_int("DACE_SERVE_MAX_FRAME_KB", c.max_frame_kb);
+  c.socket_path = env::text("DACE_SERVE_SOCKET");
+  c.workers = (int)env::integer("DACE_SERVE_WORKERS", c.workers, 1, 64);
+  c.queue_max = positive("DACE_SERVE_QUEUE_MAX", c.queue_max);
+  c.deadline_ms = env::integer("DACE_SERVE_DEADLINE_MS", c.deadline_ms, 1);
+  c.wedge_grace_ms =
+      env::integer("DACE_SERVE_WEDGE_GRACE_MS", c.wedge_grace_ms, 0);
+  c.io_timeout_ms = positive("DACE_SERVE_IO_TIMEOUT_MS", c.io_timeout_ms);
+  c.max_frame_kb = positive("DACE_SERVE_MAX_FRAME_KB", c.max_frame_kb);
   c.drain_timeout_ms =
-      env_int("DACE_SERVE_DRAIN_TIMEOUT_MS", c.drain_timeout_ms);
+      env::integer("DACE_SERVE_DRAIN_TIMEOUT_MS", c.drain_timeout_ms, 0);
   c.faults = ServeFaultPlan::from_env();
   return c;
 }

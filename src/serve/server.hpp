@@ -67,7 +67,9 @@ struct ServeConfig {
 
   /// DACE_SERVE_SOCKET/_WORKERS/_QUEUE_MAX/_DEADLINE_MS/_WEDGE_GRACE_MS/
   /// _IO_TIMEOUT_MS/_MAX_FRAME_KB/_DRAIN_TIMEOUT_MS/_FAULTS/_FAULT_SEED.
-  /// Throws dace::Error on a malformed _FAULTS or _FAULT_SEED.
+  /// Throws dace::Error on a malformed value, on workers outside 1..64,
+  /// on a queue bound, deadline, I/O timeout or frame cap below 1, and on
+  /// a wedge grace or drain timeout below 0.
   static ServeConfig from_env();
 };
 

@@ -1,10 +1,10 @@
 #include "testing/fuzzgen.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "frontend/parser.hpp"
 #include "kernels/suite.hpp"
@@ -30,29 +30,6 @@ struct Rng {
     return lo + static_cast<int>(next() % static_cast<uint64_t>(hi - lo + 1));
   }
   bool chance(int pct) { return range(1, 100) <= pct; }
-};
-
-/// Scoped environment override (mirrors the test harness EnvGuard).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
 };
 
 enum class Kind { Mat, Row, Col, Scalar };
@@ -371,22 +348,22 @@ ConfigOut run_one(Config c, const std::string& src,
         break;
       }
       case Config::Tier0VM: {
-        EnvGuard bc("DACEPP_BC_OPT", "0");
-        EnvGuard jit("DACEPP_JIT", "0");
+        env::Override bc("DACEPP_BC_OPT", "0");
+        env::Override jit("DACEPP_JIT", "0");
         auto sdfg = fe::compile_to_sdfg(src);
         rt::execute(*sdfg, r.outputs, syms);
         break;
       }
       case Config::OptimizedVM: {
-        EnvGuard bc("DACEPP_BC_OPT", "1");
-        EnvGuard jit("DACEPP_JIT", "0");
+        env::Override bc("DACEPP_BC_OPT", "1");
+        env::Override jit("DACEPP_JIT", "0");
         auto sdfg = fe::compile_to_sdfg(src);
         rt::execute(*sdfg, r.outputs, syms);
         break;
       }
       case Config::AutoOpt: {
-        EnvGuard bc("DACEPP_BC_OPT", "1");
-        EnvGuard jit("DACEPP_JIT", "0");
+        env::Override bc("DACEPP_BC_OPT", "1");
+        env::Override jit("DACEPP_JIT", "0");
         auto sdfg = fe::compile_to_sdfg(src);
         xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
         rt::execute(*sdfg, r.outputs, syms);
@@ -396,10 +373,10 @@ ConfigOut run_one(Config c, const std::string& src,
         // Promote every map synchronously on first launch so the native
         // (kernel-plan) codegen actually executes; maps the host
         // compiler rejects fall back to the VM, which still agrees.
-        EnvGuard bc("DACEPP_BC_OPT", "1");
-        EnvGuard jit("DACEPP_JIT", "1");
-        EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-        EnvGuard sync("DACEPP_JIT_SYNC", "1");
+        env::Override bc("DACEPP_BC_OPT", "1");
+        env::Override jit("DACEPP_JIT", "1");
+        env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+        env::Override sync("DACEPP_JIT_SYNC", "1");
         auto sdfg = fe::compile_to_sdfg(src);
         xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
         rt::execute(*sdfg, r.outputs, syms);
@@ -422,6 +399,16 @@ ConfigOut run_one(Config c, const std::string& src,
 
 DiffResult run_differential(const std::string& source, uint64_t seed) {
   DiffResult out;
+  std::vector<Config> rest = {Config::Tier0VM, Config::OptimizedVM,
+                              Config::AutoOpt};
+  try {
+    if (env::flag("DACE_FUZZ_TIER1", false))
+      rest.push_back(Config::Tier1Native);
+  } catch (const Error& e) {
+    out.status = DiffStatus::ConfigError;
+    out.detail = e.what();
+    return out;
+  }
   sym::SymbolMap syms = symbol_values(seed);
   rt::Bindings inputs = make_inputs(seed);
 
@@ -432,11 +419,6 @@ DiffResult run_differential(const std::string& source, uint64_t seed) {
     return out;
   }
 
-  std::vector<Config> rest = {Config::Tier0VM, Config::OptimizedVM,
-                              Config::AutoOpt};
-  if (const char* t1 = std::getenv("DACE_FUZZ_TIER1");
-      t1 && t1[0] == '1' && t1[1] == '\0')
-    rest.push_back(Config::Tier1Native);
   for (Config c : rest) {
     ConfigOut r = run_one(c, source, inputs, syms);
     if (!r.ok && !r.contained) {

@@ -71,7 +71,8 @@ struct DiffResult {
 
 /// Execute `source` under every configuration with seed-derived inputs
 /// and compare all outputs against the eager interpreter.  Never throws;
-/// crashes of the compiler or runtime are contained and reported.
+/// crashes of the compiler or runtime are contained and reported, and a
+/// malformed DACE_FUZZ_TIER1 is reported as a ConfigError.
 DiffResult run_differential(const std::string& source, uint64_t seed);
 
 /// Greedy delta-debugging minimizer: repeatedly deletes chunks of body

@@ -3,13 +3,13 @@
 #include <chrono>
 #include <cstdint>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "common/diag.hpp"
+#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::xf {
@@ -149,9 +149,7 @@ std::string PassReport::summary() const {
 }
 
 int Pipeline::pass_timeout_ms() {
-  const char* v = std::getenv("DACE_XF_PASS_TIMEOUT");
-  if (!v || !*v) return 0;
-  return std::atoi(v);
+  return (int)env::integer("DACE_XF_PASS_TIMEOUT", 0, 0, INT32_MAX);
 }
 
 PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {

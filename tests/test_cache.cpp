@@ -31,6 +31,7 @@
 
 #include "codegen/artifact_cache.hpp"
 #include "codegen/jit.hpp"
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
 #include "runtime/executor.hpp"
@@ -46,29 +47,6 @@ using cg::cache::CacheConfig;
 using cg::cache::FsFaultPlan;
 using kernels::Kernel;
 using rt::Bindings;
-
-/// Scoped environment override; restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 std::string make_temp_dir() {
   char tmpl[] = "/tmp/dacepp-cache-test-XXXXXX";
@@ -352,6 +330,9 @@ TEST(CacheFaultPlan, ParseRoundTripAndDeterminism) {
   EXPECT_DOUBLE_EQ(p.crash_prob, 1.0);
   EXPECT_TRUE(p.active());
   EXPECT_FALSE(FsFaultPlan{}.active());
+  for (const char* bad : {"torn", "bogus=1", "torn=x", "torn=1e999",
+                          "torn=0.5x", "crash=-0.5", "seed=abc"})
+    EXPECT_THROW(FsFaultPlan::parse(bad), Error) << bad;
   // decide() is a pure function of (seed, op index).
   FsFaultPlan q = FsFaultPlan::parse(p.to_string());
   for (uint64_t i = 0; i < 200; ++i) EXPECT_EQ(p.decide(i), q.decide(i));
@@ -456,8 +437,8 @@ class CacheJitTest : public ::testing::Test {
  protected:
   void SetUp() override {
     root_ = make_temp_dir();
-    guards_.push_back(std::make_unique<EnvGuard>("DACE_CACHE", "1"));
-    guards_.push_back(std::make_unique<EnvGuard>(
+    guards_.push_back(std::make_unique<env::Override>("DACE_CACHE", "1"));
+    guards_.push_back(std::make_unique<env::Override>(
         "DACE_CACHE_DIR", (root_ + "/store").c_str()));
     ArtifactCache::reset_for_testing();
   }
@@ -470,7 +451,7 @@ class CacheJitTest : public ::testing::Test {
   }
 
   std::string root_;
-  std::vector<std::unique_ptr<EnvGuard>> guards_;
+  std::vector<std::unique_ptr<env::Override>> guards_;
 };
 
 TEST_F(CacheJitTest, BuildAndLoadCommitsThenHits) {
@@ -500,7 +481,7 @@ TEST_F(CacheJitTest, BuildAndLoadCommitsThenHits) {
 }
 
 TEST_F(CacheJitTest, DisabledCacheStillBuilds) {
-  guards_.push_back(std::make_unique<EnvGuard>("DACE_CACHE", "0"));
+  guards_.push_back(std::make_unique<env::Override>("DACE_CACHE", "0"));
   ArtifactCache::reset_for_testing();
   const std::string src =
       "extern \"C\" double dacepp_cache_off(double x) { return x + 1.0; }\n";
@@ -532,17 +513,14 @@ class CacheChaos : public CacheJitTest,
                    public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(CacheChaos, InjectedFaultDegradesToCorrectRun) {
-  uint64_t seed = 1;
-  if (const char* e = std::getenv("DACE_CACHE_FAULT_SEED")) {
-    seed = std::strtoull(e, nullptr, 10);
-  }
+  uint64_t seed = env::integer("DACE_CACHE_FAULT_SEED", 1, 0);
   FsFaultPlan plan = FsFaultPlan::parse(GetParam());
   plan.seed = seed;
   cg::cache::set_fault_plan(plan);
   uint64_t faults_before = cg::cache::faults_injected();
 
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);

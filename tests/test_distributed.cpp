@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hpp"
 #include "distributed/dasklike.hpp"
 #include "distributed/dist_executor.hpp"
 #include "distributed/dist_kernels.hpp"
@@ -386,12 +386,7 @@ def f(x: dace.float64[N], out: dace.float64[N]):
 // seed, not just the default.
 // ---------------------------------------------------------------------------
 
-uint64_t chaos_seed() {
-  if (const char* e = std::getenv("DACE_FAULT_SEED")) {
-    return std::strtoull(e, nullptr, 10);
-  }
-  return 42;
-}
+uint64_t chaos_seed() { return env::integer("DACE_FAULT_SEED", 42, 0); }
 
 TEST(ChaosPlan, ParseRoundTrip) {
   dist::FaultPlan p = dist::FaultPlan::parse(
@@ -416,7 +411,9 @@ TEST(ChaosPlan, ParseRoundTrip) {
   EXPECT_FALSE(dist::FaultPlan().active());
   EXPECT_THROW(dist::FaultPlan::parse("drop"), Error);
   EXPECT_THROW(dist::FaultPlan::parse("bogus=1"), Error);
-  EXPECT_THROW(dist::FaultPlan::parse("drop=x"), Error);
+  for (const char* bad : {"drop=x", "drop=1e999", "drop=-0.5", "drop=0.5x",
+                          "delay=1.5", "seed=-1", "stall_at=2.5"})
+    EXPECT_THROW(dist::FaultPlan::parse(bad), Error) << bad;
 }
 
 TEST(ChaosPlan, DecisionsAreDeterministicInSeed) {

@@ -8,6 +8,7 @@
 #include <random>
 
 #include "common/common.hpp"
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/tensor_ops.hpp"
@@ -342,9 +343,9 @@ TEST(Executor, CompileBelowTier1WritesNoFiles) {
   char tmpl[] = "/tmp/dacepp-nowrite-XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string root = tmpl;
-  setenv("DACEPP_JIT", "0", 1);
-  setenv("DACE_CACHE_DIR", root.c_str(), 1);
   {
+    env::Override jit("DACEPP_JIT", "0");
+    env::Override dir("DACE_CACHE_DIR", root.c_str());
     auto sdfg = compile_to_sdfg(R"(
 @dace.program
 def f(A: dace.float64[N], B: dace.float64[N]):
@@ -359,8 +360,6 @@ def f(A: dace.float64[N], B: dace.float64[N]):
     ex.run(args, {{"N", 64}});
     EXPECT_EQ(B.get_flat(3), 2.0 * A.get_flat(3));
   }
-  unsetenv("DACEPP_JIT");
-  unsetenv("DACE_CACHE_DIR");
   std::vector<std::string> files;
   for (const auto& e : fs::recursive_directory_iterator(root))
     if (e.is_regular_file()) files.push_back(e.path().string());

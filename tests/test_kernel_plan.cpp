@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "codegen/jit.hpp"
 #include "codegen/kernel_plan.hpp"
 #include "frontend/lowering.hpp"
@@ -29,29 +29,6 @@ using rt::Bindings;
 using rt::Instr;
 using rt::Op;
 using rt::Program;
-
-/// Scoped environment override; restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 const char* kMatmulSource = R"(
 @dace.program
@@ -255,15 +232,15 @@ TEST_P(PlanTripCounts, MatmulAgreesWithVmOnEdgeShapes) {
   const kernels::Kernel& k = kernels::kernel("matmul");
   Bindings vm = k.init(sizes);
   {
-    EnvGuard jit("DACEPP_JIT", "0");
+    env::Override jit("DACEPP_JIT", "0");
     auto sdfg = fe::compile_to_sdfg(k.source);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
     rt::execute(*sdfg, vm, sizes);
   }
   Bindings native = k.init(sizes);
   {
-    EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-    EnvGuard sync("DACEPP_JIT_SYNC", "1");
+    env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+    env::Override sync("DACEPP_JIT_SYNC", "1");
     auto sdfg = fe::compile_to_sdfg(k.source);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
     rt::execute(*sdfg, native, sizes);
@@ -298,8 +275,8 @@ def mm_edge(A: dace.float64[NI, NK], B: dace.float64[NK, NJ],
   Bindings ref = k.init(sizes);
   Bindings got = k.init(sizes);
   {
-    EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-    EnvGuard sync("DACEPP_JIT_SYNC", "1");
+    env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+    env::Override sync("DACEPP_JIT_SYNC", "1");
     auto sdfg = fe::compile_to_sdfg(src);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
     rt::execute(*sdfg, got, sizes);
@@ -333,15 +310,15 @@ def axpy_edge(x: dace.float64[N], y: dace.float64[N]):
   };
   Bindings vm = init();
   {
-    EnvGuard jit("DACEPP_JIT", "0");
+    env::Override jit("DACEPP_JIT", "0");
     auto sdfg = fe::compile_to_sdfg(src);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
     rt::execute(*sdfg, vm, sizes);
   }
   Bindings native = init();
   {
-    EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-    EnvGuard sync("DACEPP_JIT_SYNC", "1");
+    env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+    env::Override sync("DACEPP_JIT_SYNC", "1");
     auto sdfg = fe::compile_to_sdfg(src);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
     rt::execute(*sdfg, native, sizes);

@@ -1,5 +1,5 @@
-// Metrics registry tests: counter/gauge/histogram semantics, Prometheus
-// text exposition, and the DACE_METRICS=0 freeze.
+// Metrics registry tests: counter/gauge/histogram semantics and
+// Prometheus text exposition.
 #include <gtest/gtest.h>
 
 #include "common/metrics.hpp"
@@ -58,18 +58,6 @@ TEST(Metrics, ExposeTextFormat) {
   EXPECT_NE(text.find("dacepp_test_expose_ns_bucket{le="), std::string::npos);
   EXPECT_NE(text.find("dacepp_test_expose_ns_sum 5"), std::string::npos);
   EXPECT_NE(text.find("dacepp_test_expose_ns_count 1"), std::string::npos);
-}
-
-TEST(Metrics, DisabledFreezesValues) {
-  auto& c = metrics::counter("dacepp_test_freeze_total");
-  c.reset();
-  c.inc();
-  metrics::set_enabled(false);
-  c.inc(100);
-  metrics::set_enabled(true);
-  EXPECT_EQ(c.value(), 1u);
-  c.inc();
-  EXPECT_EQ(c.value(), 2u);
 }
 
 }  // namespace

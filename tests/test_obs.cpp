@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/obs.hpp"
 #include "distributed/simmpi.hpp"
 #include "frontend/lowering.hpp"
@@ -23,29 +23,6 @@ namespace {
 
 using kernels::Kernel;
 using rt::Bindings;
-
-/// Scoped environment override; restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 /// First top-level map entry of the SDFG, or -1.
 int find_top_map(const ir::SDFG& sdfg, int* state_id) {
@@ -139,7 +116,7 @@ TEST_F(ObsTest, ChromeJsonShape) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ObsTest, EnvTimerProfilesEveryLaunchNode) {
-  EnvGuard inst("DACE_INSTRUMENT", "timer");
+  env::Override inst("DACE_INSTRUMENT", "timer");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings b = k.init(sizes);
@@ -175,7 +152,7 @@ TEST_F(ObsTest, EnvTimerProfilesEveryLaunchNode) {
 
 TEST_F(ObsTest, AttributeCounterInstrumentsOnlyThatNode) {
   // No DACE_INSTRUMENT: only the explicitly tagged map is measured.
-  EnvGuard inst("DACE_INSTRUMENT", "");
+  env::Override inst("DACE_INSTRUMENT", "");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   auto sdfg = fe::compile_to_sdfg(k.source);
@@ -206,7 +183,7 @@ TEST_F(ObsTest, AttributeCounterInstrumentsOnlyThatNode) {
 TEST_F(ObsTest, StateTimerNeedsExplicitAttribute) {
   // DACE_INSTRUMENT applies at launch granularity; states opt in per
   // attribute so a process-wide default cannot double-count everything.
-  EnvGuard inst("DACE_INSTRUMENT", "");
+  env::Override inst("DACE_INSTRUMENT", "");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   auto sdfg = fe::compile_to_sdfg(k.source);
@@ -230,14 +207,14 @@ TEST_F(ObsTest, StateTimerNeedsExplicitAttribute) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ObsTest, InstrumentationDoesNotPerturbTiering) {
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
 
   int64_t promos_plain = 0, promos_instrumented = 0;
   {
-    EnvGuard inst("DACE_INSTRUMENT", "");
+    env::Override inst("DACE_INSTRUMENT", "");
     Bindings b = k.init(sizes);
     auto sdfg = fe::compile_to_sdfg(k.source);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
@@ -247,7 +224,7 @@ TEST_F(ObsTest, InstrumentationDoesNotPerturbTiering) {
     EXPECT_FALSE(ex.instrumentation().active());
   }
   {
-    EnvGuard inst("DACE_INSTRUMENT", "timer");
+    env::Override inst("DACE_INSTRUMENT", "timer");
     Bindings b = k.init(sizes);
     auto sdfg = fe::compile_to_sdfg(k.source);
     xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
@@ -342,9 +319,9 @@ Sig signature() {
 }
 
 TEST_F(ObsTest, ExecutorTraceIsDeterministicAfterWarmup) {
-  EnvGuard inst("DACE_INSTRUMENT", "timer");
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override inst("DACE_INSTRUMENT", "timer");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   auto sdfg = fe::compile_to_sdfg(k.source);

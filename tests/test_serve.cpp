@@ -45,6 +45,7 @@
 #include "codegen/jit.hpp"
 #include "common/common.hpp"
 #include "common/diag.hpp"
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "serve/client.hpp"
@@ -57,29 +58,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace dace::serve;
-
-/// Scoped environment override; restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 std::string make_temp_dir() {
   char tmpl[] = "/tmp/dacepp-serve-test-XXXXXX";
@@ -291,6 +269,24 @@ TEST(ServeProto, FaultPlanIsDeterministicAndParsesItsOwnSpec) {
   EXPECT_THROW(ServeFaultPlan::parse("disconect=0.2"), Error);
   EXPECT_THROW(ServeFaultPlan::parse("disconnect=x"), Error);
   EXPECT_THROW(ServeFaultPlan::parse("seed=x"), Error);
+  EXPECT_THROW(ServeFaultPlan::parse("slow=1.5"), Error);
+  EXPECT_THROW(ServeFaultPlan::parse("wedge=-0.1"), Error);
+}
+
+TEST(ServeProto, ConfigRejectsOutOfRangeSettings) {
+  // These used to be clamped or read as 0 (a deadline of 0 cancels every
+  // job at its first map).
+  for (auto [name, value] : {std::pair{"DACE_SERVE_WORKERS", "0"},
+                             {"DACE_SERVE_WORKERS", "65"},
+                             {"DACE_SERVE_QUEUE_MAX", "0"},
+                             {"DACE_SERVE_DEADLINE_MS", "abc"},
+                             {"DACE_SERVE_IO_TIMEOUT_MS", "0"},
+                             {"DACE_SERVE_MAX_FRAME_KB", "0"},
+                             {"DACE_SERVE_WEDGE_GRACE_MS", "-1"},
+                             {"DACE_SERVE_DRAIN_TIMEOUT_MS", "-1"}}) {
+    env::Override o(name, value);
+    EXPECT_THROW(ServeConfig::from_env(), Error) << name << "=" << value;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,8 +410,8 @@ TEST(Serve, RunMatchesLocalExecutor) {
 
 TEST(Serve, CompileErrorIsIsolatedAndLandsInNegativeCache) {
   std::string cache_dir = make_temp_dir();
-  EnvGuard g1("DACE_CACHE", "1");
-  EnvGuard g2("DACE_CACHE_DIR", cache_dir.c_str());
+  env::Override g1("DACE_CACHE", "1");
+  env::Override g2("DACE_CACHE_DIR", cache_dir.c_str());
   cg::cache::ArtifactCache::reset_for_testing();
 
   std::string sock = test_socket();
@@ -496,10 +492,10 @@ TEST(Serve, ThirtyTwoClientsOneCompile) {
   // The dedup acceptance: 32 concurrent identical jobs produce exactly
   // one compile (31 dedup hits) and one committed cache artifact.
   std::string cache_dir = make_temp_dir();
-  EnvGuard g1("DACE_CACHE", "1");
-  EnvGuard g2("DACE_CACHE_DIR", cache_dir.c_str());
-  EnvGuard g3("DACEPP_JIT_SYNC", "1");
-  EnvGuard g4("DACEPP_JIT_THRESHOLD", "1");
+  env::Override g1("DACE_CACHE", "1");
+  env::Override g2("DACE_CACHE_DIR", cache_dir.c_str());
+  env::Override g3("DACEPP_JIT_SYNC", "1");
+  env::Override g4("DACEPP_JIT_THRESHOLD", "1");
   cg::cache::ArtifactCache::reset_for_testing();
 
   std::string sock = test_socket();
@@ -842,10 +838,7 @@ TEST(Serve, StaleSocketIsRecoveredLiveAndSymlinkRefused) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeChaos, DaemonSurvivesFaultPlanWithBitIdenticalSurvivors) {
-  uint64_t seed = 1;
-  if (const char* e = std::getenv("DACE_SERVE_FAULT_SEED")) {
-    if (*e) seed = (uint64_t)std::atoll(e);
-  }
+  uint64_t seed = env::integer("DACE_SERVE_FAULT_SEED", 1, 0);
   ServeFaultPlan plan;
   plan.seed = seed;
   plan.disconnect_prob = 0.12;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
 #include "runtime/bytecode_opt.hpp"
@@ -26,29 +27,6 @@ using rt::Bindings;
 using rt::Instr;
 using rt::Op;
 using rt::Program;
-
-/// Scoped environment override; restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_, old_;
-  bool had_old_ = false;
-};
 
 /// First top-level map entry of the SDFG, or -1.
 int find_top_map(const ir::SDFG& sdfg, int* state_id) {
@@ -95,21 +73,21 @@ class TieredDifferential : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(TieredDifferential, Tier0UnoptimizedMatchesReference) {
-  EnvGuard opt("DACEPP_BC_OPT", "0");
-  EnvGuard jit("DACEPP_JIT", "0");
+  env::Override opt("DACEPP_BC_OPT", "0");
+  env::Override jit("DACEPP_JIT", "0");
   Bindings b = run_current_config();
   expect_matches_reference(b, "tier0-unopt");
 }
 
 TEST_P(TieredDifferential, Tier0OptimizedMatchesReference) {
-  EnvGuard jit("DACEPP_JIT", "0");
+  env::Override jit("DACEPP_JIT", "0");
   Bindings b = run_current_config();
   expect_matches_reference(b, "tier0-opt");
 }
 
 TEST_P(TieredDifferential, Tier1NativeMatchesReference) {
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   Bindings b = run_current_config();
   expect_matches_reference(b, "tier1-native");
 }
@@ -129,8 +107,8 @@ INSTANTIATE_TEST_SUITE_P(All, TieredDifferential,
 // ---------------------------------------------------------------------------
 
 TEST(Tiering, NativeTierPromotesAndMatches) {
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);
@@ -150,9 +128,9 @@ TEST(Tiering, NativeTierPromotesAndMatches) {
 }
 
 TEST(Tiering, JitDisabledStaysOnTier0) {
-  EnvGuard jit("DACEPP_JIT", "0");
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override jit("DACEPP_JIT", "0");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);
@@ -170,9 +148,9 @@ TEST(Tiering, JitDisabledStaysOnTier0) {
 }
 
 TEST(Tiering, MissingCompilerFallsBackToTier0) {
-  EnvGuard cc("DACEPP_JIT_CC", "/nonexistent/compiler");
-  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
-  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  env::Override cc("DACEPP_JIT_CC", "/nonexistent/compiler");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);

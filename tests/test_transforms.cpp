@@ -4,11 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <optional>
 #include <random>
 #include <thread>
 
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
 #include "runtime/executor.hpp"
@@ -460,24 +459,6 @@ def doitgen(A: dace.float64[NR, NQ, NP], C4: dace.float64[NP, NP]):
 // Transactional pipeline: broken passes roll back, the pipeline degrades
 // instead of crashing, and verify mode names a semantic corruptor.
 
-/// Scoped environment override (mirrors the pattern in test_tiered.cpp).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old) saved_ = old;
-    setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (saved_) setenv(name_, saved_->c_str(), 1);
-    else unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
 /// A pass that silently corrupts semantics: appends a state whose map
 /// writes A[0] from every iteration (a provable write-write race) while
 /// remaining structurally valid and round-trippable.
@@ -549,7 +530,7 @@ TEST(TransactionalPipeline, StructuralCorruptionIsRolledBack) {
 }
 
 TEST(TransactionalPipeline, HungPassTimesOutAndRollsBack) {
-  EnvGuard timeout("DACE_XF_PASS_TIMEOUT", "50");
+  env::Override timeout("DACE_XF_PASS_TIMEOUT", "50");
   auto g = simple_vector_sdfg();
   std::string before = g->dump();
   xf::Pipeline pipe("test");

@@ -221,7 +221,7 @@ void usage() {
 
 int main(int argc, char** argv) {
   dist::FaultPlan plan;
-  dist::CommConfig cfg = dist::CommConfig::from_env();
+  dist::CommConfig cfg;
   std::string path;
   std::string trace_out;
   bool quiet = false;

@@ -24,7 +24,7 @@
 // negative TTL, purge) without touching the user's cache.
 //
 // Exit codes: 0 = ok, 1 = verify findings / selftest failure,
-// 64 = usage error.
+// 64 = usage error (including a malformed DACE_CACHE* setting).
 #include <unistd.h>
 
 #include <cstdint>
@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -343,19 +344,26 @@ int main(int argc, char** argv) {
   }
   if (cmd.empty()) return usage();
 
-  CacheConfig cfg = CacheConfig::from_env();
-  cfg.enabled = true;  // the CLI inspects the store even when the JIT opts out
-  if (!dir_override.empty()) cfg.dir = dir_override;
-  ArtifactCache cache(cfg);
-  if (!cache.enabled()) {
-    std::cerr << "sdfg-cache: cannot open cache dir " << cfg.dir << "\n";
+  std::optional<ArtifactCache> cache;
+  try {
+    CacheConfig cfg = CacheConfig::from_env();
+    cfg.enabled = true;  // the CLI inspects the store even when the JIT opts out
+    if (!dir_override.empty()) cfg.dir = dir_override;
+    cache.emplace(cfg);
+  } catch (const dace::Error& e) {  // a malformed DACE_CACHE* setting
+    std::cerr << "sdfg-cache: " << e.what() << "\n";
+    return 64;
+  }
+  if (!cache->enabled()) {
+    std::cerr << "sdfg-cache: cannot open cache dir " << cache->config().dir
+              << "\n";
     return 1;
   }
 
-  if (cmd == "ls") return cmd_ls(cache, json, false);
-  if (cmd == "stat") return cmd_stat(cache, json);
-  if (cmd == "verify") return cmd_ls(cache, json, true);
-  if (cmd == "evict") return cmd_evict(cache, cmd_arg);
-  if (cmd == "purge") return cmd_purge(cache);
+  if (cmd == "ls") return cmd_ls(*cache, json, false);
+  if (cmd == "stat") return cmd_stat(*cache, json);
+  if (cmd == "verify") return cmd_ls(*cache, json, true);
+  if (cmd == "evict") return cmd_evict(*cache, cmd_arg);
+  if (cmd == "purge") return cmd_purge(*cache);
   return usage();
 }

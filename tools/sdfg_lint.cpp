@@ -26,7 +26,7 @@
 // rendering on a zoo of minimal trigger graphs.
 //
 // Exit codes: 0 = clean, 1 = findings, 2 = parse/load failure,
-// 64 = usage error.
+// 64 = usage error (including a malformed DACE_ABSINT).
 #include <cctype>
 #include <fstream>
 #include <iostream>
@@ -353,6 +353,12 @@ int main(int argc, char** argv) {
   }
   if (files.empty()) {
     std::cerr << "sdfg-lint: no input files (try --help)\n";
+    return 64;
+  }
+  try {
+    dace::analysis::absint::mode();  // a malformed DACE_ABSINT is misuse
+  } catch (const dace::Error& e) {
+    std::cerr << "sdfg-lint: " << e.what() << "\n";
     return 64;
   }
 

@@ -1,8 +1,7 @@
 // sdfg-serve: long-lived compile-and-serve daemon (src/serve/*).
 //
 // Usage:
-//   sdfg-serve [--socket PATH] [--workers N] [--queue-max N]
-//              [--deadline-ms N] [--io-timeout-ms N]
+//   sdfg-serve              (settings from DACE_SERVE_*, docs/RUNTIME.md)
 //   sdfg-serve --selftest
 //
 // Accepts DaCeLang compile-and-run jobs over a unix-domain socket using
@@ -16,8 +15,8 @@
 // start, ping, run, protocol abuse, stats, drain, restart recovery.
 //
 // Exit codes: 0 = clean drain / selftest pass, 1 = startup or drain
-// failure / selftest failure, 64 = usage error (including a malformed
-// DACE_SERVE_FAULTS or DACE_SERVE_FAULT_SEED).
+// failure / selftest failure, 64 = usage error (including a malformed or
+// out-of-range DACE_SERVE_* setting).
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -25,7 +24,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -41,9 +39,8 @@ using namespace dace::serve;
 namespace {
 
 int usage() {
-  std::cerr << "usage: sdfg-serve [--socket PATH] [--workers N] "
-               "[--queue-max N] [--deadline-ms N] [--io-timeout-ms N]\n"
-               "       sdfg-serve --selftest\n";
+  std::cerr << "usage: sdfg-serve [--selftest]  (settings: DACE_SERVE_*, "
+               "docs/RUNTIME.md)\n";
   return 64;
 }
 
@@ -167,36 +164,8 @@ int main(int argc, char** argv) {
     std::cerr << "sdfg-serve: " << e.what() << "\n";
     return 64;
   }
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--selftest") return selftest();
-    if (a == "--socket") {
-      const char* v = next();
-      if (!v) return usage();
-      cfg.socket_path = v;
-    } else if (a == "--workers") {
-      const char* v = next();
-      if (!v) return usage();
-      cfg.workers = std::atoi(v);
-    } else if (a == "--queue-max") {
-      const char* v = next();
-      if (!v) return usage();
-      cfg.queue_max = std::atoi(v);
-    } else if (a == "--deadline-ms") {
-      const char* v = next();
-      if (!v) return usage();
-      cfg.deadline_ms = std::atoll(v);
-    } else if (a == "--io-timeout-ms") {
-      const char* v = next();
-      if (!v) return usage();
-      cfg.io_timeout_ms = std::atoi(v);
-    } else {
-      return usage();
-    }
-  }
+  if (argc == 2 && std::string(argv[1]) == "--selftest") return selftest();
+  if (argc > 1) return usage();
 
   install_handlers();
   Server srv(cfg);
