@@ -1,11 +1,12 @@
 // bench_cache: cold- vs warm-cache JIT latency (the artifact cache's
-// reason to exist).  Three medians land in the JSON report
-// (BENCH_8.json / $BENCH_JSON):
+// reason to exist).  Every rep builds the Tier-1 source of the suite's
+// matmul map through cg::compile_map_native, as a promotion does.  Three
+// medians land in the JSON report (BENCH_8.json / $BENCH_JSON):
 //
 //   cache.jit_uncached  DACE_CACHE=0 path: full host-compiler run, the
 //                       pre-cache status quo
 //   cache.jit_cold      cache enabled, key never seen: compiler run +
-//                       fsync/rename commit (the one-time publish cost)
+//                       fsync/rename commit (what a promotion pays)
 //   cache.jit_warm      key committed: verified dlopen, no compiler
 //
 // The acceptance bar is cache.jit_warm << cache.jit_cold.  Warm reps
@@ -20,10 +21,16 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "codegen/artifact_cache.hpp"
 #include "codegen/jit.hpp"
+#include "frontend/lowering.hpp"
+#include "kernels/suite.hpp"
+#include "runtime/bytecode_opt.hpp"
+#include "runtime/executor.hpp"
+#include "transforms/auto_optimize.hpp"
 
 namespace fs = std::filesystem;
 using dace::cg::cache::ArtifactCache;
@@ -32,25 +39,34 @@ namespace {
 
 int g_uniq = 0;
 
-// A tiny but non-trivial translation unit; unique per call when `uniq`
-// so every cold rep pays the full compiler price on a fresh key.
-std::string make_source(bool uniq) {
-  int tag = uniq ? ++g_uniq : 0;
-  char buf[256];
-  snprintf(buf, sizeof(buf),
-           "extern \"C\" double dacepp_bench_fn(double x) {\n"
-           "  double acc = %d;\n"
-           "  for (int i = 0; i < 64; ++i) acc += x * i;\n"
-           "  return acc;\n"
-           "}\n",
-           tag);
-  return buf;
+// The optimized bytecode of matmul's map, the program the executor
+// promotes (unroll-and-jam and a sunk accumulator).
+dace::rt::Program matmul_program() {
+  using namespace dace;
+  auto sdfg = fe::compile_to_sdfg(kernels::kernel("matmul").source);
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  for (int s : sdfg->state_ids()) {
+    const ir::State& st = sdfg->state(s);
+    for (int id : st.node_ids()) {
+      if (st.node(id)->kind == ir::NodeKind::MapEntry &&
+          st.scope_of(id) == -1) {
+        rt::Program p = rt::compile_map_scope(*sdfg, st, id);
+        rt::optimize_program(p);
+        return p;
+      }
+    }
+  }
+  fprintf(stderr, "bench_cache: matmul has no top-level map\n");
+  exit(1);
 }
 
-void build_once(bool uniq) {
-  auto obj = dace::cg::detail::build_and_load(
-      make_source(uniq), "dacepp_bench", "dacepp_bench_fn", "c++", "-O2");
-  if (!obj.sym) {
+// A fresh function name per call when `uniq` changes the source text, so
+// every cold rep pays the full compiler price on a fresh key.
+void build_once(const dace::rt::Program& prog, bool uniq) {
+  std::vector<dace::ir::DType> dtypes(prog.arrays.size(),
+                                      dace::ir::DType::f64);
+  std::string name = "dacepp_bench_" + std::to_string(uniq ? ++g_uniq : 0);
+  if (!dace::cg::compile_map_native(prog, dtypes, name).valid()) {
     fprintf(stderr, "bench_cache: build failed (no host compiler?)\n");
     exit(1);
   }
@@ -69,24 +85,25 @@ int main() {
   if (!mkdtemp(tmpl)) return 1;
   std::string dir = tmpl;
 
+  const dace::rt::Program prog = matmul_program();
+
   // Uncached baseline: the pre-cache pipeline (scratch build every time).
   setenv("DACE_CACHE", "0", 1);
   setenv("DACE_CACHE_DIR", dir.c_str(), 1);
   ArtifactCache::reset_for_testing();
-  auto uncached = bench::time_median("cache.jit_uncached",
-                                     [] { build_once(/*uniq=*/true); }, 5);
+  auto uncached = bench::time_median(
+      "cache.jit_uncached", [&] { build_once(prog, /*uniq=*/true); }, 5);
 
   // Cold: enabled cache, fresh key per rep -> compile + commit.
   setenv("DACE_CACHE", "1", 1);
   ArtifactCache::reset_for_testing();
-  auto cold =
-      bench::time_median("cache.jit_cold", [] { build_once(/*uniq=*/true); }, 5);
+  auto cold = bench::time_median(
+      "cache.jit_cold", [&] { build_once(prog, /*uniq=*/true); }, 5);
 
   // Warm: fixed key, committed on the priming call.
-  build_once(/*uniq=*/false);
-  auto warm =
-      bench::time_median("cache.jit_warm", [] { build_once(/*uniq=*/false); },
-                         10);
+  build_once(prog, /*uniq=*/false);
+  auto warm = bench::time_median(
+      "cache.jit_warm", [&] { build_once(prog, /*uniq=*/false); }, 10);
 
   printf("JIT build latency (artifact cache, dir=%s)\n", dir.c_str());
   row("uncached (DACE_CACHE=0)", uncached);

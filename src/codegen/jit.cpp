@@ -40,6 +40,19 @@ bool load_object(const std::string& so, const std::string& symbol,
   return true;
 }
 
+// Single-quote `s` for /bin/sh: the scratch dir lives under
+// DACE_CACHE_DIR or TMPDIR, which may hold spaces or shell metacharacters.
+std::string shell_quote(const std::string& s) {
+  std::string q = "'";
+  for (char c : s) {
+    if (c == '\'')
+      q += "'\\''";
+    else
+      q += c;
+  }
+  return q + "'";
+}
+
 }  // namespace
 
 LoadedObject build_and_load(const std::string& source,
@@ -90,8 +103,12 @@ LoadedObject build_and_load(const std::string& source,
     std::ofstream f(cpp);
     f << source;
   }
-  std::string cmd = compiler + " " + opt + " -fPIC -shared -std=c++17 -o " +
-                    so + " " + cpp + " 2>" + base + ".log";
+  // `compiler` is a command (DACEPP_JIT_CC may carry arguments), so it
+  // stays unquoted.  `opt` follows the source so that libraries it names
+  // are linked after the object that needs them.
+  std::string cmd = compiler + " " + shell_quote(cpp) + " -o " +
+                    shell_quote(so) + " -fPIC -shared -std=c++17 " + opt +
+                    " 2>" + shell_quote(base + ".log");
   auto t0 = std::chrono::steady_clock::now();
   g_jit_compiles.fetch_add(1, std::memory_order_relaxed);
   int rc = std::system(cmd.c_str());
@@ -191,16 +208,19 @@ CompiledMapNative compile_map_native(const rt::Program& prog,
   // annotations the vectorizer can act on -- compile them at -O3 with
   // the host ISA (the same level as hand-written reference kernels).
   // -ffp-contract=off forbids FMA contraction so native results stay
-  // bit-identical to the VM's separate multiply/add.  A compiler that
-  // rejects the flags just pins the program to Tier 0 (failure is never
-  // fatal).
+  // bit-identical to the VM's separate multiply/add.  The source uses
+  // nothing of libstdc++ or libgcc, so the link names libm and libc only;
+  // they must come after the source, or --as-needed drops libm and leaves
+  // its symbols unversioned.  A compiler that rejects the flags just pins
+  // the program to Tier 0 (failure is never fatal).
   std::string dtype_list;
   for (size_t i = 0; i < dtypes.size(); ++i) {
     if (i) dtype_list += ',';
     dtype_list += ir::dtype_name(dtypes[i]);
   }
   detail::LoadedObject obj = detail::build_and_load(
-      src, fn_name, fn_name, compiler, "-O3 -march=native -ffp-contract=off",
+      src, fn_name, fn_name, compiler,
+      "-O3 -march=native -ffp-contract=off -nodefaultlibs -lm -lc",
       prog.hash(), dtype_list);
   out.compile_seconds_ = obj.compile_seconds;
   out.handle_ = obj.handle;

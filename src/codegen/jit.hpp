@@ -37,7 +37,9 @@ namespace detail {
 /// (codegen/artifact_cache.*), and on a miss write `source`, compile a
 /// shared object in cache-managed scratch space, commit it, dlopen, and
 /// dlsym `symbol`. On any failure the handle is null.  A broken or
-/// disabled cache degrades to a plain build -- never to a failure.
+/// disabled cache degrades to a plain build -- never to a failure.  The
+/// build runs `<compiler> <src> -o <so> -fPIC -shared -std=c++17 <opt>`,
+/// so libraries named in `opt` link after the source.
 struct LoadedObject {
   void* handle = nullptr;
   void* sym = nullptr;

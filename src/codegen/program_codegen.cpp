@@ -105,12 +105,14 @@ std::string store_cast(ir::DType dt, const std::string& v) {
   return v;
 }
 
+/// glibc defines HUGE_VAL as __builtin_huge_val(); the generated file
+/// includes no header, so it spells the builtin out.
 const char* wcr_identity(int kind) {
   switch (kind) {
     case 1: return "0.0";
     case 2: return "1.0";
-    case 3: return "HUGE_VAL";
-    default: return "-HUGE_VAL";
+    case 3: return "__builtin_huge_val()";
+    default: return "-__builtin_huge_val()";
   }
 }
 
@@ -495,8 +497,23 @@ std::string generate_map_source(const rt::Program& prog,
   KernelPlan plan = plan_kernel(prog);
   if (!plan.valid) return "";
   std::ostringstream os;
+  // No #include: in C++ <math.h> pulls in <cmath>, ~20k preprocessed
+  // lines that took most of every build.  The file declares the libm
+  // functions that fbin_expr/fun_expr and dacepp_fmod call, and the build
+  // links libm and libc only (compile_map_native).
   os << "// Generated by the DaCe++ tiered map executor (Tier 1).\n"
-     << "#include <math.h>\n\n"
+     << "extern \"C\" {\n"
+     << "double pow(double, double);\n"
+     << "double fmod(double, double);\n"
+     << "double fabs(double);\n"
+     << "double exp(double);\n"
+     << "double log(double);\n"
+     << "double sqrt(double);\n"
+     << "double sin(double);\n"
+     << "double cos(double);\n"
+     << "double tanh(double);\n"
+     << "double floor(double);\n"
+     << "}\n\n"
      << "static inline long long dacepp_floordiv(long long a, long long b) "
         "{\n"
      << "  long long q = a / b;\n"

@@ -1,12 +1,13 @@
 // Kernel-planner tests: loop-nest reconstruction from optimized bytecode,
 // the invariant that every map-compiler program is plannable, WCR sinking
 // and unroll-and-jam legality, unplannable programs staying on Tier 0,
-// tiling edge cases (non-divisible trip counts, zero/one-trip loops,
+// the libm-backed opcodes against the VM, tiling edge cases (non-divisible trip counts, zero/one-trip loops,
 // epilogue correctness), and the cost-driven chunked
 // ThreadPool::parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -160,6 +161,92 @@ TEST(KernelPlan, IrreducibleFlowStaysOnTier0) {
   EXPECT_EQ(rt::request_native(p, dts, cfg)->state.load(),
             rt::NativeProgram::kFailed);
   EXPECT_EQ(cg::jit_compile_count(), builds);
+}
+
+// The libm-backed opcodes and the +/-inf identities of sunk min/max WCR,
+// which neither the suite kernels nor the fuzzer emit: the Tier-1 build
+// (no header, libm and libc only) must reproduce the VM bit for bit.
+TEST(KernelPlan, LibmOpcodesMatchVmBitForBit) {
+  // for i in [lo, hi): slot k (2..11) gets op_k(x[i], y[i]) from f<k>;
+  // slot 12 min= x[i] (atomic) and slot 13 max= x[i] at invariant i3 = 0.
+  const std::vector<Instr> ops = {
+      {.op = Op::FPow, .a = 2, .b = 1, .c = 0},
+      {.op = Op::FMod, .a = 3, .b = 0, .c = 1},
+      {.op = Op::FLog, .a = 4, .b = 1},
+      {.op = Op::FFloor, .a = 5, .b = 0},
+      {.op = Op::FAbs, .a = 6, .b = 0},
+      {.op = Op::FExp, .a = 7, .b = 0},
+      {.op = Op::FSqrt, .a = 8, .b = 1},
+      {.op = Op::FSin, .a = 9, .b = 0},
+      {.op = Op::FCos, .a = 10, .b = 1},
+      {.op = Op::FTanh, .a = 11, .b = 0},
+  };
+  Program p;
+  p.splittable = true;
+  p.n_iregs = 5;  // i0/i1 bounds, i2 var, i3 zero, i4 step
+  p.n_fregs = 12;
+  p.arrays = {"x", "y"};
+  for (const Instr& in : ops) p.arrays.push_back("out" + std::to_string(in.a));
+  p.arrays.push_back("min");
+  p.arrays.push_back("max");
+  p.code = {
+      Instr{.op = Op::IConst, .a = 3, .imm = 0},
+      Instr{.op = Op::IConst, .a = 4, .imm = 1},
+      Instr{.op = Op::IMov, .a = 2, .b = 0},
+      Instr{.op = Op::JGe, .a = 2, .b = 1},  // exit target set below
+      Instr{.op = Op::Load, .a = 0, .b = 2, .imm = 0},
+      Instr{.op = Op::Load, .a = 1, .b = 2, .imm = 1},
+  };
+  p.code.insert(p.code.end(), ops.begin(), ops.end());
+  for (const Instr& in : ops)
+    p.code.push_back(Instr{.op = Op::Store, .a = in.a, .b = 2, .imm = in.a});
+  p.code.push_back(
+      Instr{.op = Op::StoreWcr, .a = 0, .b = 3, .c = 3, .flag = 1, .imm = 12});
+  p.code.push_back(Instr{.op = Op::StoreWcr, .a = 0, .b = 3, .c = 4, .imm = 13});
+  p.code.push_back(Instr{.op = Op::IAdd, .a = 2, .b = 2, .c = 4});
+  p.code.push_back(Instr{.op = Op::Jmp, .imm = 3});
+  p.code[3].imm = (int64_t)p.code.size();
+  p.code.push_back(Instr{.op = Op::Halt});
+
+  cg::KernelPlan plan = cg::plan_kernel(p);
+  ASSERT_TRUE(plan.valid);
+  ASSERT_EQ(plan.loops.size(), 1u);
+  EXPECT_EQ(plan.loops[0].sinks.size(), 2u);
+  std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
+  std::string src = cg::generate_map_source(p, dts, "dacepp_libm_ops");
+  EXPECT_EQ(src.find("#include"), std::string::npos) << src;
+  EXPECT_NE(src.find("= -__builtin_huge_val();"), std::string::npos) << src;
+
+  const int n = 37;  // not a multiple of the unroll width
+  auto init = [&] {
+    std::vector<std::vector<double>> a(p.arrays.size(),
+                                       std::vector<double>(n, 0.0));
+    for (int i = 0; i < n; ++i) {
+      a[0][i] = -3.7 + 0.23 * i;  // negative, fractional and positive
+      a[1][i] = 0.35 + 0.41 * i;  // positive: log, sqrt and the pow base
+    }
+    a[12][0] = 0.5;  // min and max start inside the range of x
+    a[13][0] = 2.0;
+    return a;
+  };
+  auto vm = init();
+  std::vector<rt::ArrayRef> refs;
+  for (auto& v : vm) refs.push_back({v.data(), ir::DType::f64});
+  rt::vm_run(p, refs, {}, 0, n, nullptr);
+
+  cg::CompiledMapNative native =
+      cg::compile_map_native(p, dts, "dacepp_libm_ops");
+  ASSERT_TRUE(native.valid()) << "Tier-1 build failed";
+  auto got = init();
+  std::vector<double*> ptrs;
+  for (auto& v : got) ptrs.push_back(v.data());
+  int64_t err = 0;
+  native.fn()(ptrs.data(), nullptr, 0, n, &err);
+  EXPECT_EQ(err, 0);
+  for (size_t s = 0; s < vm.size(); ++s)
+    EXPECT_EQ(std::memcmp(vm[s].data(), got[s].data(), n * sizeof(double)),
+              0)
+        << "slot '" << p.arrays[s] << "' differs from the VM";
 }
 
 /// Plan every program the executor would build for `sdfg`: each top-level

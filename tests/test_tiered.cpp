@@ -5,11 +5,15 @@
 // reference bit-for-bit within the usual tolerances.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "codegen/artifact_cache.hpp"
 #include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
@@ -167,6 +171,50 @@ TEST(Tiering, MissingCompilerFallsBackToTier0) {
   for (const auto& out : k.outputs) {
     EXPECT_TRUE(rt::allclose(b.at(out), ref.at(out), 1e-9, 1e-11));
   }
+}
+
+TEST(Tiering, CacheDirWithSpaceStillPromotes) {
+  // The compiler command quotes its scratch paths.  A space in the
+  // artifact store's path (or, with the store off, in TMPDIR's) must
+  // neither fail the build nor leave a negative entry that would pin the
+  // program to Tier 0 in later processes.
+  namespace fs = std::filesystem;
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override sync("DACEPP_JIT_SYNC", "1");
+  std::string root = (fs::temp_directory_path() /
+                      ("dacepp tiering " + std::to_string(getpid())))
+                         .string();
+  fs::create_directories(root + "/tmp dir");
+  // Each call compiles a map no earlier test built, so the build runs.
+  auto launches = [](const char* scale) {
+    std::string src = std::string(R"(
+@dace.program
+def spaced(x: dace.float64[N], y: dace.float64[N]):
+    for i in dace.map[0:N]:
+        y[i] = x[i] * )") + scale + " + 0.5\n";
+    auto sdfg = fe::compile_to_sdfg(src);
+    Bindings b;
+    b.emplace("x", rt::Tensor(ir::DType::f64, {64}));
+    b.emplace("y", rt::Tensor(ir::DType::f64, {64}));
+    rt::Executor ex(*sdfg);
+    ex.run(b, {{"N", 64}});
+    return ex.native_launches();
+  };
+  {
+    env::Override on("DACE_CACHE", "1");
+    env::Override dir("DACE_CACHE_DIR", (root + "/store dir").c_str());
+    cg::cache::ArtifactCache::reset_for_testing();
+    EXPECT_GT(launches("7.25"), 0);
+    EXPECT_TRUE(cg::cache::ArtifactCache::instance().list_negative().empty());
+  }
+  {
+    env::Override off("DACE_CACHE", "0");
+    env::Override tmp("TMPDIR", (root + "/tmp dir").c_str());
+    cg::cache::ArtifactCache::reset_for_testing();
+    EXPECT_GT(launches("7.5"), 0);
+  }
+  cg::cache::ArtifactCache::reset_for_testing();
+  fs::remove_all(root);
 }
 
 TEST(Tiering, BrokenCompilerIsProbedOnce) {
