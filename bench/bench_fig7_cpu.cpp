@@ -10,11 +10,11 @@
 //   JIT(T1) -- same SDFG with every map promoted to the native tier
 // Speedups are relative to the numpy column (green/up in the paper).
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.hpp"
 #include "codegen/codegen.hpp"
 #include "codegen/jit.hpp"
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "frontend/parser.hpp"
 #include "kernels/suite.hpp"
@@ -73,20 +73,23 @@ int main() {
         "fig7." + k.name + ".cppref", [&] { k.reference(b, sizes); }, reps,
         init);
 
-    // Tiered executor, Tier 0 pinned (pure bytecode VM).
-    setenv("DACEPP_JIT", "0", 1);
-    rt::Executor ext0(*opt);
-    unsetenv("DACEPP_JIT");
+    // Tiered executor, Tier 0 pinned (pure bytecode VM).  The executor
+    // reads its tier settings when built; the overrides restore whatever
+    // the caller exported.
+    rt::Executor ext0 = [&] {
+      env::Override jit("DACEPP_JIT", "0");
+      return rt::Executor(*opt);
+    }();
     auto t_t0 = bench::time_median(
         "fig7." + k.name + ".vm_t0", [&] { ext0.run(b, sizes); }, reps, init);
 
     // Tier 1: promote every map immediately, compile synchronously, and
     // warm up once so the timed runs measure steady-state native code.
-    setenv("DACEPP_JIT_THRESHOLD", "1", 1);
-    setenv("DACEPP_JIT_SYNC", "1", 1);
-    rt::Executor ext1(*opt);
-    unsetenv("DACEPP_JIT_THRESHOLD");
-    unsetenv("DACEPP_JIT_SYNC");
+    rt::Executor ext1 = [&] {
+      env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+      env::Override sync("DACEPP_JIT_SYNC", "1");
+      return rt::Executor(*opt);
+    }();
     init();
     ext1.run(b, sizes);
     bool native = ext1.native_launches() > 0;

@@ -3,9 +3,8 @@
 // symbolic engine, and simMPI primitives.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "bench_common.hpp"
+#include "common/env.hpp"
 #include "distributed/simmpi.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
@@ -110,9 +109,10 @@ BENCHMARK(BM_VmOffsetStrengthReduction)->Args({0, 256})->Args({1, 256});
 // (DACE_ABSINT=all, arg 0) vs the interval prover discharging all of
 // them (default mode, arg 1).  instrs/sweep shows the elided checks.
 static void BM_VmGuardElision(benchmark::State& state) {
-  ::setenv("DACE_ABSINT", state.range(0) == 0 ? "all" : "1", 1);
-  MapBench mb = make_map_bench(kOffsetSrc, {{"N", state.range(1)}}, true);
-  ::unsetenv("DACE_ABSINT");
+  MapBench mb = [&] {
+    env::Override absint("DACE_ABSINT", state.range(0) == 0 ? "all" : "1");
+    return make_map_bench(kOffsetSrc, {{"N", state.range(1)}}, true);
+  }();
   rt::VMStats per_sweep;
   rt::vm_run(mb.prog, mb.arrays, mb.syms, mb.begin, mb.end, &per_sweep);
   for (auto _ : state) {

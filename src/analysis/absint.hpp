@@ -50,9 +50,7 @@ struct Interval {
   static Interval top() { return {}; }
   static Interval exact(sym::Expr e) { return {e, e}; }
   static Interval at_least(sym::Expr e) { return {std::move(e), std::nullopt}; }
-  static Interval at_most(sym::Expr e) { return {std::nullopt, std::move(e)}; }
 
-  bool is_top() const { return !lo && !hi; }
   bool equals(const Interval& o) const;
   std::string to_string() const;
 };

@@ -136,74 +136,45 @@ LoadedObject build_and_load(const std::string& source,
   return out;
 }
 
-}  // namespace detail
-
-CompiledProgram::~CompiledProgram() {
+ObjectHandle::~ObjectHandle() {
   if (handle_) dlclose(handle_);
 }
 
-CompiledProgram::CompiledProgram(CompiledProgram&& o) noexcept
-    : handle_(o.handle_), fn_(o.fn_), compile_seconds_(o.compile_seconds_) {
+ObjectHandle::ObjectHandle(ObjectHandle&& o) noexcept
+    : handle_(o.handle_), sym_(o.sym_), compile_seconds_(o.compile_seconds_) {
   o.handle_ = nullptr;
-  o.fn_ = nullptr;
+  o.sym_ = nullptr;
 }
 
-CompiledProgram& CompiledProgram::operator=(CompiledProgram&& o) noexcept {
+ObjectHandle& ObjectHandle::operator=(ObjectHandle&& o) noexcept {
   if (this != &o) {
     if (handle_) dlclose(handle_);
     handle_ = o.handle_;
-    fn_ = o.fn_;
+    sym_ = o.sym_;
     compile_seconds_ = o.compile_seconds_;
     o.handle_ = nullptr;
-    o.fn_ = nullptr;
+    o.sym_ = nullptr;
   }
   return *this;
 }
 
+}  // namespace detail
+
 CompiledProgram compile(const ir::SDFG& sdfg, const std::string& compiler) {
-  CompiledProgram out;
   std::string src = generate(sdfg, Flavor::CPU);
   // Whole-SDFG programs have no bytecode Program; fingerprint the
   // generated source so cache metadata still identifies the build.
-  detail::LoadedObject obj =
+  return CompiledProgram(
       detail::build_and_load(src, sdfg.name(), sdfg.name(), compiler, "-O2",
-                             cache::fnv1a(src.data(), src.size()));
-  out.compile_seconds_ = obj.compile_seconds;
-  out.handle_ = obj.handle;
-  out.fn_ = reinterpret_cast<CompiledFn>(obj.sym);
-  return out;
-}
-
-CompiledMapNative::~CompiledMapNative() {
-  if (handle_) dlclose(handle_);
-}
-
-CompiledMapNative::CompiledMapNative(CompiledMapNative&& o) noexcept
-    : handle_(o.handle_), fn_(o.fn_), compile_seconds_(o.compile_seconds_) {
-  o.handle_ = nullptr;
-  o.fn_ = nullptr;
-}
-
-CompiledMapNative& CompiledMapNative::operator=(
-    CompiledMapNative&& o) noexcept {
-  if (this != &o) {
-    if (handle_) dlclose(handle_);
-    handle_ = o.handle_;
-    fn_ = o.fn_;
-    compile_seconds_ = o.compile_seconds_;
-    o.handle_ = nullptr;
-    o.fn_ = nullptr;
-  }
-  return *this;
+                             cache::fnv1a(src.data(), src.size())));
 }
 
 CompiledMapNative compile_map_native(const rt::Program& prog,
                                      const std::vector<ir::DType>& dtypes,
                                      const std::string& fn_name,
                                      const std::string& compiler) {
-  CompiledMapNative out;
   std::string src = generate_map_source(prog, dtypes, fn_name);
-  if (src.empty()) return out;
+  if (src.empty()) return {};
   // Planned kernels carry structured loops, __restrict__ and ivdep
   // annotations the vectorizer can act on -- compile them at -O3 with
   // the host ISA (the same level as hand-written reference kernels).
@@ -218,14 +189,10 @@ CompiledMapNative compile_map_native(const rt::Program& prog,
     if (i) dtype_list += ',';
     dtype_list += ir::dtype_name(dtypes[i]);
   }
-  detail::LoadedObject obj = detail::build_and_load(
+  return CompiledMapNative(detail::build_and_load(
       src, fn_name, fn_name, compiler,
       "-O3 -march=native -ffp-contract=off -nodefaultlibs -lm -lc",
-      prog.hash(), dtype_list);
-  out.compile_seconds_ = obj.compile_seconds;
-  out.handle_ = obj.handle;
-  out.fn_ = reinterpret_cast<MapNativeFn>(obj.sym);
-  return out;
+      prog.hash(), dtype_list));
 }
 
 }  // namespace dace::cg

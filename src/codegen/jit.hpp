@@ -53,62 +53,51 @@ LoadedObject build_and_load(const std::string& source,
                             const std::string& opt = "-O2",
                             uint64_t program_hash = 0,
                             const std::string& dtypes = "");
+
+/// Owns a LoadedObject's handle: dlcloses it on destruction.  Move-only.
+class ObjectHandle {
+ public:
+  ObjectHandle() = default;
+  explicit ObjectHandle(const LoadedObject& obj)
+      : handle_(obj.handle), sym_(obj.sym),
+        compile_seconds_(obj.compile_seconds) {}
+  ~ObjectHandle();
+  ObjectHandle(ObjectHandle&& o) noexcept;
+  ObjectHandle& operator=(ObjectHandle&& o) noexcept;
+
+ protected:
+  void* handle_ = nullptr;
+  void* sym_ = nullptr;
+  double compile_seconds_ = 0;
+};
 }  // namespace detail
 
 /// Host-compiler invocations since process start (cache hits do not
 /// count).  sdfg-serve's dedup tests assert on deltas of this.
 uint64_t jit_compile_count();
 
-class CompiledProgram {
+/// A loaded shared object and its entry point of type `Fn`.
+template <class Fn>
+class Compiled : detail::ObjectHandle {
  public:
-  CompiledProgram() = default;
-  ~CompiledProgram();
-  CompiledProgram(CompiledProgram&& o) noexcept;
-  CompiledProgram& operator=(CompiledProgram&& o) noexcept;
-  CompiledProgram(const CompiledProgram&) = delete;
-  CompiledProgram& operator=(const CompiledProgram&) = delete;
+  using ObjectHandle::ObjectHandle;
 
-  bool valid() const { return fn_ != nullptr; }
-  CompiledFn fn() const { return fn_; }
+  bool valid() const { return sym_ != nullptr; }
+  Fn fn() const { return reinterpret_cast<Fn>(sym_); }
   /// Wall-clock seconds the host compiler took.
   double compile_seconds() const { return compile_seconds_; }
-
- private:
-  friend CompiledProgram compile(const ir::SDFG&, const std::string&);
-  void* handle_ = nullptr;
-  CompiledFn fn_ = nullptr;
-  double compile_seconds_ = 0;
 };
+
+using CompiledProgram = Compiled<CompiledFn>;
+
+/// Natively compiled map-scope program (Tier 1 of the tiered executor).
+using CompiledMapNative = Compiled<MapNativeFn>;
 
 /// Generate CPU code for `sdfg`, compile it with `compiler` (default:
 /// c++), and load the entry point. Returns an invalid handle when no
 /// compiler is available.
 CompiledProgram compile(const ir::SDFG& sdfg,
                         const std::string& compiler = "c++");
-
-/// Natively compiled map-scope program (Tier 1 of the tiered executor).
-class CompiledMapNative {
- public:
-  CompiledMapNative() = default;
-  ~CompiledMapNative();
-  CompiledMapNative(CompiledMapNative&& o) noexcept;
-  CompiledMapNative& operator=(CompiledMapNative&& o) noexcept;
-  CompiledMapNative(const CompiledMapNative&) = delete;
-  CompiledMapNative& operator=(const CompiledMapNative&) = delete;
-
-  bool valid() const { return fn_ != nullptr; }
-  MapNativeFn fn() const { return fn_; }
-  double compile_seconds() const { return compile_seconds_; }
-
- private:
-  friend CompiledMapNative compile_map_native(const rt::Program&,
-                                              const std::vector<ir::DType>&,
-                                              const std::string&,
-                                              const std::string&);
-  void* handle_ = nullptr;
-  MapNativeFn fn_ = nullptr;
-  double compile_seconds_ = 0;
-};
 
 /// Lower a Tier-0 bytecode program to standalone C++ along its kernel
 /// plan (structured loops; codegen/kernel_plan.hpp).  Returns "" when the

@@ -7,106 +7,10 @@ namespace dace::cg {
 
 namespace {
 
+using rt::Bank;
 using rt::Instr;
 using rt::Op;
-
-// Register read/write sets, bank-aware ('i' = integer, 'f' = float).
-using Reg = std::pair<char, int>;
-
-void defs_of(const Instr& in, std::vector<Reg>& out) {
-  out.clear();
-  switch (in.op) {
-    case Op::IConst:
-    case Op::ISym:
-    case Op::IMov:
-    case Op::IAdd:
-    case Op::ISub:
-    case Op::IMul:
-    case Op::IFloorDiv:
-    case Op::IMod:
-    case Op::IMin:
-    case Op::IMax:
-      out.push_back({'i', in.a});
-      break;
-    case Op::Jmp:
-    case Op::JGe:
-    case Op::Store:
-    case Op::StoreWcr:
-    case Op::Guard:
-    case Op::Halt:
-      break;
-    default:
-      // Every remaining opcode writes float register a.
-      out.push_back({'f', in.a});
-      break;
-  }
-}
-
-void reads_of(const Instr& in, std::vector<Reg>& out) {
-  out.clear();
-  switch (in.op) {
-    case Op::IConst:
-    case Op::ISym:
-    case Op::FConst:
-    case Op::FSym:
-    case Op::Jmp:
-    case Op::Halt:
-      break;
-    case Op::IMov:
-    case Op::FFromI:
-      out.push_back({'i', in.b});
-      break;
-    case Op::IAdd:
-    case Op::ISub:
-    case Op::IMul:
-    case Op::IFloorDiv:
-    case Op::IMod:
-    case Op::IMin:
-    case Op::IMax:
-      out.push_back({'i', in.b});
-      out.push_back({'i', in.c});
-      break;
-    case Op::JGe:
-    case Op::Guard:
-      out.push_back({'i', in.a});
-      out.push_back({'i', in.b});
-      break;
-    case Op::Load:
-      out.push_back({'i', in.b});
-      break;
-    case Op::Store:
-    case Op::StoreWcr:
-      out.push_back({'f', in.a});
-      out.push_back({'i', in.b});
-      break;
-    case Op::FSelect:
-      out.push_back({'f', in.b});
-      out.push_back({'f', in.c});
-      out.push_back({'f', (int)in.imm});
-      break;
-    case Op::FNeg:
-    case Op::FAbs:
-    case Op::FExp:
-    case Op::FLog:
-    case Op::FSqrt:
-    case Op::FSin:
-    case Op::FCos:
-    case Op::FTanh:
-    case Op::FFloor:
-    case Op::FNot:
-      out.push_back({'f', in.b});
-      break;
-    default:
-      // Float binaries.
-      out.push_back({'f', in.b});
-      out.push_back({'f', in.c});
-      break;
-  }
-}
-
-bool is_induction_inc(const Instr& in) {
-  return in.op == Op::IAdd && in.a == in.b;
-}
+using rt::Reg;
 
 class Planner {
  public:
@@ -123,80 +27,41 @@ class Planner {
  private:
   const rt::Program& prog_;
   KernelPlan plan_;
-  std::vector<Reg> scratch_;
 
-  /// True when (bank, reg) has a def at some pc in [lo, hi).
-  bool defined_in(char bank, int reg, size_t lo, size_t hi) {
-    for (size_t pc = lo; pc < hi; ++pc) {
-      defs_of(prog_.code[pc], scratch_);
-      for (const Reg& d : scratch_)
-        if (d.first == bank && d.second == reg) return true;
-    }
+  /// True when `r` has a def at some pc in [lo, hi).
+  bool defined_in(Reg r, size_t lo, size_t hi) const {
+    for (size_t pc = lo; pc < hi; ++pc)
+      if (rt::defs_of(prog_.code[pc]).contains(r)) return true;
     return false;
   }
 
-  bool read_in(char bank, int reg, size_t lo, size_t hi) {
-    for (size_t pc = lo; pc < hi; ++pc) {
-      reads_of(prog_.code[pc], scratch_);
-      for (const Reg& r : scratch_)
-        if (r.first == bank && r.second == reg) return true;
-    }
+  bool read_in(Reg r, size_t lo, size_t hi) const {
+    for (size_t pc = lo; pc < hi; ++pc)
+      if (rt::uses_of(prog_.code[pc]).contains(r)) return true;
     return false;
   }
 
-  /// Rebuild the loop forest.  Every Jmp must be a backward latch to a
-  /// JGe header whose exit lands at latch+1, every JGe must be such a
-  /// header, and loops must nest properly -- otherwise no plan.
+  /// Take the loop nest from rt::find_loops and add the checks the
+  /// emitter needs: exactly one step of the loop variable per latch, and
+  /// no JGe outside a loop header.
   bool reconstruct() {
     const auto& code = prog_.code;
-    std::vector<bool> jge_claimed(code.size(), false);
-    for (size_t pc = 0; pc < code.size(); ++pc) {
-      const Instr& in = code[pc];
-      if (in.op != Op::Jmp) continue;
-      if (in.imm < 0 || (size_t)in.imm >= pc) return false;  // forward jump
-      size_t h = (size_t)in.imm;
-      const Instr& jge = code[h];
-      if (jge.op != Op::JGe || jge.imm != (int64_t)(pc + 1)) return false;
-      if (jge_claimed[h]) return false;  // two latches, one header
-      jge_claimed[h] = true;
-
-      PlanLoop L;
-      L.header = h;
-      L.latch = pc;
-      L.var = jge.a;
-      L.end_reg = jge.b;
-      // The latch is a trailing run of in-place IAdd increments; the
-      // loop-variable step may sit anywhere in the run (strength
-      // reduction appends offset increments after it).
-      size_t lb = pc;
-      while (lb > h + 1 && is_induction_inc(code[lb - 1])) --lb;
-      L.latch_begin = lb;
+    auto nest = rt::find_loops(code);
+    if (!nest) return false;
+    std::vector<bool> is_header(code.size(), false);
+    for (const rt::Loop& found : *nest) {
       int var_incs = 0;
-      for (size_t q = lb; q < pc; ++q)
-        if (code[q].a == L.var) ++var_incs;
+      for (size_t q = found.latch_begin; q < found.latch; ++q)
+        if (code[q].a == found.var) ++var_incs;
       if (var_incs != 1) return false;  // no (or ambiguous) canonical step
+      is_header[found.header] = true;
+      PlanLoop L;
+      static_cast<rt::Loop&>(L) = found;
       plan_.loops.push_back(L);
     }
-    // Stray JGe (no latch) means irreducible flow for our purposes.
     for (size_t pc = 0; pc < code.size(); ++pc)
-      if (code[pc].op == Op::JGe && !jge_claimed[pc]) return false;
+      if (code[pc].op == Op::JGe && !is_header[pc]) return false;
 
-    std::sort(plan_.loops.begin(), plan_.loops.end(),
-              [](const PlanLoop& a, const PlanLoop& b) {
-                return a.header < b.header;
-              });
-    // Proper nesting: intervals [header, latch] are disjoint or nested.
-    for (size_t i = 0; i < plan_.loops.size(); ++i) {
-      PlanLoop& L = plan_.loops[i];
-      for (size_t j = 0; j < i; ++j) {
-        PlanLoop& O = plan_.loops[j];
-        if (L.header > O.latch) continue;  // disjoint, O before L
-        if (L.latch > O.latch) return false;  // overlap without nesting
-        // L inside O; keep the innermost enclosing loop as parent.
-        if (L.parent < 0 || plan_.loops[L.parent].header < O.header)
-          L.parent = (int)j;
-      }
-    }
     for (size_t i = 0; i < plan_.loops.size(); ++i)
       if (plan_.loops[i].parent >= 0)
         plan_.loops[plan_.loops[i].parent].children.push_back((int)i);
@@ -220,17 +85,14 @@ class Planner {
     int64_t val = 0;
     int defs = 0;
     for (size_t pc = 0; pc < prog_.code.size(); ++pc) {
-      defs_of(prog_.code[pc], scratch_);
-      for (const Reg& d : scratch_) {
-        if (d.first != 'i' || d.second != step_reg) continue;
-        ++defs;
-        if (prog_.code[pc].op != Op::IConst) return 0;
-        bool in_loop = false;
-        for (const PlanLoop& O : plan_.loops)
-          in_loop |= pc > O.header && pc < O.latch;
-        if (in_loop) return 0;
-        val = prog_.code[pc].imm;
-      }
+      if (!rt::defs_of(prog_.code[pc]).contains({Bank::I, step_reg})) continue;
+      ++defs;
+      if (prog_.code[pc].op != Op::IConst) return 0;
+      bool in_loop = false;
+      for (const PlanLoop& O : plan_.loops)
+        in_loop |= pc > O.header && pc < O.latch;
+      if (in_loop) return 0;
+      val = prog_.code[pc].imm;
     }
     return (defs == 1 && val > 0) ? val : 0;
   }
@@ -252,8 +114,8 @@ class Planner {
       bool vectorizable =
           prog_.vec_innermost && !L.has_guard && L.sinks.empty();
       if (!vectorizable && L.const_step > 0 && body_len <= 48 &&
-          !defined_in('i', L.var, L.header + 1, L.latch_begin) &&
-          !defined_in('i', L.end_reg, L.header + 1, L.latch + 1)) {
+          !defined_in({Bank::I, L.var}, L.header + 1, L.latch_begin) &&
+          !defined_in({Bank::I, L.end_reg}, L.header + 1, L.latch + 1)) {
         L.unroll = 4;
       }
     }
@@ -271,7 +133,7 @@ class Planner {
     for (size_t pc = L.header + 1; pc < L.latch_begin; ++pc) {
       const Instr& in = code[pc];
       if (in.op != Op::StoreWcr || in.c < 1 || in.c > 4) continue;
-      if (defined_in('i', in.b, L.header + 1, L.latch + 1)) continue;
+      if (defined_in({Bank::I, in.b}, L.header + 1, L.latch + 1)) continue;
       bool slot_clean = true;
       for (size_t q = 0; q < code.size() && slot_clean; ++q) {
         if (q == pc) continue;
@@ -304,8 +166,7 @@ class Planner {
       bool ok = true;
       for (size_t pc = J.latch_begin; pc < J.latch && ok; ++pc) {
         const Instr& in = prog_.code[pc];
-        ok = is_induction_inc(in) &&
-             !defined_in('i', in.c, J.header + 1, J.latch + 1) &&
+        ok = !defined_in({Bank::I, in.c}, J.header + 1, J.latch + 1) &&
              std::find(latch_targets.begin(), latch_targets.end(),
                        (int)in.a) == latch_targets.end();
         latch_targets.push_back(in.a);
@@ -315,27 +176,25 @@ class Planner {
       // Inner trip count invariant across lanes: K's bound, its initial
       // value and its own step may not depend on anything written inside
       // J's body.
-      auto body_def = [&](char bank, int reg) {
-        return defined_in(bank, reg, J.header + 1, J.latch + 1);
+      auto body_def = [&](int ireg) {
+        return defined_in({Bank::I, ireg}, J.header + 1, J.latch + 1);
       };
-      if (body_def('i', K.end_reg)) continue;
+      if (body_def(K.end_reg)) continue;
       int init_pc = -1;
-      for (size_t pc = J.header + 1; pc < K.header; ++pc) {
-        defs_of(prog_.code[pc], scratch_);
-        for (const Reg& d : scratch_)
-          if (d.first == 'i' && d.second == K.var) init_pc = (int)pc;
-      }
+      for (size_t pc = J.header + 1; pc < K.header; ++pc)
+        if (rt::defs_of(prog_.code[pc]).contains({Bank::I, K.var}))
+          init_pc = (int)pc;
       if (init_pc < 0) continue;
       const Instr& init = prog_.code[(size_t)init_pc];
       if (init.op == Op::IMov) {
-        if (body_def('i', init.b)) continue;
+        if (body_def(init.b)) continue;
       } else if (init.op != Op::IConst) {
         continue;
       }
       int kvar_step = -1;
       for (size_t pc = K.latch_begin; pc < K.latch; ++pc)
         if (prog_.code[pc].a == K.var) kvar_step = prog_.code[pc].c;
-      if (kvar_step < 0 || body_def('i', kvar_step)) continue;
+      if (kvar_step < 0 || body_def(kvar_step)) continue;
 
       // Lane privacy: every register written in J's direct body must be
       // neither live-in (read before its first write -> J-loop-carried)
@@ -345,11 +204,10 @@ class Planner {
       // advance keeps them canonical.
       std::vector<Reg> body_defs;
       for (size_t pc = J.header + 1; pc < J.latch_begin && ok; ++pc) {
-        defs_of(prog_.code[pc], scratch_);
-        for (const Reg& d : scratch_) {
-          if (d.first == 'i' &&
+        for (const Reg& d : rt::defs_of(prog_.code[pc])) {
+          if (d.bank == Bank::I &&
               std::find(latch_targets.begin(), latch_targets.end(),
-                        d.second) != latch_targets.end()) {
+                        d.index) != latch_targets.end()) {
             ok = false;  // induction reg also written in the body
             break;
           }
@@ -362,24 +220,15 @@ class Planner {
       for (const Reg& r : body_defs) {
         size_t first_def = J.latch;
         for (size_t pc = J.header + 1; pc < J.latch_begin; ++pc) {
-          defs_of(prog_.code[pc], scratch_);
-          bool hit = false;
-          for (const Reg& d : scratch_) hit |= d == r;
-          if (hit) {
+          if (rt::defs_of(prog_.code[pc]).contains(r)) {
             first_def = pc;
             break;
           }
         }
         // Read-before-first-write scans include the defining instruction
         // itself (x = x + ... is a carried dependence).
-        if (read_in(r.first, r.second, J.header + 1, first_def) ||
-            [&] {
-              reads_of(prog_.code[first_def], scratch_);
-              for (const Reg& rd : scratch_)
-                if (rd == r) return true;
-              return false;
-            }() ||
-            read_in(r.first, r.second, J.latch + 1, prog_.code.size())) {
+        if (read_in(r, J.header + 1, first_def + 1) ||
+            read_in(r, J.latch + 1, prog_.code.size())) {
           ok = false;
           break;
         }
@@ -387,7 +236,8 @@ class Planner {
       if (!ok) continue;
 
       J.jam = 4;
-      J.renames = body_defs;
+      for (const Reg& r : body_defs)
+        J.renames.push_back({r.bank == Bank::I ? 'i' : 'f', r.index});
       K.unroll = 1;  // the lanes already provide the inner-loop ILP
     }
   }

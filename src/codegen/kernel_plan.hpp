@@ -1,18 +1,10 @@
 // Kernel planning for Tier-1 map codegen (the shape-specialization layer
 // between the bytecode program and C++ emission).
 //
-// The map compiler emits every scope as a canonical goto loop nest:
-//
-//     IMov  v, begin
-//   h: JGe  v, end -> l+1
-//     ... body ...
-//     IAdd  v, v, step        <- one of a trailing run of induction
-//     IAdd  off, off, delta      increments (strength reduction adds
-//   l: Jmp  h                    offset updates after the var step)
-//
-// plan_kernel() reconstructs that nest from the *optimized* instruction
-// stream -- multi-increment latches included -- and decides a KernelPlan
-// the emitter executes:
+// plan_kernel() takes the canonical loop nest the map compiler emits from
+// rt::find_loops (runtime/bytecode.hpp), which the Tier-0 optimizer also
+// uses, over the *optimized* instruction stream -- multi-increment
+// latches included -- and decides a KernelPlan the emitter executes:
 //
 //   - structured `for` emission for the whole nest,
 //   - WCR sinking: an innermost StoreWcr whose address is loop-invariant
@@ -38,15 +30,10 @@
 
 namespace dace::cg {
 
-/// One reconstructed loop of the nest, plus the decisions made for it.
-struct PlanLoop {
-  size_t header = 0;       // pc of the JGe exit test
-  size_t latch = 0;        // pc of the backward Jmp
-  size_t latch_begin = 0;  // first pc of the trailing induction-inc run
-  int var = -1;            // loop variable register (JGe.a)
-  int end_reg = -1;        // exclusive bound register (JGe.b)
+/// One loop of the nest (as rt::find_loops found it; `parent` indexes
+/// KernelPlan::loops), plus the decisions made for it.
+struct PlanLoop : rt::Loop {
   int64_t const_step = 0;  // > 0 when the step is a known constant
-  int parent = -1;         // index into KernelPlan::loops, -1 = top level
   std::vector<int> children;
   bool has_guard = false;  // a Guard op exists inside (header, latch)
 

@@ -42,7 +42,6 @@ class DiagSink {
 
   /// Attach the source being compiled; enables `line | caret` rendering.
   void set_source(std::string name, std::string text);
-  const std::string& source_name() const { return source_name_; }
 
   Diagnostic& report(Diagnostic d);
   Diagnostic& error(std::string code, int line, int col, std::string message,

@@ -332,7 +332,6 @@ struct InterstateEdge {
   CodeExpr condition;                                  // invalid => true
   std::vector<std::pair<std::string, sym::Expr>> assignments;
 
-  bool unconditional() const { return !condition.valid(); }
   std::string to_string() const;
 };
 
@@ -352,7 +351,6 @@ class SDFG {
   void swap(SDFG& other) noexcept;
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // -- containers ------------------------------------------------------------
   DataDesc& add_array(const std::string& name, DType dtype,

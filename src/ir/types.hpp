@@ -1,7 +1,6 @@
 // Enumerations shared across the SDFG IR.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "common/common.hpp"
@@ -12,17 +11,6 @@ namespace dace::ir {
 /// paper). All arithmetic is performed in double precision internally;
 /// narrower types round on store.
 enum class DType { f32, f64, i32, i64, b8 };
-
-inline size_t dtype_size(DType t) {
-  switch (t) {
-    case DType::f32: return 4;
-    case DType::f64: return 8;
-    case DType::i32: return 4;
-    case DType::i64: return 8;
-    case DType::b8: return 1;
-  }
-  return 8;
-}
 
 inline bool dtype_is_integer(DType t) {
   return t == DType::i32 || t == DType::i64 || t == DType::b8;
@@ -37,17 +25,6 @@ inline const char* dtype_name(DType t) {
     case DType::b8: return "bool";
   }
   return "?";
-}
-
-inline const char* dtype_ctype(DType t) {
-  switch (t) {
-    case DType::f32: return "float";
-    case DType::f64: return "double";
-    case DType::i32: return "int";
-    case DType::i64: return "long long";
-    case DType::b8: return "bool";
-  }
-  return "double";
 }
 
 /// Where a data container lives.
@@ -119,15 +96,6 @@ inline const char* wcr_name(WCR w) {
 ///   Timer   -- wall-clock span per execution (self/total time)
 ///   Counter -- iteration counter track instead of spans
 enum class Instrument { Off, Timer, Counter };
-
-inline const char* instrument_name(Instrument i) {
-  switch (i) {
-    case Instrument::Off: return "Off";
-    case Instrument::Timer: return "Timer";
-    case Instrument::Counter: return "Counter";
-  }
-  return "?";
-}
 
 /// Device targets of the auto-optimizer (Section 3.1).
 enum class DeviceType { CPU, GPU, FPGA };

@@ -1,7 +1,9 @@
 #include "runtime/bytecode.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/common.hpp"
@@ -39,7 +41,131 @@ void atomic_wcr(double* addr, double v, int kind) {
   }
 }
 
+constexpr Role N = Role::None, ID = Role::IDef, FD = Role::FDef,
+               IU = Role::IUse, FU = Role::FUse;
+
+// The operand table: one row per Op, in enum order.
+constexpr OpInfo kOps[] = {
+    // op           name         a   b   c   imm
+    {Op::IConst,    "iconst",    ID, N,  N,  N},
+    {Op::ISym,      "isym",      ID, N,  N,  N},
+    {Op::IMov,      "imov",      ID, IU, N,  N},
+    {Op::IAdd,      "iadd",      ID, IU, IU, N},
+    {Op::ISub,      "isub",      ID, IU, IU, N},
+    {Op::IMul,      "imul",      ID, IU, IU, N},
+    {Op::IFloorDiv, "ifloordiv", ID, IU, IU, N},
+    {Op::IMod,      "imod",      ID, IU, IU, N},
+    {Op::IMin,      "imin",      ID, IU, IU, N},
+    {Op::IMax,      "imax",      ID, IU, IU, N},
+    {Op::Jmp,       "jmp",       N,  N,  N,  N},
+    {Op::JGe,       "jge",       IU, IU, N,  N},
+    {Op::FConst,    "fconst",    FD, N,  N,  N},
+    {Op::FSym,      "fsym",      FD, N,  N,  N},
+    {Op::FFromI,    "ffromi",    FD, IU, N,  N},
+    {Op::Load,      "load",      FD, IU, N,  N},
+    {Op::Store,     "store",     FU, IU, N,  N},
+    {Op::StoreWcr,  "storewcr",  FU, IU, N,  N},
+    {Op::FAdd,      "fadd",      FD, FU, FU, N},
+    {Op::FSub,      "fsub",      FD, FU, FU, N},
+    {Op::FMul,      "fmul",      FD, FU, FU, N},
+    {Op::FDiv,      "fdiv",      FD, FU, FU, N},
+    {Op::FPow,      "fpow",      FD, FU, FU, N},
+    {Op::FMod,      "fmod",      FD, FU, FU, N},
+    {Op::FMin,      "fmin",      FD, FU, FU, N},
+    {Op::FMax,      "fmax",      FD, FU, FU, N},
+    {Op::FLt,       "flt",       FD, FU, FU, N},
+    {Op::FLe,       "fle",       FD, FU, FU, N},
+    {Op::FGt,       "fgt",       FD, FU, FU, N},
+    {Op::FGe,       "fge",       FD, FU, FU, N},
+    {Op::FEq,       "feq",       FD, FU, FU, N},
+    {Op::FNe,       "fne",       FD, FU, FU, N},
+    {Op::FAnd,      "fand",      FD, FU, FU, N},
+    {Op::FOr,       "for",       FD, FU, FU, N},
+    {Op::FNeg,      "fneg",      FD, FU, N,  N},
+    {Op::FAbs,      "fabs",      FD, FU, N,  N},
+    {Op::FExp,      "fexp",      FD, FU, N,  N},
+    {Op::FLog,      "flog",      FD, FU, N,  N},
+    {Op::FSqrt,     "fsqrt",     FD, FU, N,  N},
+    {Op::FSin,      "fsin",      FD, FU, N,  N},
+    {Op::FCos,      "fcos",      FD, FU, N,  N},
+    {Op::FTanh,     "ftanh",     FD, FU, N,  N},
+    {Op::FFloor,    "ffloor",    FD, FU, N,  N},
+    {Op::FNot,      "fnot",      FD, FU, N,  N},
+    {Op::FSelect,   "fselect",   FD, FU, FU, FU},
+    {Op::Guard,     "guard",     IU, IU, N,  N},
+    {Op::Halt,      "halt",      N,  N,  N,  N},
+};
+
+constexpr bool one_row_per_op() {
+  if (std::size(kOps) != static_cast<size_t>(Op::Halt) + 1) return false;
+  for (size_t i = 0; i < std::size(kOps); ++i)
+    if (kOps[i].op != static_cast<Op>(i)) return false;
+  return true;
+}
+static_assert(one_row_per_op(), "the operand table needs one row per Op, "
+                                "in enum order");
+
+RegList regs_in_role(const Instr& in, Role as_i, Role as_f) {
+  const OpInfo& row = op_info(in.op);
+  RegList out;
+  auto add = [&](Role role, int64_t field) {
+    if (role == as_i) out.regs[out.n++] = {Bank::I, static_cast<int>(field)};
+    if (role == as_f) out.regs[out.n++] = {Bank::F, static_cast<int>(field)};
+  };
+  add(row.a, in.a);
+  add(row.b, in.b);
+  add(row.c, in.c);
+  add(row.imm, in.imm);
+  return out;
+}
+
 }  // namespace
+
+const OpInfo& op_info(Op op) { return kOps[static_cast<size_t>(op)]; }
+
+RegList defs_of(const Instr& in) {
+  return regs_in_role(in, Role::IDef, Role::FDef);
+}
+
+RegList uses_of(const Instr& in) {
+  return regs_in_role(in, Role::IUse, Role::FUse);
+}
+
+std::optional<std::vector<Loop>> find_loops(const std::vector<Instr>& code) {
+  std::vector<Loop> loops;
+  for (size_t pc = 0; pc < code.size(); ++pc) {
+    const Instr& in = code[pc];
+    if (in.op != Op::Jmp) continue;
+    if (in.imm < 0 || static_cast<size_t>(in.imm) >= pc) return std::nullopt;
+    size_t h = static_cast<size_t>(in.imm);
+    const Instr& jge = code[h];
+    // Exiting at latch+1 also gives each header a single latch.
+    if (jge.op != Op::JGe || jge.imm != static_cast<int64_t>(pc + 1))
+      return std::nullopt;
+    Loop L;
+    L.header = h;
+    L.latch = pc;
+    L.var = jge.a;
+    L.end_reg = jge.b;
+    L.latch_begin = pc;
+    while (L.latch_begin > h + 1 && code[L.latch_begin - 1].op == Op::IAdd &&
+           code[L.latch_begin - 1].a == code[L.latch_begin - 1].b)
+      --L.latch_begin;
+    loops.push_back(L);
+  }
+  std::sort(loops.begin(), loops.end(),
+            [](const Loop& x, const Loop& y) { return x.header < y.header; });
+  // Intervals [header, latch] must be disjoint or nested.  In header order
+  // the last enclosing loop is the innermost one.
+  for (size_t i = 0; i < loops.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (loops[i].header > loops[j].latch) continue;
+      if (loops[i].latch > loops[j].latch) return std::nullopt;
+      loops[i].parent = static_cast<int>(j);
+    }
+  }
+  return loops;
+}
 
 void vm_run(const Program& prog, const std::vector<ArrayRef>& arrays,
             const std::vector<int64_t>& syms, int64_t lo, int64_t hi,
@@ -163,17 +289,10 @@ void vm_run(const Program& prog, const std::vector<ArrayRef>& arrays,
 }
 
 std::string Program::disassemble() const {
-  static const char* names[] = {
-      "iconst", "isym", "imov", "iadd", "isub", "imul", "ifloordiv", "imod",
-      "imin", "imax", "jmp", "jge", "fconst", "fsym", "ffromi", "load",
-      "store", "storewcr", "fadd", "fsub", "fmul", "fdiv", "fpow", "fmod",
-      "fmin", "fmax", "flt", "fle", "fgt", "fge", "feq", "fne", "fand",
-      "for", "fneg", "fabs", "fexp", "flog", "fsqrt", "fsin", "fcos",
-      "ftanh", "ffloor", "fnot", "fselect", "guard", "halt"};
   std::ostringstream os;
   for (size_t i = 0; i < code.size(); ++i) {
     const Instr& in = code[i];
-    os << i << ": " << names[static_cast<int>(in.op)] << " a=" << in.a
+    os << i << ": " << op_info(in.op).name << " a=" << in.a
        << " b=" << in.b << " c=" << in.c << " imm=" << in.imm;
     if (in.op == Op::FConst) os << " f=" << in.fimm;
     os << "\n";

@@ -10,9 +10,17 @@
 //
 // Integer registers hold indices/symbols; floating registers hold values
 // (all arithmetic in double; stores cast to the container dtype).
+//
+// Which registers each opcode reads and writes is stated once, in the
+// operand table (op_info, defs_of, uses_of), and the canonical loop shape
+// once, in find_loops.  The Tier-0 optimizer, the Tier-1 planner and the
+// disassembler all read them.  A new opcode needs a table row (a missing
+// one fails to compile), a vm_run case and a Tier-1 InstrPrinter case.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +28,7 @@
 
 namespace dace::rt {
 
+// Halt stays last: it sizes the operand table.
 enum class Op : uint8_t {
   // integer
   IConst,   // i[a] = imm
@@ -51,6 +60,85 @@ struct Instr {
   int64_t imm = 0;
   double fimm = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Operand table
+// ---------------------------------------------------------------------------
+
+/// Integer and float registers are separate namespaces.
+enum class Bank : uint8_t { I, F };
+
+struct Reg {
+  Bank bank = Bank::I;
+  int index = 0;
+  auto operator<=>(const Reg&) const = default;
+};
+
+/// What one field of an instruction (a, b, c or imm) means for its opcode.
+enum class Role : uint8_t {
+  None,  // not a register: literal, slot, jump target or WCR kind
+  IDef,  // writes i[field]
+  FDef,  // writes f[field]
+  IUse,  // reads i[field]
+  FUse,  // reads f[field]
+};
+
+/// One row of the operand table.
+struct OpInfo {
+  Op op;
+  const char* name;  // disassembly mnemonic
+  Role a, b, c, imm;
+};
+
+const OpInfo& op_info(Op op);
+
+/// The registers of one instruction in one direction, in field order
+/// (a, b, c, imm).  Fixed capacity, so reading them never allocates.
+struct RegList {
+  Reg regs[4];
+  int n = 0;
+
+  const Reg* begin() const { return regs; }
+  const Reg* end() const { return regs + n; }
+  bool empty() const { return n == 0; }
+  bool contains(Reg r) const {
+    for (const Reg& x : *this)
+      if (x == r) return true;
+    return false;
+  }
+};
+
+/// Registers `in` writes and reads, per its operand-table row.
+RegList defs_of(const Instr& in);
+RegList uses_of(const Instr& in);
+
+// ---------------------------------------------------------------------------
+// Loop finder
+// ---------------------------------------------------------------------------
+
+/// One loop of the nest the map compiler emits:
+///
+///     IMov  v, begin
+///   h: JGe  v, end -> l+1
+///     ... body ...
+///     IAdd  v, v, step        <- trailing run of in-place increments
+///     IAdd  off, off, delta      (strength reduction appends offsets)
+///   l: Jmp  h
+struct Loop {
+  size_t header = 0;       // pc of the JGe exit test
+  size_t latch = 0;        // pc of the backward Jmp
+  size_t latch_begin = 0;  // first pc of the trailing IAdd r, r, c run
+  int var = -1;            // loop variable register (JGe.a)
+  int end_reg = -1;        // exclusive bound register (JGe.b)
+  int parent = -1;         // innermost enclosing loop's index, -1 = top
+};
+
+/// The loops of `code` sorted by header pc, or nothing when the jump graph
+/// is not such a nest: a Jmp that is not a backward latch to a JGe exiting
+/// at latch+1, or loops that overlap without nesting.  A JGe with no latch
+/// and the count of loop-variable steps in the increment run are left to
+/// the caller.
+std::optional<std::vector<Loop>> find_loops(const std::vector<Instr>& code);
 
 /// Runtime binding of one array slot.
 struct ArrayRef {

@@ -13,84 +13,6 @@ namespace dace::rt {
 
 namespace {
 
-// Register banks: integer and float registers are separate namespaces.
-enum class Bank { I, F };
-
-struct RegRef {
-  Bank bank;
-  int reg;
-  bool operator<(const RegRef& o) const {
-    return bank != o.bank ? bank < o.bank : reg < o.reg;
-  }
-  bool operator==(const RegRef& o) const {
-    return bank == o.bank && reg == o.reg;
-  }
-};
-
-bool is_ibin(Op op) {
-  return op == Op::IAdd || op == Op::ISub || op == Op::IMul ||
-         op == Op::IFloorDiv || op == Op::IMod || op == Op::IMin ||
-         op == Op::IMax;
-}
-
-bool is_fbin(Op op) {
-  switch (op) {
-    case Op::FAdd: case Op::FSub: case Op::FMul: case Op::FDiv:
-    case Op::FPow: case Op::FMod: case Op::FMin: case Op::FMax:
-    case Op::FLt: case Op::FLe: case Op::FGt: case Op::FGe:
-    case Op::FEq: case Op::FNe: case Op::FAnd: case Op::FOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_fun(Op op) {
-  switch (op) {
-    case Op::FNeg: case Op::FAbs: case Op::FExp: case Op::FLog:
-    case Op::FSqrt: case Op::FSin: case Op::FCos: case Op::FTanh:
-    case Op::FFloor: case Op::FNot:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Destination register, if the instruction writes one.
-std::optional<RegRef> dest_of(const Instr& in) {
-  switch (in.op) {
-    case Op::IConst: case Op::ISym: case Op::IMov:
-      return RegRef{Bank::I, in.a};
-    case Op::FConst: case Op::FSym: case Op::FFromI: case Op::Load:
-    case Op::FSelect:
-      return RegRef{Bank::F, in.a};
-    default:
-      if (is_ibin(in.op)) return RegRef{Bank::I, in.a};
-      if (is_fbin(in.op) || is_fun(in.op)) return RegRef{Bank::F, in.a};
-      return std::nullopt;
-  }
-}
-
-/// Registers the instruction reads.
-std::vector<RegRef> reads_of(const Instr& in) {
-  switch (in.op) {
-    case Op::IMov: return {{Bank::I, in.b}};
-    case Op::JGe: return {{Bank::I, in.a}, {Bank::I, in.b}};
-    case Op::FFromI: return {{Bank::I, in.b}};
-    case Op::Load: return {{Bank::I, in.b}};
-    case Op::Store: return {{Bank::F, in.a}, {Bank::I, in.b}};
-    case Op::StoreWcr: return {{Bank::F, in.a}, {Bank::I, in.b}};
-    case Op::Guard: return {{Bank::I, in.a}, {Bank::I, in.b}};
-    case Op::FSelect:
-      return {{Bank::F, in.b}, {Bank::F, in.c}, {Bank::F, (int)in.imm}};
-    default:
-      if (is_ibin(in.op)) return {{Bank::I, in.b}, {Bank::I, in.c}};
-      if (is_fbin(in.op)) return {{Bank::F, in.b}, {Bank::F, in.c}};
-      if (is_fun(in.op)) return {{Bank::F, in.b}};
-      return {};
-  }
-}
-
 /// Safe to execute speculatively (hoist before a possibly-zero-trip
 /// loop): pure integer arithmetic except the faulting division ops, plus
 /// the float constant/symbol/convert loads.  Deliberately excludes float
@@ -123,17 +45,6 @@ bool is_removable(Op op) {
       return false;
   }
 }
-
-/// A counted loop compiled by the map compiler:
-///   header:  JGe var, end -> exit
-///   body ...
-///   latch-1: IAdd var, var, step   (in-place increment)
-///   latch:   Jmp header
-struct Loop {
-  size_t header = 0;  // pc of the JGe
-  size_t latch = 0;   // pc of the backward Jmp
-  int var = -1;       // loop variable (JGe.a)
-};
 
 class Optimizer {
  public:
@@ -188,75 +99,67 @@ class Optimizer {
   /// Definition pcs per register.  The splittable chunk-bound registers
   /// i0/i1 get a sentinel external definition: they are preset by the
   /// caller and must never be treated as single-def constants.
-  std::map<RegRef, std::vector<size_t>> def_sites() const {
-    std::map<RegRef, std::vector<size_t>> defs;
+  std::map<Reg, std::vector<size_t>> def_sites() const {
+    std::map<Reg, std::vector<size_t>> defs;
     defs[{Bank::I, 0}].push_back(SIZE_MAX);
     defs[{Bank::I, 1}].push_back(SIZE_MAX);
     for (size_t pc = 0; pc < code_.size(); ++pc) {
-      if (auto d = dest_of(code_[pc])) defs[*d].push_back(pc);
+      for (const Reg& d : defs_of(code_[pc])) defs[d].push_back(pc);
     }
     return defs;
   }
 
-  std::map<RegRef, int> read_counts() const {
-    std::map<RegRef, int> uses;
+  std::map<Reg, int> read_counts() const {
+    std::map<Reg, int> uses;
     for (const Instr& in : code_) {
-      for (const RegRef& r : reads_of(in)) ++uses[r];
+      for (const Reg& r : uses_of(in)) ++uses[r];
     }
     return uses;
   }
 
-  std::vector<Loop> find_loops() const {
-    std::vector<Loop> loops;
-    for (size_t pc = 0; pc < code_.size(); ++pc) {
-      const Instr& in = code_[pc];
-      if (in.op != Op::Jmp || in.imm > (int64_t)pc) continue;
-      size_t h = (size_t)in.imm;
-      if (h >= code_.size() || code_[h].op != Op::JGe) continue;
-      loops.push_back(Loop{h, pc, code_[h].a});
-    }
-    // Innermost (smallest interval) first.
-    std::sort(loops.begin(), loops.end(), [](const Loop& a, const Loop& b) {
-      return a.latch - a.header < b.latch - b.header;
-    });
-    return loops;
-  }
+  /// A loop of the nest and the pcs of its direct body: those not inside
+  /// a nested loop, which execute exactly once per iteration.
+  struct NestLoop {
+    Loop loop;
+    std::vector<size_t> direct;
+  };
 
-  /// Body pcs of `L` that are not inside a nested loop (these execute
-  /// exactly once per iteration of `L`).
-  std::vector<size_t> direct_body(const Loop& L,
-                                  const std::vector<Loop>& all) const {
-    std::vector<size_t> out;
-    for (size_t pc = L.header + 1; pc < L.latch; ++pc) {
-      bool nested = false;
-      for (const Loop& o : all) {
-        if (o.header > L.header && o.latch < L.latch && pc >= o.header &&
-            pc <= o.latch) {
-          nested = true;
-          break;
-        }
-      }
-      if (!nested) out.push_back(pc);
+  /// The loop nest innermost (smallest interval) first, ties in latch
+  /// order; empty when the code is not a canonical nest.
+  std::vector<NestLoop> loops() const {
+    auto nest = find_loops(code_);
+    if (!nest) return {};
+    // Owner of each pc: the innermost loop whose [header, latch] holds it
+    // (header order visits enclosing loops before nested ones).
+    std::vector<size_t> owner(code_.size(), SIZE_MAX);
+    for (size_t i = 0; i < nest->size(); ++i)
+      for (size_t pc = (*nest)[i].header; pc <= (*nest)[i].latch; ++pc)
+        owner[pc] = i;
+    std::vector<NestLoop> out;
+    for (size_t i = 0; i < nest->size(); ++i) {
+      const Loop& L = (*nest)[i];
+      NestLoop nl{L, {}};
+      for (size_t pc = L.header + 1; pc < L.latch; ++pc)
+        if (owner[pc] == i) nl.direct.push_back(pc);
+      out.push_back(std::move(nl));
     }
+    std::sort(out.begin(), out.end(), [](const NestLoop& x, const NestLoop& y) {
+      size_t wx = x.loop.latch - x.loop.header;
+      size_t wy = y.loop.latch - y.loop.header;
+      return wx != wy ? wx < wy : x.loop.latch < y.loop.latch;
+    });
     return out;
   }
 
-  int defs_in(const std::vector<size_t>& pcs, const RegRef& r,
-              const std::map<RegRef, std::vector<size_t>>& defs) const {
+  /// Definitions of `r` at pcs in [L.header, L.latch].
+  static int defs_in(const Loop& L, const Reg& r,
+                     const std::map<Reg, std::vector<size_t>>& defs) {
     auto it = defs.find(r);
     if (it == defs.end()) return 0;
     int n = 0;
-    for (size_t d : it->second) {
-      if (d == SIZE_MAX) continue;
-      if (std::binary_search(pcs.begin(), pcs.end(), d)) ++n;
-    }
+    for (size_t d : it->second)
+      if (d != SIZE_MAX && d >= L.header && d <= L.latch) ++n;
     return n;
-  }
-
-  static std::vector<size_t> range_pcs(size_t lo, size_t hi) {
-    std::vector<size_t> out;
-    for (size_t pc = lo; pc <= hi; ++pc) out.push_back(pc);
-    return out;
   }
 
   // ---- pass 1: constant folding + identities + copy propagation ------------
@@ -275,7 +178,7 @@ class Optimizer {
         if (r.bank != Bank::I || sites.size() != 1) continue;
         if (sites[0] == SIZE_MAX) continue;
         const Instr& in = code_[sites[0]];
-        if (in.op == Op::IConst) known[r.reg] = in.imm;
+        if (in.op == Op::IConst) known[r.index] = in.imm;
       }
       auto get = [&](uint16_t reg) -> std::optional<int64_t> {
         auto it = known.find(reg);
@@ -284,9 +187,10 @@ class Optimizer {
       };
       for (size_t pc = 0; pc < code_.size() && !changed; ++pc) {
         Instr& in = code_[pc];
-        if (!is_ibin(in.op)) continue;
-        auto d = dest_of(in);
-        if (defs[*d].size() != 1) continue;  // recurrences stay untouched
+        // Integer binaries i[a] = i[b] . i[c]; recurrences stay untouched.
+        const OpInfo& row = op_info(in.op);
+        if (row.a != Role::IDef || row.c != Role::IUse) continue;
+        if (defs[{Bank::I, in.a}].size() != 1) continue;
         auto vb = get(in.b), vc = get(in.c);
         if (vb && vc) {
           int64_t b = *vb, c = *vc, r;
@@ -333,33 +237,21 @@ class Optimizer {
       for (size_t pc = 0; pc < code_.size() && !changed; ++pc) {
         const Instr& in = code_[pc];
         if (in.op != Op::IMov || in.a == in.b) continue;
-        RegRef dst{Bank::I, in.a}, src{Bank::I, in.b};
-        if (defs[dst].size() != 1 || defs[src].size() != 1) continue;
+        if (defs[{Bank::I, in.a}].size() != 1 ||
+            defs[{Bank::I, in.b}].size() != 1)
+          continue;
         for (Instr& u : code_) {
-          switch (u.op) {
-            case Op::IMov:
-              if (&u != &in && u.b == in.a) { u.b = in.b; changed = true; }
-              break;
-            case Op::JGe:
-              if (u.a == in.a) { u.a = in.b; changed = true; }
-              if (u.b == in.a) { u.b = in.b; changed = true; }
-              break;
-            case Op::FFromI: case Op::Load:
-              if (u.b == in.a) { u.b = in.b; changed = true; }
-              break;
-            case Op::Store: case Op::StoreWcr:
-              if (u.b == in.a) { u.b = in.b; changed = true; }
-              break;
-            case Op::Guard:
-              if (u.a == in.a) { u.a = in.b; changed = true; }
-              if (u.b == in.a) { u.b = in.b; changed = true; }
-              break;
-            default:
-              if (is_ibin(u.op)) {
-                if (u.b == in.a) { u.b = in.b; changed = true; }
-                if (u.c == in.a) { u.c = in.b; changed = true; }
-              }
-          }
+          const OpInfo& row = op_info(u.op);
+          auto forward = [&](Role role, auto& field) {
+            if (role == Role::IUse && field == in.a) {
+              field = in.b;
+              changed = true;
+            }
+          };
+          forward(row.a, u.a);
+          forward(row.b, u.b);
+          forward(row.c, u.c);
+          forward(row.imm, u.imm);
         }
         if (changed) any = true;  // the IMov itself dies in DCE
       }
@@ -373,19 +265,19 @@ class Optimizer {
     bool any = false;
     for (bool changed = true; changed;) {
       changed = false;
-      auto loops = find_loops();
       auto defs = def_sites();
-      for (const Loop& L : loops) {
-        auto body = range_pcs(L.header, L.latch);
-        for (size_t pc : direct_body(L, loops)) {
+      for (const auto& [L, direct] : loops()) {
+        for (size_t pc : direct) {
           const Instr& in = code_[pc];
           if (!is_hoistable(in.op)) continue;
-          auto d = dest_of(in);
-          if (!d || (d->bank == Bank::I && d->reg < 2)) continue;
-          if (defs_in(body, *d, defs) != 1) continue;
+          RegList d = defs_of(in);
+          if (d.empty()) continue;
+          const Reg& dst = d.regs[0];
+          if (dst.bank == Bank::I && dst.index < 2) continue;
+          if (defs_in(L, dst, defs) != 1) continue;
           bool invariant_ops = true;
-          for (const RegRef& r : reads_of(in)) {
-            if (defs_in(body, r, defs) != 0) {
+          for (const Reg& r : uses_of(in)) {
+            if (defs_in(L, r, defs) != 0) {
               invariant_ops = false;
               break;
             }
@@ -487,9 +379,8 @@ class Optimizer {
     bool any = false;
     for (bool changed = true; changed;) {
       changed = false;
-      auto loops = find_loops();
-      for (const Loop& L : loops) {
-        if (reduce_loop(L, loops)) {
+      for (const auto& [L, direct] : loops()) {
+        if (reduce_loop(L, direct)) {
           changed = any = true;
           break;  // indices moved; recompute loop structure
         }
@@ -498,18 +389,16 @@ class Optimizer {
     return any;
   }
 
-  bool reduce_loop(const Loop& L, const std::vector<Loop>& loops) {
-    if (L.latch == 0) return false;
+  bool reduce_loop(const Loop& L, const std::vector<size_t>& direct) {
     const Instr& inc = code_[L.latch - 1];
     // Require the canonical in-place latch increment IAdd var, var, step.
     if (inc.op != Op::IAdd || inc.a != L.var || inc.b != L.var) return false;
     int step = inc.c;
     auto defs = def_sites();
-    auto body = range_pcs(L.header, L.latch);
-    if (defs_in(body, {Bank::I, step}, defs) != 0) return false;
+    if (defs_in(L, {Bank::I, step}, defs) != 0) return false;
 
     auto invariant = [&](int reg) {
-      return defs_in(body, {Bank::I, reg}, defs) == 0;
+      return defs_in(L, {Bank::I, reg}, defs) == 0;
     };
 
     // Collect affine chains over the direct body, in program order.
@@ -528,14 +417,13 @@ class Optimizer {
       if (invariant(reg)) return c_lit(0);
       return std::nullopt;
     };
-    auto direct = direct_body(L, loops);
     for (size_t pc : direct) {
       if (pc == L.latch - 1) continue;  // the loop-variable increment
       const Instr& in = code_[pc];
       if (in.op != Op::IAdd && in.op != Op::ISub && in.op != Op::IMul)
         continue;
       if (in.a == L.var || in.a < 2) continue;
-      if (defs_in(body, {Bank::I, in.a}, defs) != 1) continue;
+      if (defs_in(L, {Bank::I, in.a}, defs) != 1) continue;
       auto cb = aff_of(in.b), cc = aff_of(in.c);
       if (!cb || !cc) continue;
       int coef;
@@ -571,11 +459,8 @@ class Optimizer {
         if (rejected[ci]) continue;
         for (size_t pc = 0; pc < code_.size(); ++pc) {
           bool in_loop = pc >= L.header && pc <= L.latch;
-          bool reader = false;
-          for (const RegRef& r : reads_of(code_[pc])) {
-            if (r.bank == Bank::I && r.reg == chain[ci].dest) reader = true;
-          }
-          if (!reader) continue;
+          if (!uses_of(code_[pc]).contains({Bank::I, chain[ci].dest}))
+            continue;
           // Chain members only read earlier-defined chain values, so any
           // in-loop read at a pc before this member's definition (the
           // header JGe included) would observe the previous iteration's
@@ -615,9 +500,7 @@ class Optimizer {
     for (Node& n : kept) {
       for (size_t pc = 0; pc < code_.size(); ++pc) {
         if (kept_pcs.count(pc)) continue;
-        for (const RegRef& r : reads_of(code_[pc])) {
-          if (r.bank == Bank::I && r.reg == n.dest) n.external = true;
-        }
+        if (uses_of(code_[pc]).contains({Bank::I, n.dest})) n.external = true;
       }
     }
 
@@ -662,9 +545,9 @@ class Optimizer {
       for (size_t pc = code_.size(); pc-- > 0;) {
         const Instr& in = code_[pc];
         if (!is_removable(in.op)) continue;
-        auto d = dest_of(in);
-        if (!d) continue;
-        auto it = uses.find(*d);
+        RegList d = defs_of(in);
+        if (d.empty()) continue;
+        auto it = uses.find(d.regs[0]);
         if (it != uses.end() && it->second > 0) continue;
         erase(pc);
         ++stats_.eliminated;

@@ -6,9 +6,10 @@
 // into induction-variable increments, and dead-register elimination.
 // The passes rely on two structural properties of compiled map scopes --
 // every register is defined before it is used on all executed paths, and
-// the only control flow is properly nested counted loops (a JGe header
-// whose exit target is the instruction after the backward Jmp) -- and are
-// conservative everywhere else.  Loads and stores are never moved or
+// the only control flow is properly nested counted loops (rt::find_loops;
+// a program it rejects gets no loop passes) -- and are conservative
+// everywhere else.  Operand roles come from the operand table
+// (rt::defs_of, rt::uses_of).  Loads and stores are never moved or
 // removed, so VMStats load/store/WCR counts are identical before and
 // after optimization.
 #pragma once

@@ -282,7 +282,9 @@ int expect_all_maps_plannable(const ir::SDFG& sdfg, const std::string& what) {
 }
 
 // Tier 1 has a single emitter: it rests on the map compiler producing only
-// canonical loop nests, which the bytecode optimizer preserves.
+// canonical loop nests, which the bytecode optimizer preserves.  The
+// optimizer finds its loops with the same rt::find_loops, so a program the
+// planner rejected would also lose LICM and strength reduction.
 TEST(KernelPlan, MapCompilerOutputIsAlwaysPlannable) {
   int checked = 0;
   auto check = [&](ir::SDFG& sdfg, const std::string& what) {
@@ -292,7 +294,7 @@ TEST(KernelPlan, MapCompilerOutputIsAlwaysPlannable) {
   };
   for (const kernels::Kernel& k : kernels::suite())
     check(*fe::compile_to_sdfg(k.source), k.name);
-  for (uint64_t seed = 0; seed < 200; ++seed) {
+  for (uint64_t seed = 0; seed <= 500; ++seed) {
     std::unique_ptr<ir::SDFG> sdfg;
     try {
       sdfg = fe::compile_to_sdfg(fuzz::generate_program(seed));

@@ -7,8 +7,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -367,6 +369,239 @@ TEST(BytecodeOpt, OptimizerIsIdempotent) {
   EXPECT_EQ(second.strength_reduced, 0);
   EXPECT_EQ(second.eliminated, 0);
   EXPECT_EQ(p.code.size(), once.code.size());
+}
+
+// ---------------------------------------------------------------------------
+// Operand table
+// ---------------------------------------------------------------------------
+
+// The probe gives the opcode under test a = 1, b = 2, c = 3 and imm = 4, so
+// every field names a register of both banks; array slot 4 and symbol 4
+// exist for the opcodes whose imm is a slot.  A jump's imm instead skips
+// one marker instruction.  Registers 0..4 of each bank are loaded with
+// distinct values and stored out afterwards.
+constexpr int kProbeRegs = 5;
+
+struct ProbeInit {
+  int64_t i[kProbeRegs] = {7, 9, 11, 13, 15};
+  double f[kProbeRegs] = {20.5, 22.5, 24.5, 26.5, 28.5};
+};
+
+Instr probe_instr(Op op, size_t at) {
+  Instr in{.op = op, .a = 1, .b = 2, .c = 3, .imm = 4, .fimm = 99.25};
+  if (op == Op::Jmp || op == Op::JGe) in.imm = (int64_t)at + 2;
+  return in;
+}
+
+/// Slot of register `r` in ProbeOutcome::out.
+size_t probe_slot(rt::Reg r) {
+  return (size_t)r.index + (r.bank == rt::Bank::F ? kProbeRegs : 0);
+}
+
+struct ProbeOutcome {
+  bool trapped = false;
+  // i0..i4, f0..f4, the marker, then the five data arrays.
+  std::vector<double> out;
+  bool operator==(const ProbeOutcome& o) const {
+    return trapped == o.trapped && out.size() == o.out.size() &&
+           std::memcmp(out.data(), o.out.data(),
+                       out.size() * sizeof(double)) == 0;
+  }
+};
+
+ProbeOutcome run_probe(Op op, const ProbeInit& init) {
+  Program p;
+  p.n_iregs = kProbeRegs + 2;  // i5 marker, i6 store index
+  p.n_fregs = kProbeRegs + 1;  // f5 int-to-float scratch
+  p.arrays = {"s0", "s1", "s2", "s3", "s4", "out"};
+  for (uint16_t k = 0; k < kProbeRegs; ++k) {
+    p.code.push_back(Instr{.op = Op::IConst, .a = k, .imm = init.i[k]});
+    p.code.push_back(Instr{.op = Op::FConst, .a = k, .fimm = init.f[k]});
+  }
+  p.code.push_back(probe_instr(op, p.code.size()));
+  p.code.push_back(Instr{.op = Op::IConst, .a = 5, .imm = 1});  // marker
+  auto store_out = [&](int64_t idx, uint16_t freg) {
+    p.code.push_back(Instr{.op = Op::IConst, .a = 6, .imm = idx});
+    p.code.push_back(Instr{.op = Op::Store, .a = freg, .b = 6, .imm = 5});
+  };
+  for (uint16_t k = 0; k <= kProbeRegs; ++k) {
+    p.code.push_back(Instr{.op = Op::FFromI, .a = 5, .b = k});
+    store_out(k == kProbeRegs ? 2 * kProbeRegs : k, 5);
+  }
+  for (uint16_t k = 0; k < kProbeRegs; ++k) store_out(kProbeRegs + k, k);
+  p.code.push_back(Instr{.op = Op::Halt});
+
+  std::vector<std::vector<double>> mem(6, std::vector<double>(64));
+  for (size_t s = 0; s < 5; ++s)
+    for (size_t e = 0; e < 64; ++e) mem[s][e] = 1000.0 + 64.0 * s + e;
+  mem[5].assign(2 * kProbeRegs + 1, 0.0);
+  std::vector<rt::ArrayRef> refs;
+  for (auto& m : mem) refs.push_back({m.data(), ir::DType::f64});
+  ProbeOutcome o;
+  try {
+    rt::vm_run(p, refs, {100, 101, 102, 103, 104}, 0, 0, nullptr);
+  } catch (const Error&) {
+    o.trapped = true;
+    return o;
+  }
+  o.out = mem[5];
+  for (size_t s = 0; s < 5; ++s)
+    o.out.insert(o.out.end(), mem[s].begin(), mem[s].end());
+  return o;
+}
+
+/// First disagreement between the VM running `op` once and the claim that
+/// it writes exactly `defs` and reads nothing outside `uses`, or "".
+std::string check_operand_roles(Op op, const std::vector<rt::Reg>& defs,
+                                const std::vector<rt::Reg>& uses) {
+  auto listed = [](const std::vector<rt::Reg>& v, rt::Reg r) {
+    return std::find(v.begin(), v.end(), r) != v.end();
+  };
+  std::vector<rt::Reg> regs;
+  for (int k = 0; k < kProbeRegs; ++k) {
+    regs.push_back({rt::Bank::I, k});
+    regs.push_back({rt::Bank::F, k});
+  }
+  auto value = [](const ProbeInit& in, rt::Reg r) {
+    return r.bank == rt::Bank::I ? (double)in.i[r.index] : in.f[r.index];
+  };
+  const std::string name = rt::op_info(op).name;
+
+  // Defs: with all registers distinct, the VM changes exactly them.
+  ProbeInit base;
+  ProbeOutcome o = run_probe(op, base);
+  if (o.trapped) return name + ": traps on the probe values";
+  for (rt::Reg r : regs) {
+    double v = value(base, r);
+    bool changed =
+        std::memcmp(&o.out[probe_slot(r)], &v, sizeof(double)) != 0;
+    if (changed != listed(defs, r))
+      return name + ": VM " + (changed ? "writes" : "leaves") + " " +
+             (r.bank == rt::Bank::I ? "i" : "f") + std::to_string(r.index);
+  }
+
+  // Uses: perturbing any other register changes nothing but itself.
+  // Zeroing one float register at a time gives comparisons, selects and
+  // logical ops an input on which each operand decides the result.
+  std::vector<ProbeInit> bases(1);
+  for (int k = 0; k < kProbeRegs; ++k) {
+    bases.push_back(ProbeInit{});
+    bases.back().f[k] = 0;
+  }
+  for (const ProbeInit& b : bases) {
+    ProbeOutcome before = run_probe(op, b);
+    for (rt::Reg r : regs) {
+      if (listed(uses, r)) continue;
+      double v = value(b, r);
+      std::vector<double> perturbed = {v + 2, v - 2};
+      if (r.bank == rt::Bank::I) {
+        perturbed.push_back(v + 3);
+        perturbed.push_back(v - 3);
+      } else {
+        perturbed.push_back(0);
+      }
+      for (double pv : perturbed) {
+        ProbeInit b2 = b;
+        if (r.bank == rt::Bank::I)
+          b2.i[r.index] = (int64_t)pv;
+        else
+          b2.f[r.index] = pv;
+        ProbeOutcome want = before;
+        if (!want.trapped && !listed(defs, r)) want.out[probe_slot(r)] = pv;
+        if (!(run_probe(op, b2) == want))
+          return name + ": VM reads " + (r.bank == rt::Bank::I ? "i" : "f") +
+                 std::to_string(r.index);
+      }
+    }
+  }
+  return "";
+}
+
+// rt::find_loops on a two-deep nest whose inner latch also steps an
+// offset register, and on the jump graphs it must reject.  A JGe with no
+// latch is accepted here: the planner rejects it, the optimizer ignores it.
+TEST(Bytecode, FindLoopsReturnsTheNestOrNothing) {
+  const std::vector<Instr> nest = {
+      Instr{.op = Op::IConst, .a = 2, .imm = 0},
+      Instr{.op = Op::IConst, .a = 3, .imm = 4},
+      Instr{.op = Op::IConst, .a = 4, .imm = 1},
+      Instr{.op = Op::IMov, .a = 5, .b = 2},
+      Instr{.op = Op::JGe, .a = 5, .b = 3, .imm = 12},  // outer header
+      Instr{.op = Op::IMov, .a = 6, .b = 2},
+      Instr{.op = Op::JGe, .a = 6, .b = 3, .imm = 10},  // inner header
+      Instr{.op = Op::IAdd, .a = 6, .b = 6, .c = 4},
+      Instr{.op = Op::IAdd, .a = 7, .b = 7, .c = 4},
+      Instr{.op = Op::Jmp, .imm = 6},  // inner latch
+      Instr{.op = Op::IAdd, .a = 5, .b = 5, .c = 4},
+      Instr{.op = Op::Jmp, .imm = 4},  // outer latch
+      Instr{.op = Op::Halt},
+  };
+  auto loops = rt::find_loops(nest);
+  ASSERT_TRUE(loops.has_value());
+  ASSERT_EQ(loops->size(), 2u);
+  const rt::Loop& outer = (*loops)[0];
+  const rt::Loop& inner = (*loops)[1];
+  EXPECT_EQ(outer.header, 4u);
+  EXPECT_EQ(outer.latch, 11u);
+  EXPECT_EQ(outer.latch_begin, 10u);
+  EXPECT_EQ(outer.var, 5);
+  EXPECT_EQ(outer.end_reg, 3);
+  EXPECT_EQ(outer.parent, -1);
+  EXPECT_EQ(inner.header, 6u);
+  EXPECT_EQ(inner.latch, 9u);
+  EXPECT_EQ(inner.latch_begin, 7u);
+  EXPECT_EQ(inner.var, 6);
+  EXPECT_EQ(inner.parent, 0);
+
+  auto rejected = [&](size_t pc, int64_t imm) {
+    std::vector<Instr> code = nest;
+    code[pc].imm = imm;
+    return !rt::find_loops(code).has_value();
+  };
+  EXPECT_TRUE(rejected(9, 11));  // forward Jmp
+  EXPECT_TRUE(rejected(6, 11));  // header exits past its own latch
+  EXPECT_TRUE(rejected(11, 6));  // second latch on the inner header
+  const std::vector<Instr> overlap = {
+      Instr{.op = Op::JGe, .a = 1, .b = 2, .imm = 3},
+      Instr{.op = Op::JGe, .a = 3, .b = 4, .imm = 5},
+      Instr{.op = Op::Jmp, .imm = 0},
+      Instr{.op = Op::IAdd, .a = 1, .b = 1, .c = 2},
+      Instr{.op = Op::Jmp, .imm = 1},
+      Instr{.op = Op::Halt},
+  };
+  EXPECT_FALSE(rt::find_loops(overlap).has_value());
+  auto stray = rt::find_loops({Instr{.op = Op::JGe, .a = 1, .b = 2, .imm = 1},
+                               Instr{.op = Op::Halt}});
+  ASSERT_TRUE(stray.has_value());
+  EXPECT_TRUE(stray->empty());
+}
+
+// The operand table (rt::op_info, defs_of, uses_of) against the VM: every
+// opcode with a visible effect writes exactly the registers its row lists
+// as defs and reads none outside its uses.  Halt ends the program before
+// anything can be stored out, so it is not probed.  Dropping any one def
+// or use from a row must make the check fail.
+TEST(Bytecode, OperandTableMatchesVm) {
+  for (int i = 0; i < (int)Op::Halt; ++i) {
+    Op op = (Op)i;
+    ASSERT_EQ(rt::op_info(op).op, op);
+    Instr in = probe_instr(op, 2 * kProbeRegs);
+    rt::RegList d = rt::defs_of(in), u = rt::uses_of(in);
+    std::vector<rt::Reg> defs(d.begin(), d.end()), uses(u.begin(), u.end());
+    EXPECT_EQ(check_operand_roles(op, defs, uses), "");
+    for (size_t k = 0; k < defs.size(); ++k) {
+      std::vector<rt::Reg> dropped = defs;
+      dropped.erase(dropped.begin() + (long)k);
+      EXPECT_NE(check_operand_roles(op, dropped, uses), "")
+          << rt::op_info(op).name << ": dropping def " << k << " passes";
+    }
+    for (size_t k = 0; k < uses.size(); ++k) {
+      std::vector<rt::Reg> dropped = uses;
+      dropped.erase(dropped.begin() + (long)k);
+      EXPECT_NE(check_operand_roles(op, defs, dropped), "")
+          << rt::op_info(op).name << ": dropping use " << k << " passes";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
