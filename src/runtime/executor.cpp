@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <sstream>
 
 #include "analysis/analysis.hpp"
@@ -302,29 +304,14 @@ void Executor::execute_tasklet(const ir::State& st, int node) {
   }
 }
 
-namespace {
-
-// Chunk grain: a chunk should carry about kChunkTargetNs of work, and a
-// map cheaper than kChunkMinNs in total is not worth a dispatch.
-constexpr double kChunkTargetNs = 100000;
-constexpr double kChunkMinNs = 20000;
-
-}  // namespace
-
 int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
-  int nt = ThreadPool::global().num_threads();
   double nspi = tp.ns_per_iter[tier];
   if (nspi <= 0.0) {
     // Pre-measurement heuristic: cost scales with bytecode length;
     // native code retires an "instruction" far faster than the VM.
     nspi = (double)tp.prog.code.size() * (tier == 1 ? 0.4 : 2.5);
   }
-  double total = nspi * (double)iters;
-  if (total < kChunkMinNs) return 1;
-  int chunks = (int)((total + kChunkTargetNs - 1.0) / kChunkTargetNs);
-  chunks = std::max(chunks, 1);
-  chunks = (int)std::min<int64_t>(chunks, iters);
-  return std::min(chunks, nt);
+  return ThreadPool::global().chunks_for(iters, nspi * (double)iters);
 }
 
 void Executor::update_cost(TieredProgram& tp, int tier, int64_t iters,
@@ -432,6 +419,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
           restrict_ok = false;
   }
 
+  cg::MapNativeFn fn = nullptr;  // set when this launch runs on Tier 1
   if (jit_ok && tp.native) {
     int state = tp.native->state.load(std::memory_order_acquire);
     if (state == NativeProgram::kFailed) {
@@ -439,105 +427,79 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       tp.native_failed = true;
       tp.native.reset();
     } else if (state == NativeProgram::kReady && restrict_ok) {
-      cg::MapNativeFn fn = tp.native->fn;
-      std::vector<double*> bases(arrays.size());
-      for (size_t i = 0; i < arrays.size(); ++i) bases[i] = arrays[i].base;
-      ++native_launches_;
-      *tier_used = 1;
-      std::atomic<int64_t> guard_err{0};
-      std::atomic<bool> cancelled{false};
-      int chunks = parallel ? plan_chunks(tp, 1, iters) : 1;
-      int64_t t0 = obs::now_ns();
-      if (!parallel || chunks <= 1) {
-        int64_t e = 0;
-        if (prog.splittable) {
-          fn(bases.data(), symvals.data(), begin, end, &e);
-        } else {
-          fn(bases.data(), symvals.data(), 0, 0, &e);
-        }
-        if (e) guard_err.store(e, std::memory_order_relaxed);
-      } else {
-        ThreadPool::global().parallel_for(
-            iters, chunks, [&](int64_t lo, int64_t hi) {
-              // Cooperative cancellation between chunks: skip remaining
-              // work, leave buffers intact, report after the barrier.
-              if (opts_.cancel_check &&
-                  (cancelled.load(std::memory_order_relaxed) ||
-                   opts_.cancel_check())) {
-                cancelled.store(true, std::memory_order_relaxed);
-                return;
-              }
-              int64_t e = 0;
-              fn(bases.data(), symvals.data(), begin + lo * step,
-                 begin + hi * step, &e);
-              if (e) guard_err.store(e, std::memory_order_relaxed);
-            });
-      }
-      update_cost(tp, 1, iters, obs::now_ns() - t0);
-      if (cancelled.load(std::memory_order_relaxed)) {
-        throw err("cancelled: map '", me->name, "' abandoned mid-dispatch");
-      }
-      if (!tp.plan_reported && obs::enabled()) {
-        tp.plan_reported = true;
-        cg::KernelPlan plan = cg::plan_kernel(prog);
-        cg::KernelPlan::Summary sum = plan.summary();
-        std::ostringstream a;
-        a << "{\"map\":\"" << diag::json_escape(me->name) << "\",\"plan\":\""
-          << plan.describe() << "\",\"jam\":" << sum.jam
-          << ",\"unroll\":" << sum.unroll << ",\"sinks\":" << sum.sinks
-          << ",\"chunks\":" << chunks << ",\"ns_per_iter\":"
-          << tp.ns_per_iter[1] << "}";
-        obs::instant("tier", "kernel-plan", a.str());
-      }
-      if (int64_t e = guard_err.load(std::memory_order_relaxed)) {
-        throw err("map guard: out-of-range access on array '",
-                  prog.arrays[(size_t)(e - 1)], "' in map '", me->name, "'");
-      }
-      return;
+      fn = tp.native->fn;
     }
-    // Still compiling (or aliased buffers this launch): interpret below.
+    // Still compiling (or aliased buffers this launch): interpret.
+  }
+  std::vector<double*> bases(fn ? arrays.size() : 0);
+  for (size_t i = 0; i < bases.size(); ++i) bases[i] = arrays[i].base;
+  if (fn) {
+    ++native_launches_;
+    *tier_used = 1;
   }
 
+  // One dispatch for both tiers.  A chunk runs outer iterations [lo, hi)
+  // (a scope that is not splittable runs whole, with lo = hi = 0).  Errors
+  // raised inside worker threads must not unwind through the pool: the
+  // first one is kept and rethrown on the calling thread after the
+  // barrier.
+  int tier = fn ? 1 : 0;
+  int chunks = parallel ? plan_chunks(tp, tier, iters) : 1;
   VMStats* stats = opts_.collect_stats ? &stats_ : nullptr;
-  int64_t t0 = obs::now_ns();
-  if (!parallel) {
-    if (prog.splittable) {
-      vm_run(prog, arrays, symvals, begin, end, stats);
-    } else {
-      vm_run(prog, arrays, symvals, 0, 0, stats);
-    }
-    update_cost(tp, 0, iters, obs::now_ns() - t0);
-    return;
-  }
-  // Guard traps inside worker threads must not unwind through the pool;
-  // capture the first error and rethrow on the calling thread.
-  std::mutex stats_mu;
-  std::string guard_msg;
+  std::mutex mu;  // guards first_error and *stats
+  std::exception_ptr first_error;
   std::atomic<bool> cancelled{false};
-  int chunks = plan_chunks(tp, 0, iters);
-  ThreadPool::global().parallel_for(
+  int64_t work_ns = ThreadPool::global().parallel_for(
       iters, chunks, [&](int64_t lo, int64_t hi) {
-        if (opts_.cancel_check &&
+        // Cooperative cancellation between chunks: skip remaining work,
+        // leave buffers intact, report after the barrier.
+        if (chunks > 1 && opts_.cancel_check &&
             (cancelled.load(std::memory_order_relaxed) ||
              opts_.cancel_check())) {
           cancelled.store(true, std::memory_order_relaxed);
           return;
         }
-        VMStats local;
-        try {
-          vm_run(prog, arrays, symvals, begin + lo * step, begin + hi * step,
-                 stats ? &local : nullptr);
-        } catch (const std::exception& ex) {
-          std::lock_guard<std::mutex> lk(stats_mu);
-          if (guard_msg.empty()) guard_msg = ex.what();
+        int64_t b = 0, e = 0;
+        if (prog.splittable) {
+          b = begin + lo * step;
+          e = hi == iters ? end : begin + hi * step;
         }
-        if (stats) {
-          std::lock_guard<std::mutex> lk(stats_mu);
-          *stats += local;
+        try {
+          if (fn) {
+            int64_t g = 0;
+            fn(bases.data(), symvals.data(), b, e, &g);
+            if (g) {
+              throw err("map guard: out-of-range access on array '",
+                        prog.arrays[(size_t)(g - 1)], "' in map '",
+                        me->name, "'");
+            }
+          } else {
+            VMStats local;
+            vm_run(prog, arrays, symvals, b, e, stats ? &local : nullptr);
+            if (stats) {
+              std::lock_guard<std::mutex> lk(mu);
+              *stats += local;
+            }
+          }
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!first_error) first_error = std::current_exception();
         }
       });
-  update_cost(tp, 0, iters, obs::now_ns() - t0);
-  if (!guard_msg.empty()) throw err(guard_msg);
+  update_cost(tp, tier, iters, work_ns);
+  if (fn && !tp.plan_reported && obs::enabled()) {
+    tp.plan_reported = true;
+    cg::KernelPlan plan = cg::plan_kernel(prog);
+    cg::KernelPlan::Summary sum = plan.summary();
+    std::ostringstream a;
+    a << "{\"map\":\"" << diag::json_escape(me->name) << "\",\"plan\":\""
+      << plan.describe() << "\",\"jam\":" << sum.jam
+      << ",\"unroll\":" << sum.unroll << ",\"sinks\":" << sum.sinks
+      << ",\"chunks\":" << chunks << ",\"ns_per_iter\":"
+      << tp.ns_per_iter[1] << "}";
+    obs::instant("tier", "kernel-plan", a.str());
+  }
+  if (first_error) std::rethrow_exception(first_error);
   if (cancelled.load(std::memory_order_relaxed)) {
     throw err("cancelled: map '", me->name, "' abandoned mid-dispatch");
   }

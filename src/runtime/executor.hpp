@@ -144,11 +144,12 @@ class Executor {
     bool plan_reported = false;  // kernel-plan obs instant emitted once
   };
 
-  /// Cost-driven chunk count for a parallel dispatch at `tier`: sized so
-  /// each chunk runs ~100 us of measured (or estimated) work, 1 when the
-  /// whole map is cheaper than 20 us (the pool is then skipped entirely).
+  /// Chunk count for a parallel dispatch at `tier`: the map's measured
+  /// (or, before the first launch, estimated) work, split by the pool's
+  /// cost rule (ThreadPool::chunks_for).
   static int plan_chunks(const TieredProgram& tp, int tier, int64_t iters);
-  /// Fold a measured launch into the per-iteration cost EMA.
+  /// Fold a launch's work -- the summed run time of its chunks, not its
+  /// wall time -- into the per-iteration cost EMA.
   static void update_cost(TieredProgram& tp, int tier, int64_t iters,
                           int64_t dur_ns);
 

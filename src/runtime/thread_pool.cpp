@@ -1,10 +1,22 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 
 #include "common/env.hpp"
+#include "common/obs.hpp"
 
 namespace dace::rt {
+
+namespace {
+
+// Chunk grain: a chunk should carry about kChunkTargetNs of work, and
+// work cheaper than kChunkMinNs in total is not worth a dispatch.
+constexpr double kChunkTargetNs = 100000;
+constexpr double kChunkMinNs = 20000;
+
+}  // namespace
 
 thread_local bool ThreadPool::in_parallel_region_ = false;
 
@@ -77,41 +89,35 @@ void ThreadPool::run_on(int k, function_ref<void(int)> body) {
   cv_done_.wait(lk, [&] { return pending_ == 0; });
 }
 
-void ThreadPool::run_on_all(function_ref<void(int)> body) {
-  if (num_threads_ == 1 || in_parallel_region_) {
-    for (int i = 0; i < num_threads_; ++i) body(i);
-    return;
-  }
-  run_on(num_threads_, body);
+int ThreadPool::chunks_for(int64_t n, double cost_ns) const {
+  if (cost_ns < kChunkMinNs) return 1;
+  double chunks = std::ceil(cost_ns / kChunkTargetNs);
+  double cap = (double)std::min<int64_t>(n, num_threads_);
+  return (int)std::max(1.0, std::min(chunks, cap));
 }
 
-void ThreadPool::parallel_for(int64_t n, int chunks,
-                              function_ref<void(int64_t, int64_t)> body) {
-  if (n <= 0) return;
+int64_t ThreadPool::parallel_for(int64_t n, int chunks,
+                                 function_ref<void(int64_t, int64_t)> body) {
+  if (n <= 0) return 0;
   chunks = (int)std::min<int64_t>(chunks, n);  // never an empty range
   chunks = std::min(chunks, num_threads_);
-  if (chunks <= 1 || num_threads_ == 1 || in_parallel_region_) {
+  if (chunks <= 1 || in_parallel_region_) {
+    int64_t t0 = obs::now_ns();
     body(0, n);
-    return;
+    return obs::now_ns() - t0;
   }
   // Balanced split: the first n % chunks ranges get one extra iteration,
   // so range sizes differ by at most one and none is empty.
   int64_t q = n / chunks, r = n % chunks;
+  std::atomic<int64_t> work_ns{0};
   run_on(chunks, [&](int w) {
     int64_t b = w * q + std::min<int64_t>(w, r);
     int64_t e = b + q + (w < r ? 1 : 0);
+    int64_t t0 = obs::now_ns();
     body(b, e);
+    work_ns.fetch_add(obs::now_ns() - t0, std::memory_order_relaxed);
   });
-}
-
-void ThreadPool::parallel_for(int64_t n,
-                              function_ref<void(int64_t, int64_t)> body) {
-  if (n <= 0) return;
-  if (n < 2 * num_threads_) {  // historical inline threshold
-    body(0, n);
-    return;
-  }
-  parallel_for(n, num_threads_, body);
+  return work_ns.load(std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::global() {

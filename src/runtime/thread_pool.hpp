@@ -1,10 +1,14 @@
-// Shared-memory worker pool with OpenMP-style static worksharing.
+// Shared-memory worker pool with one cost rule for every dispatch.
 //
-// CPU-parallel map scopes execute through parallel_for, which splits the
-// iteration domain into one contiguous chunk per worker (static schedule,
-// like `#pragma omp parallel for schedule(static)`).  A process-global
-// pool is shared by all executors; the worker count defaults to the
-// hardware concurrency and can be overridden with DACEPP_NUM_THREADS.
+// Callers estimate the work of a range and ask chunks_for how many
+// contiguous chunks it is worth: none below 20 us of work (waking a
+// worker costs more than it hides), otherwise one per ~100 us, never
+// more than the range has items or the pool has workers.  parallel_for
+// then runs that many balanced chunks, one per worker, and reports the
+// summed run time of the chunks so a caller can refine its estimate.
+// A process-global pool is shared by all executors; the worker count
+// defaults to the hardware concurrency and can be overridden with
+// DACEPP_NUM_THREADS.
 #pragma once
 
 #include <condition_variable>
@@ -21,7 +25,7 @@ namespace dace::rt {
 /// Trivially copyable and never allocates, unlike std::function -- the
 /// per-launch dispatch path uses it so a parallel map adds no heap
 /// traffic.  The referenced callable must outlive every call (satisfied
-/// here: parallel_for/run_on_all block until all workers finish).
+/// here: parallel_for blocks until all workers finish).
 template <typename Sig>
 class function_ref;
 
@@ -63,22 +67,22 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  /// Run body(begin, end) over [0, n) split statically across workers.
-  /// The calling thread participates. Nested calls run inline, and so do
-  /// calls from other threads while the workers are busy: safe to call
-  /// concurrently from any number of external threads.
-  void parallel_for(int64_t n, function_ref<void(int64_t, int64_t)> body);
+  /// The cost rule: how many chunks `n` items of total work `cost_ns`
+  /// are worth.  1 below 20 us, else ceil(cost_ns / 100 us), clamped to
+  /// [1, min(n, num_threads())].
+  int chunks_for(int64_t n, double cost_ns) const;
 
-  /// Run body over [0, n) split into `chunks` contiguous ranges handed
-  /// to distinct workers.  The chunk count is clamped to [1, min(n,
-  /// num_threads())], so no worker is ever woken for an empty range --
-  /// callers pass a cost-derived count and the pool never oversubscribes.
-  /// chunks <= 1 (and nested calls) run body(0, n) inline.
-  void parallel_for(int64_t n, int chunks,
-                    function_ref<void(int64_t, int64_t)> body);
-
-  /// Run body(worker_index) once on every worker (SPMD-style).
-  void run_on_all(function_ref<void(int)> body);
+  /// Run body(begin, end) over [0, n) split into `chunks` balanced
+  /// contiguous ranges handed to distinct workers, the calling thread
+  /// included.  The count is clamped to [1, min(n, num_threads())], so
+  /// no worker is ever woken for an empty range.  One chunk, and nested
+  /// calls, run body(0, n) inline.  A call from another thread while the
+  /// workers are busy runs its chunks one after another on that thread,
+  /// so any number of external threads may call at once.  Returns the
+  /// summed run time of the chunks in ns: the work done, not the wall
+  /// time it took.
+  int64_t parallel_for(int64_t n, int chunks,
+                       function_ref<void(int64_t, int64_t)> body);
 
   /// Process-global pool (DACEPP_NUM_THREADS or hardware concurrency).
   static ThreadPool& global();

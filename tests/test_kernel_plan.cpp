@@ -2,14 +2,16 @@
 // the invariant that every map-compiler program is plannable, WCR sinking
 // and unroll-and-jam legality, unplannable programs staying on Tier 0,
 // the libm-backed opcodes against the VM, tiling edge cases (non-divisible trip counts, zero/one-trip loops,
-// epilogue correctness), and the cost-driven chunked
+// epilogue correctness), and the thread pool's cost rule and chunked
 // ThreadPool::parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/env.hpp"
@@ -481,16 +483,28 @@ TEST(ThreadPoolChunks, SingleChunkRunsInline) {
   EXPECT_EQ(log.ranges[0], (std::pair<int64_t, int64_t>{0, 100}));
 }
 
-TEST(ThreadPoolChunks, LegacyOverloadNeverCallsEmptyRanges) {
-  // The old static split woke every worker even when iters < workers,
-  // handing trailing workers empty [lo, hi) ranges.
-  for (int64_t n : {1, 3, 7, 16, 17, 31, 100}) {
-    rt::ThreadPool pool(8);
-    RangeLog log;
-    pool.parallel_for(n, [&](int64_t lo, int64_t hi) { log.record(lo, hi); });
-    EXPECT_EQ(log.empties.load(), 0) << "n=" << n;
-    EXPECT_EQ(log.covered(), n) << "n=" << n;
-  }
+TEST(ThreadPoolChunks, CostRule) {
+  // Inline below 20 us of work, then one chunk per started 100 us,
+  // never more than the items or the workers.
+  rt::ThreadPool pool(4);
+  EXPECT_EQ(pool.chunks_for(1000, 19e3), 1);
+  EXPECT_EQ(pool.chunks_for(1000, 100e3), 1);
+  EXPECT_EQ(pool.chunks_for(1000, 100.1e3), 2);
+  EXPECT_EQ(pool.chunks_for(1000, 350e3), 4);
+  EXPECT_EQ(pool.chunks_for(3, 10e6), 3);
+  rt::ThreadPool one(1);
+  for (double cost : {0.0, 19e3, 100.1e3, 350e3, 10e6})
+    EXPECT_EQ(one.chunks_for(1000, cost), 1) << cost;
+}
+
+TEST(ThreadPoolChunks, ReportsSummedChunkTime) {
+  // The return value is the work the chunks did, not the wall time of
+  // the dispatch: four 2 ms chunks on four workers report >= 8 ms.
+  rt::ThreadPool pool(4);
+  int64_t work_ns = pool.parallel_for(4, 4, [](int64_t, int64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  EXPECT_GE(work_ns, 8000000);
 }
 
 TEST(ThreadPoolChunks, ChunkedReductionMatchesSerial) {

@@ -257,6 +257,54 @@ TEST(TensorOps, VecMatIsBitIdenticalToOrderedSum) {
   }
 }
 
+// The products split their output over the pool once their work passes
+// the cost rule's inline threshold.  Below it (s = 16) and above it
+// (s = 96) every output must equal the sum over l ascending, bit for bit,
+// at any pool width: kernels_threads_{2,4} re-run this at widths 2 and 4.
+TEST(TensorOps, MatmulIsBitIdenticalToOrderedSum) {
+  for (DType dt : {DType::f64, DType::f32}) {
+    auto filled = [&](std::vector<int64_t> shape, double phase) {
+      Tensor t(dt, std::move(shape));
+      for (int64_t i = 0; i < t.size(); ++i)
+        t.set_flat(i, std::sin(phase + 0.37 * (double)i));
+      return t;
+    };
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    const char* name = dt == DType::f64 ? "f64" : "f32";
+    for (int64_t s : {16, 96}) {
+      // Matrix x vector (and its vector x matrix transpose) over s rows of
+      // 16 s: 147,456 multiply-adds at s = 96, more than one chunk's worth.
+      const int64_t k = 16 * s;
+      Tensor a = filled({s, k}, 1.0), x = filled({k}, 2.0);
+      Tensor mv = ops::matmul(a, x);
+      Tensor vm = ops::matmul(x, a.transpose());
+      ASSERT_EQ(mv.shape(), (std::vector<int64_t>{s}));
+      ASSERT_EQ(vm.shape(), (std::vector<int64_t>{s}));
+      int bad = 0;
+      for (int64_t i = 0; i < s; ++i) {
+        double acc = 0;
+        for (int64_t l = 0; l < k; ++l) acc += a.at({i, l}) * x.at({l});
+        bad += bits(mv.at({i})) != bits(cast_to(dt, acc));
+        bad += bits(vm.at({i})) != bits(cast_to(dt, acc));
+      }
+      EXPECT_EQ(bad, 0) << name << " matrix x vector, s=" << s;
+      // Matrix x matrix: s^3 multiply-adds.
+      Tensor b = filled({s, s}, 3.0), c = filled({s, s}, 4.0);
+      Tensor mm = ops::matmul(b, c);
+      ASSERT_EQ(mm.shape(), (std::vector<int64_t>{s, s}));
+      bad = 0;
+      for (int64_t i = 0; i < s; ++i) {
+        for (int64_t j = 0; j < s; ++j) {
+          double acc = 0;
+          for (int64_t l = 0; l < s; ++l) acc += b.at({i, l}) * c.at({l, j});
+          bad += bits(mm.at({i, j})) != bits(cast_to(dt, acc));
+        }
+      }
+      EXPECT_EQ(bad, 0) << name << " matrix x matrix, s=" << s;
+    }
+  }
+}
+
 TEST(TensorOps, OuterAndDot) {
   Tensor u = Tensor::from_values({2}, {1, 2});
   Tensor v = Tensor::from_values({3}, {3, 4, 5});
@@ -286,7 +334,7 @@ TEST(TensorOps, PromotionRules) {
 TEST(ThreadPool, ParallelForCoversDomain) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](int64_t lo, int64_t hi) {
+  pool.parallel_for(100, 4, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) hits[(size_t)i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -295,8 +343,8 @@ TEST(ThreadPool, ParallelForCoversDomain) {
 TEST(ThreadPool, NestedCallsRunInline) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.parallel_for(8, [&](int64_t lo, int64_t hi) {
-    pool.parallel_for(hi - lo, [&](int64_t l2, int64_t h2) {
+  pool.parallel_for(8, 2, [&](int64_t lo, int64_t hi) {
+    pool.parallel_for(hi - lo, 2, [&](int64_t l2, int64_t h2) {
       total += (int)(h2 - l2);
     });
   });
@@ -305,7 +353,8 @@ TEST(ThreadPool, NestedCallsRunInline) {
 
 // Eight external threads (as simMPI ranks and serve workers are) call
 // parallel_for on one pool at once; every caller must see each index of
-// its own domain run exactly once, through both overloads.
+// its own domain run exactly once, whether it asks for two chunks or for
+// one per worker.
 void hammer_parallel_for(ThreadPool& pool) {
   constexpr int kCallers = 8, kRounds = 200;
   constexpr int64_t kN = 1024;
@@ -322,10 +371,7 @@ void hammer_parallel_for(ThreadPool& pool) {
       while (ready.load() < kCallers) std::this_thread::yield();
       for (int r = 0; r < kRounds; ++r) {
         for (auto& h : hits) h.store(0);
-        if (r % 2)
-          pool.parallel_for(kN, body);
-        else
-          pool.parallel_for(kN, pool.num_threads(), body);
+        pool.parallel_for(kN, r % 2 ? 2 : pool.num_threads(), body);
         for (auto& h : hits) bad[(size_t)c] += h.load() != 1;
       }
     });

@@ -643,7 +643,7 @@ TEST(ThreadPoolWcr, ReductionAgreesAcrossWorkerCounts) {
         rt::ArrayRef{a.data(), ir::DType::f64},
         rt::ArrayRef{out.data(), ir::DType::f64}};
     rt::ThreadPool pool(workers);
-    pool.parallel_for(n, [&](int64_t lo, int64_t hi) {
+    pool.parallel_for(n, workers, [&](int64_t lo, int64_t hi) {
       rt::vm_run(p, arrays, {}, lo, hi, nullptr);
     });
     return out.get_flat(0);

@@ -432,8 +432,9 @@ TEST(AutoOptimize, SchedulesAreParallelOnCpu) {
     const auto& st = sdfg->state(sid);
     for (int nid : st.node_ids()) {
       const auto* me = st.node_as<const ir::MapEntry>(nid);
-      if (me && st.scope_of(nid) == -1)
+      if (me && st.scope_of(nid) == -1) {
         EXPECT_EQ(me->schedule, ir::Schedule::CPUParallel);
+      }
     }
   }
 }
