@@ -39,6 +39,12 @@ namespace {
 
 int g_uniq = 0;
 
+// Reps per median.  A build is a host-compiler run, so its time spreads
+// widely: at 5 reps, six idle runs read cold medians from 101 to 143 ms.
+// At 15, back-to-back runs' build medians agree within bench-diff's 15%.
+constexpr int kBuildReps = 15;
+constexpr int kWarmReps = 50;
+
 // The optimized bytecode of matmul's map, the program the executor
 // promotes (unroll-and-jam and a sunk accumulator).
 dace::rt::Program matmul_program() {
@@ -92,18 +98,19 @@ int main() {
   setenv("DACE_CACHE_DIR", dir.c_str(), 1);
   ArtifactCache::reset_for_testing();
   auto uncached = bench::time_median(
-      "cache.jit_uncached", [&] { build_once(prog, /*uniq=*/true); }, 5);
+      "cache.jit_uncached", [&] { build_once(prog, /*uniq=*/true); },
+      kBuildReps);
 
   // Cold: enabled cache, fresh key per rep -> compile + commit.
   setenv("DACE_CACHE", "1", 1);
   ArtifactCache::reset_for_testing();
   auto cold = bench::time_median(
-      "cache.jit_cold", [&] { build_once(prog, /*uniq=*/true); }, 5);
+      "cache.jit_cold", [&] { build_once(prog, /*uniq=*/true); }, kBuildReps);
 
   // Warm: fixed key, committed on the priming call.
   build_once(prog, /*uniq=*/false);
   auto warm = bench::time_median(
-      "cache.jit_warm", [&] { build_once(prog, /*uniq=*/false); }, 10);
+      "cache.jit_warm", [&] { build_once(prog, /*uniq=*/false); }, kWarmReps);
 
   printf("JIT build latency (artifact cache, dir=%s)\n", dir.c_str());
   row("uncached (DACE_CACHE=0)", uncached);

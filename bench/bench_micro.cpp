@@ -11,6 +11,7 @@
 #include "runtime/bytecode_opt.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/tensor_ops.hpp"
+#include "testing/fuzzgen.hpp"
 #include "transforms/auto_optimize.hpp"
 
 using namespace dace;
@@ -161,6 +162,17 @@ static void BM_SymbolicSimplify(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicSimplify);
 
+// The commit gate's serializer check (transforms/pass.cpp): save, reload
+// and compare two dumps, on one lowered fuzz program.
+static void BM_SdfgRoundTrip(benchmark::State& state) {
+  auto sdfg = fe::compile_to_sdfg(fuzz::generate_program(1));
+  for (auto _ : state) {
+    auto reloaded = ir::load_sdfg(sdfg->save());
+    benchmark::DoNotOptimize(reloaded->dump() == sdfg->dump());
+  }
+}
+BENCHMARK(BM_SdfgRoundTrip);
+
 static void BM_ParseAndLowerGemm(benchmark::State& state) {
   const auto& k = kernels::kernel("gemm");
   for (auto _ : state) {
@@ -186,15 +198,19 @@ BENCHMARK(BM_SimMpiP2P);
 
 namespace {
 
-/// Console output as usual, plus every per-iteration result captured
-/// into the shared JSON report ("micro.<name>", adjusted real ns) so
-/// bench_micro emits BENCH_5.json like the table benchmarks do.
+/// Console output as usual, plus each benchmark's time captured into the
+/// shared JSON report ("micro.<name>", adjusted real ns) so bench_micro
+/// emits BENCH_5.json like the table benchmarks do.  Under
+/// --benchmark_repetitions the key holds the median repetition.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& r : reports) {
-      if (r.error_occurred || r.run_type != Run::RT_Iteration) continue;
-      bench::JsonReport::global().record("micro." + r.benchmark_name(),
+      bool single = r.run_type == Run::RT_Iteration && r.repetitions <= 1;
+      bool median =
+          r.run_type == Run::RT_Aggregate && r.aggregate_name == "median";
+      if (r.error_occurred || !(single || median)) continue;
+      bench::JsonReport::global().record("micro." + r.run_name.str(),
                                          r.GetAdjustedRealTime());
     }
     ConsoleReporter::ReportRuns(reports);

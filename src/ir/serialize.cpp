@@ -547,12 +547,9 @@ sym::Expr parse_expr(Parser& p) {
   } else if (tag == "s") {
     out = sym::Expr::symbol(p.string());
   } else if (tag == "add" || tag == "mul") {
-    bool mul = tag == "mul";
-    out = sym::Expr(int64_t{mul ? 1 : 0});
-    while (!p.list_done()) {
-      sym::Expr a = parse_expr(p);
-      out = mul ? out * a : out + a;
-    }
+    std::vector<sym::Expr> args;
+    while (!p.list_done()) args.push_back(parse_expr(p));
+    out = tag == "mul" ? sym::product(args) : sym::sum(args);
   } else {
     if (tag != "fdiv" && tag != "emod" && tag != "emin" && tag != "emax")
       p.fail("E403", "unknown expression tag '" + tag + "'", at);

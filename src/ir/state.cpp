@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <deque>
-#include <sstream>
 
 #include "ir/sdfg.hpp"
 
@@ -8,21 +7,25 @@ namespace dace::ir {
 
 std::string Memlet::to_string() const {
   if (empty()) return "(empty)";
-  std::ostringstream os;
-  os << data << subset.to_string();
-  if (wcr != WCR::None) os << " (wcr: " << wcr_name(wcr) << ")";
-  return os.str();
+  std::string out = data + subset.to_string();
+  if (wcr != WCR::None) {
+    out += " (wcr: ";
+    out += wcr_name(wcr);
+    out += ')';
+  }
+  return out;
 }
 
 std::string MapEntry::label() const {
-  std::ostringstream os;
-  os << name << "[";
+  std::string out = name + "[";
   for (size_t i = 0; i < params.size(); ++i) {
-    if (i) os << ", ";
-    os << params[i] << "=" << range.range(i).to_string();
+    if (i) out += ", ";
+    out += params[i];
+    out += '=';
+    out += range.range(i).to_string();
   }
-  os << "]";
-  return os.str();
+  out += ']';
+  return out;
 }
 
 // ---------------------------------------------------------------------------

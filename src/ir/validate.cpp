@@ -14,6 +14,15 @@ namespace dace::ir {
 
 namespace {
 
+/// First dimension of `s` whose step is the constant 0, or -1.  Such a
+/// range has no size, so neither the VM nor codegen can iterate it.
+int zero_step_dim(const sym::Subset& s) {
+  for (size_t d = 0; d < s.dims(); ++d) {
+    if (s.range(d).step.is_zero()) return static_cast<int>(d);
+  }
+  return -1;
+}
+
 void validate_state(const SDFG& sdfg, const State& st) {
   auto ctx = [&](auto&&... parts) {
     return err("validate: SDFG '", sdfg.name(), "', state '", st.label(),
@@ -31,6 +40,9 @@ void validate_state(const SDFG& sdfg, const State& st) {
         throw ctx("memlet ", e.memlet.to_string(), " has rank ",
                   e.memlet.subset.dims(), " but container has rank ",
                   d.rank());
+      if (int dim = zero_step_dim(e.memlet.subset); dim >= 0)
+        throw ctx("memlet ", e.memlet.to_string(), " has step 0 in dimension ",
+                  dim);
       // WCR resolves *write* conflicts; a memlet flowing out of a map
       // entry is a read and must not carry one.
       if (e.memlet.wcr != WCR::None &&
@@ -69,6 +81,8 @@ void validate_state(const SDFG& sdfg, const State& st) {
           throw ctx("map '", m->name, "' has no paired exit");
         if (m->params.size() != m->range.dims())
           throw ctx("map '", m->name, "' parameter/range rank mismatch");
+        if (int dim = zero_step_dim(m->range); dim >= 0)
+          throw ctx("map '", m->name, "' has step 0 in dimension ", dim);
         // Every OUT_x on the inside must have a matching IN_x outside
         // (dynamic-range maps excepted -- not used).
         std::set<std::string> in_conns, out_conns;

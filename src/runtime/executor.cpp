@@ -332,8 +332,10 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   auto it = programs_.find(key);
   if (it == programs_.end()) {
     int64_t c0 = obs::enabled() ? obs::now_ns() : 0;
+    if (!symbol_ranges_)
+      symbol_ranges_ = analysis::absint::SymbolRanges::compute(sdfg_);
     TieredProgram tp;
-    tp.prog = compile_map_scope(sdfg_, st, node);
+    tp.prog = compile_map_scope(sdfg_, st, node, &symbol_ranges_->at(sid));
     if (bc_opt_) optimize_program(tp.prog);
     it = programs_.emplace(key, std::move(tp)).first;
     if (obs::enabled()) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/absint.hpp"
 #include "ir/sdfg.hpp"
 #include "runtime/bytecode.hpp"
 #include "runtime/instrumentation.hpp"
@@ -70,8 +71,12 @@ struct ExecutorOptions {
 
 /// Compile a map scope into a VM program (exposed for the device
 /// simulators, which reuse the compiler with their own execution policy).
+/// `state_env` is the symbol-range environment at the entry of `st`
+/// (analysis::absint::SymbolRanges::at); when it is null and the interval
+/// analysis is on, the compiler computes the SDFG's ranges itself.
 Program compile_map_scope(const ir::SDFG& sdfg, const ir::State& st,
-                          int entry);
+                          int entry,
+                          const analysis::absint::Env* state_env = nullptr);
 
 class Executor {
  public:
@@ -163,6 +168,8 @@ class Executor {
   // this executor lives.
   std::map<std::pair<int, int>, TieredProgram> programs_;
   std::map<int, std::vector<int>> schedules_;  // keyed by state id
+  // Symbol ranges of the SDFG's states, computed on the first map compile.
+  std::optional<analysis::absint::SymbolRanges> symbol_ranges_;
   // Child executors for nested SDFG nodes.
   std::map<std::pair<int, int>, std::unique_ptr<Executor>> children_;
   VMStats stats_;

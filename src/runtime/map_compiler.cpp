@@ -7,6 +7,7 @@
 // symbolic polynomials, so fused stencil bodies compile to tight code.
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "analysis/absint.hpp"
 #include "runtime/executor.hpp"
@@ -24,8 +25,9 @@ using sym::ExprKind;
 
 class MapCompiler {
  public:
-  MapCompiler(const ir::SDFG& sdfg, const ir::State& st, int entry)
-      : sdfg_(sdfg), st_(st), top_entry_(entry) {}
+  MapCompiler(const ir::SDFG& sdfg, const ir::State& st, int entry,
+              const absint::Env* state_env)
+      : sdfg_(sdfg), st_(st), top_entry_(entry), state_env_(state_env) {}
 
   Program compile() {
     const auto* me = st_.node_as<const ir::MapEntry>(top_entry_);
@@ -39,9 +41,13 @@ class MapCompiler {
     // fuzzer uses it to cross-validate the prover).
     absint_mode_ = absint::mode();
     if (absint_mode_ != absint::Mode::Off) {
-      auto ranges = absint::SymbolRanges::compute(sdfg_);
-      facts_ = absint::analyze_map(sdfg_, st_, top_entry_,
-                                   ranges.at(sdfg_.state_id(&st_)));
+      std::optional<absint::SymbolRanges> ranges;
+      const absint::Env* env = state_env_;
+      if (!env) {
+        ranges = absint::SymbolRanges::compute(sdfg_);
+        env = &ranges->at(sdfg_.state_id(&st_));
+      }
+      facts_ = absint::analyze_map(sdfg_, st_, top_entry_, *env);
       prog_.use_restrict = facts_.innermost_contiguous;
       prog_.vec_innermost = facts_.vectorizable;
     }
@@ -77,6 +83,7 @@ class MapCompiler {
   const ir::SDFG& sdfg_;
   const ir::State& st_;
   int top_entry_;
+  const absint::Env* state_env_;
   Program prog_;
   int next_ireg_ = 2;
   int next_freg_ = 0;
@@ -458,8 +465,8 @@ class MapCompiler {
 }  // namespace
 
 Program compile_map_scope(const ir::SDFG& sdfg, const ir::State& st,
-                          int entry) {
-  return MapCompiler(sdfg, st, entry).compile();
+                          int entry, const absint::Env* state_env) {
+  return MapCompiler(sdfg, st, entry, state_env).compile();
 }
 
 }  // namespace dace::rt

@@ -1,18 +1,17 @@
 #include "symbolic/subset.hpp"
 
-#include <sstream>
-
 namespace dace::sym {
 
 std::string Range::to_string() const {
-  std::ostringstream os;
-  if (is_index()) {
-    os << begin.to_string();
-  } else {
-    os << begin.to_string() << ":" << end.to_string();
-    if (!step.is_one()) os << ":" << step.to_string();
+  std::string out = begin.to_string();
+  if (is_index()) return out;
+  out += ':';
+  out += end.to_string();
+  if (!step.is_one()) {
+    out += ':';
+    out += step.to_string();
   }
-  return os.str();
+  return out;
 }
 
 Subset Subset::full(const std::vector<Expr>& shape) {
@@ -190,14 +189,13 @@ Subset Subset::hull(const Subset& a, const Subset& b) {
 }
 
 std::string Subset::to_string() const {
-  std::ostringstream os;
-  os << "[";
+  std::string out = "[";
   for (size_t d = 0; d < ranges_.size(); ++d) {
-    if (d) os << ", ";
-    os << ranges_[d].to_string();
+    if (d) out += ", ";
+    out += ranges_[d].to_string();
   }
-  os << "]";
-  return os.str();
+  out += ']';
+  return out;
 }
 
 }  // namespace dace::sym

@@ -1,13 +1,21 @@
 #include "symbolic/symbolic.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 
 namespace dace::sym {
-namespace {
 
 using detail::Node;
 using detail::NodePtr;
+
+// Node-level access for the helpers below that build an Expr from nodes.
+class ExprNodes {
+ public:
+  static const NodePtr& node(const Expr& e) { return e.node_; }
+  static Expr wrap(NodePtr n) { return Expr(std::move(n)); }
+};
+
+namespace {
 
 NodePtr make_const(int64_t v) {
   auto n = std::make_shared<Node>();
@@ -196,89 +204,105 @@ NodePtr canonicalize(const NodePtr& n) {
 // Printing
 // ---------------------------------------------------------------------------
 
-void print_node(const NodePtr& n, std::ostream& os, int parent_prec);
+void print_node(const NodePtr& n, std::string& out, int parent_prec);
+
+void print_int(int64_t v, std::string& out) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void print_const(int64_t v, std::string& out, int parent_prec) {
+  if (v < 0 && parent_prec > 0) {
+    out += '(';
+    print_int(v, out);
+    out += ')';
+  } else {
+    print_int(v, out);
+  }
+}
+
+// Prints a product whose leading constant is negative as its negation,
+// after the " - " its sum printed.  The constant is left out when it
+// negates to 1, and a lone remaining factor prints as the whole term.
+void print_negated_product(const NodePtr& mul, std::string& out) {
+  int64_t coef = -mul->args[0]->value;
+  size_t nfactors = (coef != 1) + (mul->args.size() - 1);
+  int prec = nfactors == 1 ? 1 : 2;
+  bool first = true;
+  if (coef != 1) {
+    print_const(coef, out, prec);
+    first = false;
+  }
+  for (size_t i = 1; i < mul->args.size(); ++i) {
+    if (!first) out += '*';
+    print_node(mul->args[i], out, prec);
+    first = false;
+  }
+}
 
 // Precedence: 0 add, 1 mul, 2 atom.
-void print_node(const NodePtr& n, std::ostream& os, int parent_prec) {
+void print_node(const NodePtr& n, std::string& out, int parent_prec) {
   switch (n->kind) {
     case ExprKind::Const:
-      if (n->value < 0 && parent_prec > 0) {
-        os << "(" << n->value << ")";
-      } else {
-        os << n->value;
-      }
+      print_const(n->value, out, parent_prec);
       return;
     case ExprKind::Symbol:
-      os << n->name;
+      out += n->name;
       return;
     case ExprKind::Add: {
-      if (parent_prec > 0) os << "(";
+      if (parent_prec > 0) out += '(';
       bool first = true;
       for (const auto& a : n->args) {
         // Render "+ (-c)*x" as "- c*x" for readability.
-        bool negative = false;
-        NodePtr term = a;
-        if (a->kind == ExprKind::Const && a->value < 0 && !first) {
-          os << " - " << -a->value;
-          first = false;
-          continue;
+        if (!first && a->kind == ExprKind::Const && a->value < 0) {
+          out += " - ";
+          print_int(-a->value, out);
+        } else if (!first && a->kind == ExprKind::Mul && !a->args.empty() &&
+                   a->args[0]->kind == ExprKind::Const &&
+                   a->args[0]->value < 0) {
+          out += " - ";
+          print_negated_product(a, out);
+        } else {
+          if (!first) out += " + ";
+          print_node(a, out, 1);
         }
-        if (a->kind == ExprKind::Mul && !a->args.empty() &&
-            a->args[0]->kind == ExprKind::Const && a->args[0]->value < 0 &&
-            !first) {
-          negative = true;
-          std::vector<NodePtr> rest(a->args.begin(), a->args.end());
-          rest[0] = make_const(-rest[0]->value);
-          if (rest[0]->value == 1) rest.erase(rest.begin());
-          term = rest.size() == 1 ? rest[0] : make_nary(ExprKind::Mul, rest);
-        }
-        if (!first) os << (negative ? " - " : " + ");
-        print_node(term, os, 1);
         first = false;
       }
-      if (parent_prec > 0) os << ")";
+      if (parent_prec > 0) out += ')';
       return;
     }
     case ExprKind::Mul: {
-      if (parent_prec > 1) os << "(";
-      bool first = true;
-      for (const auto& a : n->args) {
-        if (!first) os << "*";
-        print_node(a, os, 2);
-        first = false;
+      if (parent_prec > 1) out += '(';
+      for (size_t i = 0; i < n->args.size(); ++i) {
+        if (i) out += '*';
+        print_node(n->args[i], out, 2);
       }
-      if (parent_prec > 1) os << ")";
+      if (parent_prec > 1) out += ')';
       return;
     }
     case ExprKind::FloorDiv:
-      os << "(";
-      print_node(n->args[0], os, 0);
-      os << " // ";
-      print_node(n->args[1], os, 2);
-      os << ")";
-      return;
     case ExprKind::Mod:
-      os << "(";
-      print_node(n->args[0], os, 0);
-      os << " % ";
-      print_node(n->args[1], os, 2);
-      os << ")";
+      out += '(';
+      print_node(n->args[0], out, 0);
+      out += n->kind == ExprKind::FloorDiv ? " // " : " % ";
+      print_node(n->args[1], out, 2);
+      out += ')';
       return;
     case ExprKind::Min:
     case ExprKind::Max:
-      os << (n->kind == ExprKind::Min ? "min(" : "max(");
-      print_node(n->args[0], os, 0);
-      os << ", ";
-      print_node(n->args[1], os, 0);
-      os << ")";
+      out += n->kind == ExprKind::Min ? "min(" : "max(";
+      print_node(n->args[0], out, 0);
+      out += ", ";
+      print_node(n->args[1], out, 0);
+      out += ')';
       return;
   }
 }
 
 std::string node_key(const NodePtr& n) {
-  std::ostringstream os;
-  print_node(n, os, 0);
-  return os.str();
+  std::string out;
+  print_node(n, out, 0);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -475,36 +499,21 @@ std::optional<int64_t> Expr::try_eval(const SymbolMap& syms) const {
 }
 
 namespace {
-Expr rebuild_subs(const NodePtr& n, const SubstMap& map) {
-  switch (n->kind) {
-    case ExprKind::Const:
-      return Expr(n->value);
-    case ExprKind::Symbol: {
-      auto it = map.find(n->name);
-      if (it != map.end()) return it->second;
-      return Expr::symbol(n->name);
-    }
-    case ExprKind::Add: {
-      Expr acc(int64_t{0});
-      for (const auto& a : n->args) acc = acc + rebuild_subs(a, map);
-      return acc;
-    }
-    case ExprKind::Mul: {
-      Expr acc(int64_t{1});
-      for (const auto& a : n->args) acc = acc * rebuild_subs(a, map);
-      return acc;
-    }
-    case ExprKind::FloorDiv:
-      return floordiv(rebuild_subs(n->args[0], map),
-                      rebuild_subs(n->args[1], map));
-    case ExprKind::Mod:
-      return mod(rebuild_subs(n->args[0], map), rebuild_subs(n->args[1], map));
-    case ExprKind::Min:
-      return min(rebuild_subs(n->args[0], map), rebuild_subs(n->args[1], map));
-    case ExprKind::Max:
-      return max(rebuild_subs(n->args[0], map), rebuild_subs(n->args[1], map));
+// `n` with the symbols bound in `map` replaced by their expressions, not
+// yet canonical; null when no symbol of `n` is bound.
+NodePtr subs_node(const NodePtr& n, const SubstMap& map) {
+  if (n->kind == ExprKind::Symbol) {
+    auto it = map.find(n->name);
+    return it == map.end() ? nullptr : ExprNodes::node(it->second);
   }
-  throw err("symbolic: unreachable");
+  std::vector<NodePtr> args;
+  for (size_t i = 0; i < n->args.size(); ++i) {
+    NodePtr a = subs_node(n->args[i], map);
+    if (!a) continue;
+    if (args.empty()) args = n->args;
+    args[i] = std::move(a);
+  }
+  return args.empty() ? nullptr : make_nary(n->kind, std::move(args));
 }
 
 void collect_symbols(const NodePtr& n, std::set<std::string>& out) {
@@ -516,7 +525,11 @@ void collect_symbols(const NodePtr& n, std::set<std::string>& out) {
 }
 }  // namespace
 
-Expr Expr::subs(const SubstMap& map) const { return rebuild_subs(node_, map); }
+Expr Expr::subs(const SubstMap& map) const {
+  if (map.empty()) return *this;
+  NodePtr n = subs_node(node_, map);
+  return n ? Expr(canonicalize(n)) : *this;
+}
 
 void Expr::free_symbols(std::set<std::string>& out) const {
   collect_symbols(node_, out);
@@ -553,22 +566,40 @@ bool Expr::is_one() const { return is_constant() && node_->value == 1; }
 
 std::string Expr::to_string() const { return node_key(node_); }
 
+// The arithmetic below returns at once when the answer is an operand or
+// a constant: operands are canonical, so canonicalizing would rebuild the
+// same tree.
+
 Expr operator+(const Expr& a, const Expr& b) {
+  if (a.is_constant() && b.is_constant())
+    return Expr(a.node_->value + b.node_->value);
+  if (a.is_zero()) return b;
+  if (b.is_zero()) return a;
   return Expr(canonicalize(make_nary(ExprKind::Add, {a.node_, b.node_})));
 }
 
 Expr operator-(const Expr& a, const Expr& b) {
+  if (a.is_constant() && b.is_constant())
+    return Expr(a.node_->value - b.node_->value);
+  if (b.is_zero()) return a;
   auto neg = make_nary(ExprKind::Mul, {make_const(-1), b.node_});
   return Expr(canonicalize(make_nary(ExprKind::Add, {a.node_, neg})));
 }
 
 Expr operator*(const Expr& a, const Expr& b) {
+  if (a.is_constant() && b.is_constant())
+    return Expr(a.node_->value * b.node_->value);
+  if (a.is_zero() || b.is_one()) return a;
+  if (b.is_zero() || a.is_one()) return b;
   return Expr(canonicalize(make_nary(ExprKind::Mul, {a.node_, b.node_})));
 }
 
 Expr operator-(const Expr& a) { return Expr(int64_t{0}) - a; }
 
 Expr floordiv(const Expr& a, const Expr& b) {
+  if (a.is_constant() && b.is_constant())
+    return Expr(floordiv_i64(a.node_->value, b.node_->value));
+  if (b.is_one()) return a;
   return Expr(canonicalize(make_nary(ExprKind::FloorDiv, {a.node_, b.node_})));
 }
 
@@ -585,7 +616,27 @@ Expr max(const Expr& a, const Expr& b) {
 }
 
 Expr ceildiv(const Expr& a, const Expr& b) {
+  if (b.is_one()) return a;
   return floordiv(a + b - Expr(int64_t{1}), b);
+}
+
+namespace {
+Expr nary(ExprKind kind, const std::vector<Expr>& xs, int64_t unit) {
+  if (xs.empty()) return Expr(unit);
+  if (xs.size() == 1) return xs[0];
+  std::vector<NodePtr> args;
+  args.reserve(xs.size());
+  for (const Expr& x : xs) args.push_back(ExprNodes::node(x));
+  return ExprNodes::wrap(canonicalize(make_nary(kind, std::move(args))));
+}
+}  // namespace
+
+Expr sum(const std::vector<Expr>& terms) {
+  return nary(ExprKind::Add, terms, 0);
+}
+
+Expr product(const std::vector<Expr>& factors) {
+  return nary(ExprKind::Mul, factors, 1);
 }
 
 bool operator<(const Expr& a, const Expr& b) {

@@ -51,7 +51,9 @@ struct Node {
 /// All arithmetic constructors simplify eagerly to a canonical form, so
 /// structural equality after simplification is semantic equality for
 /// polynomial expressions (FloorDiv/Mod/Min/Max are treated as opaque
-/// atoms whose children are canonicalized recursively).
+/// atoms whose children are canonicalized recursively).  Every Expr, and
+/// every operand of one, is canonical; the arithmetic relies on it to
+/// return an operand or a folded constant without canonicalizing.
 class Expr {
  public:
   /// Zero.
@@ -80,7 +82,8 @@ class Expr {
   /// Evaluate, or nullopt if some symbol is unbound.
   std::optional<int64_t> try_eval(const SymbolMap& syms) const;
 
-  /// Substitute symbols by expressions (simultaneously), then simplify.
+  /// Substitute symbols by expressions (simultaneously), then simplify
+  /// once.  Returns this expression when no symbol of it is bound.
   Expr subs(const SubstMap& map) const;
 
   /// Collect free symbol names into `out`.
@@ -128,7 +131,7 @@ class Expr {
   explicit Expr(detail::NodePtr n) : node_(std::move(n)) {}
   detail::NodePtr node_;
 
-  friend class ExprBuilderAccess;
+  friend class ExprNodes;
 };
 
 // Namespace-scope declarations (friends alone are only visible via ADL).
@@ -142,6 +145,11 @@ Expr min(const Expr& a, const Expr& b);
 Expr max(const Expr& a, const Expr& b);
 Expr ceildiv(const Expr& a, const Expr& b);
 bool operator<(const Expr& a, const Expr& b);
+
+/// Sum / product of any number of expressions, canonicalized once (0 / 1
+/// when empty).
+Expr sum(const std::vector<Expr>& terms);
+Expr product(const std::vector<Expr>& factors);
 
 /// Convenience: symbol literal.
 inline Expr S(const std::string& name) { return Expr::symbol(name); }

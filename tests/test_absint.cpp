@@ -9,7 +9,9 @@
 #include "codegen/jit.hpp"
 #include "frontend/lowering.hpp"
 #include "ir/sdfg.hpp"
+#include "kernels/suite.hpp"
 #include "runtime/executor.hpp"
+#include "transforms/auto_optimize.hpp"
 
 namespace dace {
 namespace {
@@ -471,6 +473,33 @@ TEST(AbsintCodegen, UnprovenAccessGetsGuarded) {
   rt::Program cp = rt::compile_map_scope(*clean, clean->state(0),
                                          find_entry(clean->state(0)));
   EXPECT_NE(p.hash(), cp.hash());
+}
+
+// The executor computes the symbol ranges once and hands each map compile
+// its state's environment; the programs (guards and the restrict and
+// vectorize flags included) match those the compiler builds from its
+// own computation.
+TEST(AbsintCodegen, SharedSymbolRangesCompileTheSamePrograms) {
+  int maps = 0;
+  for (const auto& k : kernels::suite()) {
+    auto g = fe::compile_to_sdfg(k.source);
+    xf::auto_optimize(*g, ir::DeviceType::CPU);
+    SymbolRanges ranges = SymbolRanges::compute(*g);
+    for (int sid : g->state_ids()) {
+      const State& st = g->state(sid);
+      for (int id : st.node_ids()) {
+        if (st.node(id)->kind != ir::NodeKind::MapEntry ||
+            st.scope_of(id) != -1)
+          continue;
+        rt::Program own = rt::compile_map_scope(*g, st, id);
+        rt::Program shared =
+            rt::compile_map_scope(*g, st, id, &ranges.at(sid));
+        EXPECT_EQ(own.hash(), shared.hash()) << k.name << " map " << id;
+        ++maps;
+      }
+    }
+  }
+  EXPECT_GT(maps, 21);
 }
 
 TEST(AbsintCodegen, GuardTrapsOutOfRangeExecution) {

@@ -111,6 +111,42 @@ TEST(IR, ValidationCatchesUnboundTaskletInput) {
   EXPECT_THROW(sdfg.validate(), Error);
 }
 
+/// The message of the error `validate()` throws, or "" when it passes.
+std::string validation_error(const SDFG& sdfg) {
+  try {
+    sdfg.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A range with step 0 has no size, so validate() rejects it, naming the
+// map or memlet -- symbolic bounds included.
+TEST(IR, ValidationRejectsZeroStep) {
+  auto map_sdfg = make_scale_sdfg();
+  map_sdfg->state(0).node_as<MapEntry>(2)->range.range(0).step = Expr(0);
+  EXPECT_NE(validation_error(*map_sdfg).find("map 'm' has step 0 in "
+                                             "dimension 0"),
+            std::string::npos)
+      << validation_error(*map_sdfg);
+
+  auto memlet_sdfg = make_scale_sdfg();
+  for (auto& e : memlet_sdfg->state(0).edges()) {
+    if (e.dst_conn == "x")
+      e.memlet.subset.range(0) = Range(Expr(0), Expr(4), Expr(0));
+  }
+  EXPECT_NE(validation_error(*memlet_sdfg).find("memlet a[0:4:0] has step 0 "
+                                                "in dimension 0"),
+            std::string::npos)
+      << validation_error(*memlet_sdfg);
+
+  // A symbolic step is left to the analyses.
+  auto strided = make_scale_sdfg();
+  strided->state(0).node_as<MapEntry>(2)->range.range(0).step = S("K");
+  EXPECT_EQ(validation_error(*strided), "");
+}
+
 TEST(IR, CloneIsDeep) {
   auto sdfg = make_scale_sdfg();
   auto copy = sdfg->clone();
@@ -284,6 +320,25 @@ TEST(Serialize, NonexistentStartStateIsE409) {
   ASSERT_NE(at, std::string::npos);
   bad.replace(at, 9, "(start 7)");
   expect_load_error(bad, "E409");
+}
+
+// Hand-written input need not be canonical: the loader canonicalizes
+// every sum and product it reads.
+TEST(Serialize, LoaderCanonicalizesExpressions) {
+  std::string text = make_scale_sdfg()->save();
+  size_t at = text.find("(shape (s \"N\"))");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 15, "(shape (add (s \"N\") (c 1) (s \"N\")))");
+  at = text.find("(shape (s \"N\"))");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 15, "(shape (mul (s \"N\") (add) (c 3)))");
+  auto g = load_sdfg(text);
+  EXPECT_EQ(g->array("a").shape[0].to_string(), "2*N + 1");
+  EXPECT_EQ(g->array("out").shape[0].to_string(), "0");
+  text = make_scale_sdfg()->save();
+  at = text.find("(shape (s \"N\"))");
+  text.replace(at, 15, "(shape (mul (c 2) (mul) (s \"N\") (s \"N\")))");
+  EXPECT_EQ(load_sdfg(text)->array("a").shape[0].to_string(), "2*N*N");
 }
 
 TEST(Serialize, GoodGraphStillRoundTrips) {

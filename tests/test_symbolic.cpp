@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace dace::sym {
 namespace {
 
@@ -153,6 +155,108 @@ TEST_P(SymbolicEvalProperty, CanonFormPreservesValue) {
 
 INSTANTIATE_TEST_SUITE_P(Values, SymbolicEvalProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 100));
+
+// Seeded random expressions: small polynomials over N, M, K with
+// FloorDiv/Mod/Min/Max atoms.  Divisors are positive constants or
+// max(e, 1), so every valuation evaluates without a division by zero.
+class RandomExpr {
+ public:
+  explicit RandomExpr(uint64_t seed) : rng_(seed) {}
+
+  int64_t pick(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng_);
+  }
+
+  Expr leaf() {
+    static const char* kSyms[] = {"N", "M", "K"};
+    if (pick(0, 2) == 0) return Expr(pick(-4, 4));
+    return S(kSyms[pick(0, 2)]);
+  }
+
+  Expr divisor(int depth) {
+    if (pick(0, 1) == 0) return Expr(pick(1, 4));
+    return max(expr(depth - 1), Expr(1));
+  }
+
+  Expr expr(int depth) {
+    if (depth <= 0) return leaf();
+    switch (pick(0, 7)) {
+      case 0: return leaf();
+      case 1: return expr(depth - 1) + expr(depth - 1);
+      case 2: return expr(depth - 1) - expr(depth - 1);
+      case 3: return expr(depth - 1) * expr(depth - 1);
+      case 4: return floordiv(expr(depth - 1), divisor(depth));
+      case 5: return mod(expr(depth - 1), divisor(depth));
+      case 6: return min(expr(depth - 1), expr(depth - 1));
+      default: return max(expr(depth - 1), expr(depth - 1));
+    }
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+TEST(SymbolicRandom, CanonicalOperandsShortCut) {
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    RandomExpr gen(seed);
+    Expr a = gen.expr(3);
+    Expr b = gen.expr(3);
+    std::string as = a.to_string();
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": a = " + as +
+                 ", b = " + b.to_string());
+    EXPECT_EQ((a + b).to_string(), (b + a).to_string());
+    EXPECT_EQ((a * b).to_string(), (b * a).to_string());
+    EXPECT_EQ(((a + b) - b).to_string(), as);
+    EXPECT_EQ((a + Expr(0)).to_string(), as);
+    EXPECT_EQ((Expr(0) + a).to_string(), as);
+    EXPECT_EQ((a - Expr(0)).to_string(), as);
+    EXPECT_EQ((a * Expr(1)).to_string(), as);
+    EXPECT_EQ((Expr(1) * a).to_string(), as);
+    EXPECT_EQ(floordiv(a, Expr(1)).to_string(), as);
+    EXPECT_EQ(ceildiv(a, Expr(1)).to_string(), as);
+    EXPECT_TRUE((a * Expr(0)).is_zero());
+    EXPECT_EQ(a.subs({}).to_string(), as);
+    EXPECT_EQ(a.subs({{"Q", S("N")}}).to_string(), as);
+    EXPECT_EQ(sum({a, b}).to_string(), (a + b).to_string());
+    EXPECT_EQ(product({a, b, a}).to_string(), (a * b * a).to_string());
+  }
+}
+
+TEST(SymbolicRandom, ConstantOperandsFold) {
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<int64_t> val(-1000, 1000);
+  for (int i = 0; i < 400; ++i) {
+    int64_t x = val(rng), y = val(rng);
+    int64_t d = y == 0 ? 3 : y;
+    Expr sums[] = {Expr(x) + Expr(y), Expr(x) - Expr(y), Expr(x) * Expr(y),
+                   floordiv(Expr(x), Expr(d)), -Expr(x)};
+    int64_t q = x / d - ((x % d != 0) && ((x < 0) != (d < 0)));
+    int64_t want[] = {x + y, x - y, x * y, q, -x};
+    for (size_t k = 0; k < std::size(sums); ++k) {
+      ASSERT_TRUE(sums[k].is_constant()) << sums[k].to_string();
+      EXPECT_EQ(sums[k].constant(), want[k]) << x << " " << y << " op " << k;
+    }
+  }
+}
+
+TEST(SymbolicRandom, SubstitutionCommutesWithEvaluation) {
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    RandomExpr gen(seed);
+    Expr e = gen.expr(3);
+    SubstMap m;
+    // Shallow substitutes and small values keep every product far from
+    // int64 overflow.
+    if (gen.pick(0, 1)) m.emplace("N", gen.expr(1));
+    if (gen.pick(0, 1)) m.emplace("K", gen.expr(1));
+    m.emplace("Q", gen.expr(1));  // absent from e: must not matter
+    SymbolMap v{{"N", gen.pick(1, 5)}, {"M", gen.pick(1, 5)},
+                {"K", gen.pick(1, 5)}};
+    SymbolMap applied = v;
+    for (const auto& [name, x] : m) applied[name] = x.eval(v);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + e.to_string());
+    EXPECT_EQ(e.subs(m).eval(v), e.eval(applied));
+  }
+}
 
 }  // namespace
 }  // namespace dace::sym

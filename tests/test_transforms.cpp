@@ -595,6 +595,52 @@ def f(A: dace.float64[N], B: dace.float64[N]):
                     {"B"});
 }
 
+// A pass that leaves a step-0 range in a map or memlet is rolled back by
+// the commit gate's structural validation, and the result still runs.
+TEST(AutoOptimize, ZeroStepPassRolledBack) {
+  constexpr const char* src = R"(
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    B[:] = A[:] * 2.0 + 1.0
+)";
+  auto base = compile_to_sdfg(src);
+  for (bool in_map : {true, false}) {
+    auto zero_step = [in_map](ir::SDFG& g) {
+      for (int sid : g.state_ids()) {
+        ir::State& st = g.state(sid);
+        for (int id : st.node_ids()) {
+          auto* me = st.node_as<ir::MapEntry>(id);
+          if (!me) continue;
+          sym::Range bad(sym::Expr(0), sym::Expr(4), sym::Expr(0));
+          if (in_map) {
+            me->range.range(0) = bad;
+          } else {
+            for (auto& e : st.edges())
+              if (e.src == id) e.memlet.subset.range(0) = bad;
+          }
+          return true;
+        }
+      }
+      return false;
+    };
+    auto opt = base->clone();
+    xf::PassReport report;
+    xf::AutoOptOptions opts;
+    opts.extra_passes.push_back({"zero-step", zero_step});
+    opts.report = &report;
+    xf::auto_optimize(*opt, ir::DeviceType::CPU, opts);
+    EXPECT_EQ(report.first_broken_pass, "zero-step") << report.summary();
+    EXPECT_EQ(report.rolled_back, 1) << report.summary();
+    EXPECT_NE(report.summary().find("[ROLLBACK] zero-step"), std::string::npos)
+        << report.summary();
+    EXPECT_NE(report.summary().find("has step 0"), std::string::npos)
+        << report.summary();
+    EXPECT_NO_THROW(opt->validate());
+    expect_equivalent(*base, *opt, {{"A", {25}}, {"B", {25}}}, {{"N", 25}},
+                      {"B"});
+  }
+}
+
 // Every auto_optimize pass reports whether it changed the graph, so only
 // real changes pay the commit gate: on CPU, device-specialize finds the
 // schedules wcr-tiling already set, and re-optimizing an optimized graph
