@@ -77,6 +77,19 @@ class AnalysisReport {
 /// writes through the map exit).
 void detect_races(const ir::SDFG& sdfg, AnalysisReport& report);
 
+/// The conflict rule for WCR stores under a split launch.  The executor
+/// splits a parallel top-level map into chunks of its first parameter p,
+/// so two chunks can only meet at writes made at p and at p + d*step
+/// (d >= 1).  Returns the WCR writes of the scope at `entry` (tasklet
+/// output edges, nested scopes included, as indices into st.edges())
+/// that Subset::disjoint cannot separate from every write to the same
+/// container, the write itself included; those need atomic updates.
+/// Every other map parameter is a fresh symbol per chunk.  Map parameters
+/// and interstate-assigned symbols may take any integer value; only free
+/// symbols follow the ">= 1" size convention.
+std::set<size_t> conflicting_wcr_writes(const ir::SDFG& sdfg,
+                                        const ir::State& st, int entry);
+
 /// Bounds checker: proves each memlet subset lies within its container's
 /// shape (0 <= begin and last-accessed < shape[d]).  Map parameters are
 /// substituted by the corners of their iteration ranges, so a provable

@@ -15,6 +15,11 @@
 // fresh unconstrained symbols over-approximates every pair that differs
 // in p -> a proven disjointness for every parameter proves safety.
 // Everything in between is "unknown" and degrades to a warning.
+//
+// The same comparison, restricted to the map's first parameter, decides
+// which WCR stores of a split launch need atomics (conflicting_wcr_writes).
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "analysis/analysis.hpp"
@@ -146,6 +151,13 @@ void check_scope(const ir::SDFG& sdfg, const ir::State& st, int sid,
   }
 }
 
+/// A symbol that ranges over all integers.  The prover assumes every
+/// symbol is >= 1, which a map parameter or an interstate-assigned symbol
+/// need not be; a difference of two fresh symbols can take any value.
+Expr any_integer(const std::string& name) {
+  return Expr::symbol(name + "_pos") - Expr::symbol(name + "_neg");
+}
+
 }  // namespace
 
 void detect_races(const ir::SDFG& sdfg, AnalysisReport& report) {
@@ -156,6 +168,92 @@ void detect_races(const ir::SDFG& sdfg, AnalysisReport& report) {
         check_scope(sdfg, st, sid, nid, report);
     }
   }
+}
+
+std::set<size_t> conflicting_wcr_writes(const ir::SDFG& sdfg,
+                                        const ir::State& st, int entry) {
+  // Memory writes of the scope by container: tasklet outputs into map
+  // exits or access nodes, nested scopes included.
+  std::vector<int> scope = st.scope_nodes(entry);
+  std::map<std::string, std::vector<const ir::Edge*>> writes;
+  std::set<std::string> wcr_containers;
+  for (int id : scope) {
+    if (st.node(id)->kind != ir::NodeKind::Tasklet) continue;
+    for (const ir::Edge* e : st.out_edges(id)) {
+      if (e->memlet.empty() || st.node(e->dst)->kind == ir::NodeKind::Tasklet)
+        continue;
+      writes[e->memlet.data].push_back(e);
+      if (e->memlet.wcr != ir::WCR::None) wcr_containers.insert(e->memlet.data);
+    }
+  }
+  if (wcr_containers.empty()) return {};
+
+  // Interstate-assigned symbols keep one value per launch: both
+  // instances share one unconstrained stand-in.
+  const auto* me = st.node_as<const ir::MapEntry>(entry);
+  const std::string& split = me->params.at(0);
+  sym::SubstMap shared;
+  for (const auto& ie : sdfg.interstate_edges())
+    for (const auto& a : ie.assignments)
+      shared[a.first] = any_integer("__wcr_s_" + a.first);
+  Expr split_a = any_integer("__wcr_p");
+  Expr split_b = split_a + Expr::symbol("__wcr_d") *
+                               me->range.range(0).step.subs(shared);
+  std::vector<std::pair<const ir::MapEntry*, std::vector<int>>> nested;
+  for (int id : scope)
+    if (const auto* m = st.node_as<const ir::MapEntry>(id))
+      nested.emplace_back(m, st.scope_nodes(id));
+
+  // Each write, instantiated in a chunk at p and in a chunk at p + d*step
+  // (d >= 1).  Every other map parameter gets a fresh symbol per
+  // instance; a nested map that rebinds p's name hides it.
+  struct Instances {
+    sym::Subset at_p, at_p_plus_d;
+  };
+  auto instantiate = [&](const ir::Edge* e) {
+    std::set<std::string> params(me->params.begin() + 1, me->params.end());
+    bool split_bound = true;
+    for (const auto& [m, nodes] : nested) {
+      if (std::find(nodes.begin(), nodes.end(), e->src) == nodes.end())
+        continue;
+      params.insert(m->params.begin(), m->params.end());
+      for (const std::string& q : m->params) split_bound &= q != split;
+    }
+    sym::SubstMap sa = shared, sb = shared;
+    for (const std::string& q : params) {
+      sa[q] = any_integer("__wcr_a_" + q);
+      sb[q] = any_integer("__wcr_b_" + q);
+    }
+    if (split_bound) {
+      sa[split] = split_a;
+      sb[split] = split_b;
+    }
+    return Instances{e->memlet.subset.subs(sa), e->memlet.subset.subs(sb)};
+  };
+
+  // A WCR write stays plain only if, against every write to its container
+  // (itself included), each instance pair is provably disjoint.
+  auto disjoint = [](const sym::Subset& a, const sym::Subset& b) {
+    std::optional<bool> r = Subset::disjoint(a, b);
+    return r.has_value() && *r;
+  };
+  std::set<size_t> conflicts;
+  for (const std::string& c : wcr_containers) {
+    const std::vector<const ir::Edge*>& es = writes[c];
+    std::vector<Instances> inst;
+    for (const ir::Edge* e : es) inst.push_back(instantiate(e));
+    for (size_t w = 0; w < es.size(); ++w) {
+      if (es[w]->memlet.wcr == ir::WCR::None) continue;
+      for (size_t v = 0; v < es.size(); ++v) {
+        if (!disjoint(inst[w].at_p, inst[v].at_p_plus_d) ||
+            (v != w && !disjoint(inst[v].at_p, inst[w].at_p_plus_d))) {
+          conflicts.insert(static_cast<size_t>(es[w] - st.edges().data()));
+          break;
+        }
+      }
+    }
+  }
+  return conflicts;
 }
 
 }  // namespace dace::analysis

@@ -130,11 +130,12 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
         throw err("executor: refusing to run '", sdfg_.name(),
                   "', static analysis found errors:\n", report.to_string());
     }
+    free_symbols_ = sdfg_.free_symbols();
     validated_ = true;
   }
   syms_ = symbols;
   // Check all free symbols are provided.
-  for (const auto& s : sdfg_.free_symbols()) {
+  for (const auto& s : free_symbols_) {
     DACE_CHECK(syms_.count(s), "executor: missing symbol '", s, "'");
   }
   env_.clear();

@@ -170,6 +170,9 @@ class Executor {
   std::map<int, std::vector<int>> schedules_;  // keyed by state id
   // Symbol ranges of the SDFG's states, computed on the first map compile.
   std::optional<analysis::absint::SymbolRanges> symbol_ranges_;
+  // The SDFG's free symbols, computed on the first run, so that checking
+  // a run's symbol bindings does not walk the whole graph every time.
+  std::set<std::string> free_symbols_;
   // Child executors for nested SDFG nodes.
   std::map<std::pair<int, int>, std::unique_ptr<Executor>> children_;
   VMStats stats_;

@@ -35,6 +35,10 @@ class MapCompiler {
     prog_.splittable = me->schedule == ir::Schedule::CPUParallel ||
                        me->schedule == ir::Schedule::GPUDevice ||
                        me->schedule == ir::Schedule::FPGAPipeline;
+    // WCR stores that two chunks of a split launch may apply to the same
+    // element update atomically; the rest are plain read-modify-writes.
+    if (prog_.splittable)
+      atomic_wcr_ = analysis::conflicting_wcr_writes(sdfg_, st_, top_entry_);
     // Interval-analysis facts drive guard insertion and the Tier-1
     // vectorization flags.  Off restores the unchecked seed behavior;
     // All guards every access regardless of proof (the differential
@@ -97,6 +101,11 @@ class MapCompiler {
   bool to_preamble_ = false;
   absint::Mode absint_mode_ = absint::Mode::Off;
   absint::MapFacts facts_;
+  std::set<size_t> atomic_wcr_;  // state-edge indices of atomic WCR stores
+
+  size_t edge_index(const ir::Edge* e) const {
+    return static_cast<size_t>(e - st_.edges().data());
+  }
 
   /// Whether the memlet access of `e` needs a runtime bounds guard:
   /// never in Off mode, always in All mode, and only when the interval
@@ -104,8 +113,7 @@ class MapCompiler {
   bool needs_guard(const ir::Edge* e) const {
     if (absint_mode_ == absint::Mode::Off) return false;
     if (absint_mode_ == absint::Mode::All) return true;
-    size_t ei = static_cast<size_t>(e - st_.edges().data());
-    return facts_.inrange_edges.count(ei) == 0;
+    return facts_.inrange_edges.count(edge_index(e)) == 0;
   }
 
   /// Emit a Guard trapping unless the flat offset lies in [0, numel).
@@ -297,7 +305,6 @@ class MapCompiler {
   void emit_scope(int entry, bool outermost) {
     const auto* me = st_.node_as<const ir::MapEntry>(entry);
     int exit = me->exit_node;
-    bool atomic = prog_.splittable && outermost;
 
     // Loop headers.
     struct LoopInfo {
@@ -332,7 +339,7 @@ class MapCompiler {
       const ir::Node* n = st_.node(id);
       switch (n->kind) {
         case ir::NodeKind::Tasklet:
-          emit_tasklet(entry, exit, id, atomic);
+          emit_tasklet(exit, id);
           break;
         case ir::NodeKind::MapEntry:
           emit_scope(id, /*outermost=*/false);
@@ -383,8 +390,7 @@ class MapCompiler {
     emit(op, (uint16_t)reg, (uint16_t)reg, (uint16_t)val);
   }
 
-  void emit_tasklet(int entry, int exit, int id, bool atomic) {
-    (void)entry;
+  void emit_tasklet(int exit, int id) {
     const auto* t = st_.node_as<const ir::Tasklet>(id);
     std::map<std::string, int> inputs;
     for (const auto* e : st_.in_edges(id)) {
@@ -453,7 +459,8 @@ class MapCompiler {
             default: break;
           }
           emit(Op::StoreWcr, (uint16_t)out, (uint16_t)off, (uint16_t)kind,
-               prog_.array_slot(e->memlet.data), 0, atomic ? 1 : 0);
+               prog_.array_slot(e->memlet.data), 0,
+               atomic_wcr_.count(edge_index(e)) ? 1 : 0);
         }
         continue;
       }

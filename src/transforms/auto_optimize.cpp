@@ -54,6 +54,10 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
       if (device == ir::DeviceType::FPGA) sched = ir::Schedule::FPGAPipeline;
       bool changed =
           set_toplevel_schedules(g, sched, device == ir::DeviceType::CPU);
+      // On the CPU a launch splits the first map parameter across
+      // workers: move reductions innermost so chunks write disjoint
+      // elements.  GPU and FPGA maps keep their order.
+      if (device == ir::DeviceType::CPU) changed |= interchange_wcr_maps(g);
       changed |=
           apply_repeated(g, [](ir::SDFG& gg) { return tile_wcr_map(gg); }) > 0;
       return changed;

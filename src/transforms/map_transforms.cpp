@@ -1,6 +1,7 @@
 #include "transforms/map_transforms.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dace::xf {
 
@@ -15,6 +16,21 @@ using ir::State;
 using ir::Tasklet;
 using sym::Expr;
 using sym::Subset;
+
+namespace {
+
+/// Free symbols of every begin, end and step in `ranges`.
+std::set<std::string> range_symbols(const std::vector<sym::Range>& ranges) {
+  std::set<std::string> out;
+  for (const auto& r : ranges) {
+    r.begin.free_symbols(out);
+    r.end.free_symbols(out);
+    r.step.free_symbols(out);
+  }
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // MapCollapse
@@ -43,14 +59,9 @@ bool map_collapse(SDFG& sdfg) {
       if (!clean || inner < 0) continue;
       auto* m2 = st.node_as<MapEntry>(inner);
       // Inner range must not depend on outer parameters (rectangular).
+      std::set<std::string> fs = range_symbols(m2->range.ranges());
       bool rect = true;
-      for (const auto& r : m2->range.ranges()) {
-        std::set<std::string> fs;
-        r.begin.free_symbols(fs);
-        r.end.free_symbols(fs);
-        r.step.free_symbols(fs);
-        for (const auto& p : m1->params) rect &= !fs.count(p);
-      }
+      for (const auto& p : m1->params) rect &= !fs.count(p);
       if (!rect) continue;
       int exit1 = m1->exit_node;
       int exit2 = m2->exit_node;
@@ -216,6 +227,59 @@ bool tile_wcr_map(SDFG& sdfg, int64_t tile_size) {
     }
   }
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// Interchange WCR maps
+// ---------------------------------------------------------------------------
+
+bool interchange_wcr_maps(SDFG& sdfg) {
+  bool changed = false;
+  for (int sid : sdfg.state_ids()) {
+    State& st = sdfg.state(sid);
+    for (int entry : st.node_ids()) {
+      auto* me = st.node_as<MapEntry>(entry);
+      if (!me || me->params.size() < 2) continue;
+      // Parameters each WCR target indexes by.
+      std::vector<std::set<std::string>> targets;
+      for (const Edge* e : st.in_edges(me->exit_node)) {
+        if (e->memlet.empty() || e->memlet.wcr == ir::WCR::None) continue;
+        targets.push_back(range_symbols(e->memlet.subset.ranges()));
+      }
+      auto in_every_target = [&](const std::string& p) {
+        for (const auto& t : targets)
+          if (!t.count(p)) return false;
+        return true;
+      };
+      if (in_every_target(me->params[0])) continue;
+      // Rectangular, with no nested map, at the top level.
+      std::set<std::string> fs = range_symbols(me->range.ranges());
+      bool movable = st.scope_of(entry) == -1;
+      for (const auto& p : me->params) movable &= !fs.count(p);
+      for (int id : st.scope_nodes(entry))
+        movable &= st.node(id)->kind != NodeKind::MapEntry;
+      if (!movable) continue;
+
+      // Parameters present in every target first, the rest innermost,
+      // each group in its original order.
+      std::vector<size_t> order(me->params.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_partition(order.begin(), order.end(), [&](size_t d) {
+        return in_every_target(me->params[d]);
+      });
+      if (std::is_sorted(order.begin(), order.end())) continue;
+      std::vector<std::string> params;
+      std::vector<sym::Range> ranges;
+      for (size_t d : order) {
+        params.push_back(me->params[d]);
+        ranges.push_back(me->range.range(d));
+      }
+      me->params = std::move(params);
+      me->range = Subset(std::move(ranges));
+      changed = true;
+    }
+  }
+  return changed;
 }
 
 // ---------------------------------------------------------------------------

@@ -91,9 +91,14 @@ TEST(KernelPlan, MatmulSourceIsStructuredWithAccumulators) {
   EXPECT_EQ(src.find("goto"), std::string::npos);
   EXPECT_NE(src.find("for (;"), std::string::npos);
   EXPECT_NE(src.find("acc"), std::string::npos);
-  // One atomic combine per (i, j) element per lane, not one per k step:
-  // the accumulator, not a register, feeds dacepp_wcr_atomic.
-  EXPECT_NE(src.find("dacepp_wcr_atomic(A2 + "), std::string::npos);
+  // One combine per (i, j) element per lane, not one per k step: the
+  // accumulator feeds the store.  A split launch gives each chunk its own
+  // rows of C, so the combine is a plain += and nothing calls the CAS loop.
+  size_t combine = src.find("*(A2 + ");
+  ASSERT_NE(combine, std::string::npos) << src;
+  std::string line = src.substr(combine, src.find('\n', combine) - combine);
+  EXPECT_NE(line.find(") += acc"), std::string::npos) << line;
+  EXPECT_EQ(src.find("dacepp_wcr_atomic(A"), std::string::npos) << src;
 }
 
 // A splittable WCR loop whose store address is the loop variable: the
