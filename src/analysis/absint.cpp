@@ -165,14 +165,6 @@ std::optional<bool> prove_le(const Expr& a, const Expr& b, const Env& env) {
   return std::nullopt;
 }
 
-const char* verdict_name(Verdict v) {
-  switch (v) {
-    case Verdict::Proven: return "proven";
-    case Verdict::Refuted: return "refuted";
-    default: return "unknown";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Interval evaluation
 // ---------------------------------------------------------------------------

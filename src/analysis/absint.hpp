@@ -93,7 +93,6 @@ std::optional<bool> prove_le(const sym::Expr& a, const sym::Expr& b,
 
 /// Three-valued verdict of a static claim.
 enum class Verdict { Proven, Unknown, Refuted };
-const char* verdict_name(Verdict v);
 
 /// Does `subset` stay within `shape` (0 <= begin and last < shape per
 /// dimension) for every valuation admitted by `env`?  Proven means every

@@ -421,7 +421,8 @@ ArtifactCache& ArtifactCache::instance() {
     std::lock_guard<std::mutex> lk(g_inst_mu);
     p = g_inst.load(std::memory_order_relaxed);
     if (!p) {
-      // Leaked: detached Tier-1 compile threads may commit at exit.
+      // Leaked: sdfg-serve's abandoned job threads may still build and
+      // commit at exit.
       p = new ArtifactCache(CacheConfig::from_env());
       g_inst.store(p, std::memory_order_release);
     }

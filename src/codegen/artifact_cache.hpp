@@ -144,8 +144,8 @@ class ArtifactCache {
  public:
   explicit ArtifactCache(CacheConfig cfg);
 
-  /// Env-configured process singleton (leaked; detached JIT threads may
-  /// publish during shutdown).
+  /// Env-configured process singleton (leaked; sdfg-serve's abandoned job
+  /// threads may still publish during shutdown).
   static ArtifactCache& instance();
   /// Rebuild the singleton from the current environment (tests flip
   /// DACE_CACHE_* between cases).  The old instance leaks by design.

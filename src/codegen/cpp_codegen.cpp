@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "analysis/analysis.hpp"
+
 namespace dace::cg {
 
 namespace {
@@ -273,10 +275,10 @@ class Emitter {
       if (inner.count(id)) continue;
       switch (st.node(id)->kind) {
         case ir::NodeKind::MapEntry:
-          emit_map(st, id, /*top=*/true);
+          emit_map(st, id, atomic_wcr(st, id), /*top=*/true);
           break;
         case ir::NodeKind::Tasklet:
-          emit_tasklet(st, id, -1, false);
+          emit_tasklet(st, id, {});
           break;
         case ir::NodeKind::Library:
           emit_library(st, id);
@@ -290,14 +292,52 @@ class Emitter {
     }
   }
 
-  void emit_map(const State& st, int entry, bool top) {
+  static bool parallel_schedule(const ir::MapEntry& me) {
+    return me.schedule == ir::Schedule::CPUParallel ||
+           me.schedule == ir::Schedule::GPUDevice;
+  }
+
+  /// WCR output edges (indices into st.edges()) of the top-level scope at
+  /// `entry` that update atomically.  CPU: the edges that two threads of a
+  /// split of the first parameter can apply to the same element -- the
+  /// executor's conflict rule, nested scopes included.  CUDA: every WCR
+  /// output of a tasklet directly in a parallel scope.
+  std::set<size_t> atomic_wcr(const State& st, int entry) const {
+    if (!parallel_schedule(*st.node_as<const ir::MapEntry>(entry))) return {};
+    if (flavor_ == Flavor::CPU)
+      return analysis::conflicting_wcr_writes(sdfg_, st, entry);
+    std::set<size_t> out;
+    if (flavor_ != Flavor::CUDA) return out;
+    for (int id : direct_children(st, entry)) {
+      if (st.node(id)->kind != ir::NodeKind::Tasklet) continue;
+      for (const auto* e : st.out_edges(id))
+        if (e->memlet.wcr != ir::WCR::None)
+          out.insert((size_t)(e - st.edges().data()));
+    }
+    return out;
+  }
+
+  /// True when a tasklet of the scope at `entry` writes with WCR.
+  static bool has_wcr_write(const State& st, int entry) {
+    for (int id : st.scope_nodes(entry)) {
+      if (st.node(id)->kind != ir::NodeKind::Tasklet) continue;
+      for (const auto* e : st.out_edges(id))
+        if (e->memlet.wcr != ir::WCR::None) return true;
+    }
+    return false;
+  }
+
+  void emit_map(const State& st, int entry,
+                const std::set<size_t>& atomic_edges, bool top) {
     const auto* me = st.node_as<const ir::MapEntry>(entry);
-    bool parallel = top && (me->schedule == ir::Schedule::CPUParallel ||
-                            me->schedule == ir::Schedule::GPUDevice);
+    bool parallel = top && parallel_schedule(*me);
     if (parallel) {
       if (flavor_ == Flavor::CPU) {
+        // The conflict rule models a split of the first parameter, so a
+        // scope with WCR writes is not collapsed.
         std::string clause =
-            me->omp_collapse && me->params.size() > 1
+            me->omp_collapse && me->params.size() > 1 &&
+                    !has_wcr_write(st, entry)
                 ? " collapse(" + std::to_string(me->params.size()) + ")"
                 : "";
         line("#pragma omp parallel for" + clause);
@@ -322,10 +362,10 @@ class Emitter {
     for (int id : direct_children(st, entry)) {
       switch (st.node(id)->kind) {
         case ir::NodeKind::Tasklet:
-          emit_tasklet(st, id, me->exit_node, parallel);
+          emit_tasklet(st, id, atomic_edges);
           break;
         case ir::NodeKind::MapEntry:
-          emit_map(st, id, /*top=*/false);
+          emit_map(st, id, atomic_edges, /*top=*/false);
           break;
         case ir::NodeKind::Access:
         case ir::NodeKind::MapExit:
@@ -356,7 +396,8 @@ class Emitter {
     return d.is_scalar() && d.transient;
   }
 
-  void emit_tasklet(const State& st, int id, int exit, bool atomic) {
+  void emit_tasklet(const State& st, int id,
+                    const std::set<size_t>& atomic_edges) {
     const auto* t = st.node_as<const ir::Tasklet>(id);
     std::map<std::string, std::string> inputs;
     for (const auto* e : st.in_edges(id)) {
@@ -376,6 +417,7 @@ class Emitter {
       if (st.node(e->dst)->kind == ir::NodeKind::Tasklet) continue;
       if (e->memlet.empty()) continue;
       std::string lhs = e->memlet.data + "[" + offset_c(e->memlet) + "]";
+      bool atomic = atomic_edges.count((size_t)(e - st.edges().data())) > 0;
       switch (e->memlet.wcr) {
         case ir::WCR::None:
           line(lhs + " = " + val + ";");
@@ -398,7 +440,6 @@ class Emitter {
           break;
       }
     }
-    (void)exit;
   }
 
   struct ViewInfo {

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -72,16 +71,10 @@ LoadedObject build_and_load(const std::string& source,
   std::string key;
   if (cache.enabled()) {
     key = cache::ArtifactCache::key_for(source, ki);
-    auto h0 = std::chrono::steady_clock::now();
     std::string hit = cache.lookup(key);
     if (!hit.empty()) {
       if (load_object(hit, symbol, &out)) {
         out.cache_hit = true;
-        // On a hit, "compile time" is the verify+dlopen latency -- the
-        // real cost of making the entry point callable.
-        out.compile_seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - h0)
-                                  .count();
         return out;
       }
       // Verified bytes that still fail to dlopen/dlsym (e.g. built by an
@@ -109,11 +102,8 @@ LoadedObject build_and_load(const std::string& source,
   std::string cmd = compiler + " " + shell_quote(cpp) + " -o " +
                     shell_quote(so) + " -fPIC -shared -std=c++17 " + opt +
                     " 2>" + shell_quote(base + ".log");
-  auto t0 = std::chrono::steady_clock::now();
   g_jit_compiles.fetch_add(1, std::memory_order_relaxed);
   int rc = std::system(cmd.c_str());
-  auto t1 = std::chrono::steady_clock::now();
-  out.compile_seconds = std::chrono::duration<double>(t1 - t0).count();
   if (rc != 0) {
     cache.release_build_dir(dir);
     return out;
@@ -141,7 +131,7 @@ ObjectHandle::~ObjectHandle() {
 }
 
 ObjectHandle::ObjectHandle(ObjectHandle&& o) noexcept
-    : handle_(o.handle_), sym_(o.sym_), compile_seconds_(o.compile_seconds_) {
+    : handle_(o.handle_), sym_(o.sym_) {
   o.handle_ = nullptr;
   o.sym_ = nullptr;
 }
@@ -151,7 +141,6 @@ ObjectHandle& ObjectHandle::operator=(ObjectHandle&& o) noexcept {
     if (handle_) dlclose(handle_);
     handle_ = o.handle_;
     sym_ = o.sym_;
-    compile_seconds_ = o.compile_seconds_;
     o.handle_ = nullptr;
     o.sym_ = nullptr;
   }

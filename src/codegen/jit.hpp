@@ -43,7 +43,6 @@ namespace detail {
 struct LoadedObject {
   void* handle = nullptr;
   void* sym = nullptr;
-  double compile_seconds = 0;
   bool cache_hit = false;  // loaded from the persistent artifact cache
 };
 LoadedObject build_and_load(const std::string& source,
@@ -59,8 +58,7 @@ class ObjectHandle {
  public:
   ObjectHandle() = default;
   explicit ObjectHandle(const LoadedObject& obj)
-      : handle_(obj.handle), sym_(obj.sym),
-        compile_seconds_(obj.compile_seconds) {}
+      : handle_(obj.handle), sym_(obj.sym) {}
   ~ObjectHandle();
   ObjectHandle(ObjectHandle&& o) noexcept;
   ObjectHandle& operator=(ObjectHandle&& o) noexcept;
@@ -68,7 +66,6 @@ class ObjectHandle {
  protected:
   void* handle_ = nullptr;
   void* sym_ = nullptr;
-  double compile_seconds_ = 0;
 };
 }  // namespace detail
 
@@ -84,8 +81,6 @@ class Compiled : detail::ObjectHandle {
 
   bool valid() const { return sym_ != nullptr; }
   Fn fn() const { return reinterpret_cast<Fn>(sym_); }
-  /// Wall-clock seconds the host compiler took.
-  double compile_seconds() const { return compile_seconds_; }
 };
 
 using CompiledProgram = Compiled<CompiledFn>;

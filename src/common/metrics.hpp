@@ -92,8 +92,8 @@ class Histogram {
 
 // -- registry ----------------------------------------------------------------
 // Instruments live for the process lifetime (the registry leaks by
-// design, like the obs:: buffers: detached JIT threads may bump counters
-// during shutdown).  Names follow Prometheus conventions:
+// design, like the obs:: buffers: sdfg-serve's abandoned job threads may
+// bump counters during shutdown).  Names follow Prometheus conventions:
 // dacepp_<subsystem>_<what>_total for counters.
 
 Counter& counter(const std::string& name);

@@ -37,8 +37,8 @@ struct Registry {
   std::string trace_file;
 };
 
-// Leaked: detached compile threads and atexit handlers may still touch it
-// during shutdown.
+// Leaked: sdfg-serve's abandoned job threads and atexit handlers may
+// still touch it during shutdown.
 Registry& registry() {
   static Registry* r = new Registry();
   return *r;
@@ -154,21 +154,6 @@ void complete(const char* cat, std::string name, int64_t start_ns,
   e.ts_us = (double)start_ns / 1e3;
   e.dur_us = (double)dur_ns / 1e3;
   e.tid = local_buffer().tid;
-  e.args = std::move(args);
-  push(std::move(e));
-}
-
-void complete_at(const char* cat, std::string name, double ts_us,
-                 double dur_us, int pid, int tid, std::string args) {
-  if (!enabled()) return;
-  TraceEvent e;
-  e.phase = Phase::Complete;
-  e.name = std::move(name);
-  e.cat = cat;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.pid = pid;
-  e.tid = tid;
   e.args = std::move(args);
   push(std::move(e));
 }

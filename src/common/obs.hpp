@@ -62,9 +62,6 @@ int64_t now_ns();
 /// Host-timeline span: start/duration in now_ns() nanoseconds.
 void complete(const char* cat, std::string name, int64_t start_ns,
               int64_t dur_ns, std::string args = "");
-/// Explicitly stamped span (virtual timelines; ts/dur in microseconds).
-void complete_at(const char* cat, std::string name, double ts_us,
-                 double dur_us, int pid, int tid, std::string args = "");
 /// Host-timeline instant at now.
 void instant(const char* cat, std::string name, std::string args = "");
 /// Explicitly stamped instant (virtual timelines).

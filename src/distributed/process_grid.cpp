@@ -23,22 +23,6 @@ rt::Tensor local_block_2d(const rt::Tensor& global, const Grid2D& g,
   return out;
 }
 
-void store_block_2d(const rt::Tensor& block, rt::Tensor& global,
-                    const Grid2D& g, int rank) {
-  int64_t m = global.shape()[0], n = global.shape()[1];
-  int64_t mb = block.shape()[0], nb = block.shape()[1];
-  int r = g.row_of(rank), c = g.col_of(rank);
-  for (int64_t i = 0; i < mb; ++i) {
-    int64_t gi = r * mb + i;
-    if (gi >= m) break;
-    for (int64_t j = 0; j < nb; ++j) {
-      int64_t gj = c * nb + j;
-      if (gj >= n) break;
-      global.at({gi, gj}) = block.at({i, j});
-    }
-  }
-}
-
 rt::Tensor local_rows(const rt::Tensor& global, int p, int rank) {
   int64_t m = global.shape()[0];
   int64_t mb = block_size(m, p);

@@ -38,9 +38,6 @@ inline int64_t block_size(int64_t n, int p) { return (n + p - 1) / p; }
 /// Extract this rank's padded 2-D block of a global row-major tensor.
 rt::Tensor local_block_2d(const rt::Tensor& global, const Grid2D& g,
                           int rank);
-/// Write this rank's block back into the global tensor (unpadded part).
-void store_block_2d(const rt::Tensor& block, rt::Tensor& global,
-                    const Grid2D& g, int rank);
 
 /// 1-D row-block of a 2-D tensor (or of a vector when rank()==1).
 rt::Tensor local_rows(const rt::Tensor& global, int p, int rank);

@@ -76,13 +76,6 @@ CodeExpr CodeExpr::subs_inputs(const std::map<std::string, CodeExpr>& m) const {
                             std::move(args)));
 }
 
-CodeExpr CodeExpr::rename_inputs(
-    const std::map<std::string, std::string>& m) const {
-  std::map<std::string, CodeExpr> em;
-  for (const auto& [k, v] : m) em.emplace(k, CodeExpr::input(v));
-  return subs_inputs(em);
-}
-
 CodeExpr CodeExpr::subs_symbols(
     const std::map<std::string, CodeExpr>& m) const {
   if (!node_) return *this;

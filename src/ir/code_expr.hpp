@@ -72,8 +72,6 @@ class CodeExpr {
   /// Replace Input(name) references by other expressions (for tasklet
   /// chaining during fusion).
   CodeExpr subs_inputs(const std::map<std::string, CodeExpr>& m) const;
-  /// Rename inputs (connector renaming).
-  CodeExpr rename_inputs(const std::map<std::string, std::string>& m) const;
   /// Replace Sym(name) references by symbolic expressions converted to
   /// code form (used when inlining nested SDFGs).
   CodeExpr subs_symbols(const std::map<std::string, CodeExpr>& m) const;

@@ -54,15 +54,6 @@ DataDesc& SDFG::add_scalar(const std::string& name, DType dtype,
   return d;
 }
 
-DataDesc& SDFG::add_stream(const std::string& name, DType dtype,
-                           int64_t depth) {
-  auto& d = add_array(name, dtype, {}, /*transient=*/true);
-  d.is_stream = true;
-  d.stream_depth = depth;
-  d.storage = Storage::FPGALocal;
-  return d;
-}
-
 DataDesc& SDFG::add_temp(const std::string& prefix, DType dtype,
                          std::vector<sym::Expr> shape) {
   return add_array(unique_name(prefix), dtype, std::move(shape),
@@ -142,6 +133,16 @@ int SDFG::num_states() const {
   int n = 0;
   for (const auto& s : states_) n += (s != nullptr);
   return n;
+}
+
+State& SDFG::state(int id) {
+  DACE_CHECK(state_alive(id), "SDFG '", name_, "': no state with id ", id);
+  return *states_[id];
+}
+
+const State& SDFG::state(int id) const {
+  DACE_CHECK(state_alive(id), "SDFG '", name_, "': no state with id ", id);
+  return *states_[id];
 }
 
 std::vector<int> SDFG::state_ids() const {

@@ -273,8 +273,6 @@ class State {
 
   /// Remove a node (must have no incident edges).
   void remove_node(int id);
-  /// Remove a node together with all incident edges.
-  void remove_node_and_edges(int id);
 
   /// Live node ids.
   std::vector<int> node_ids() const;
@@ -289,7 +287,6 @@ class State {
   const std::vector<Edge>& edges() const { return edges_; }
   std::vector<Edge>& edges() { return edges_; }
   std::vector<size_t> in_edge_ids(int node) const;
-  std::vector<size_t> out_edge_ids(int node) const;
   std::vector<const Edge*> in_edges(int node) const;
   std::vector<const Edge*> out_edges(int node) const;
   int in_degree(int node) const;
@@ -298,9 +295,6 @@ class State {
   // -- structure queries -----------------------------------------------------
   /// Topological order of live nodes; throws on cycles.
   std::vector<int> topological_order() const;
-  /// Source (no in-edges) and sink (no out-edges) access nodes.
-  std::vector<int> source_nodes() const;
-  std::vector<int> sink_nodes() const;
   /// All nodes strictly inside a map scope (between entry and its exit).
   std::vector<int> scope_nodes(int map_entry) const;
   /// Innermost map entry containing the node, or -1 if top-level.
@@ -357,7 +351,6 @@ class SDFG {
                       std::vector<sym::Expr> shape, bool transient = false);
   DataDesc& add_scalar(const std::string& name, DType dtype,
                        bool transient = false);
-  DataDesc& add_stream(const std::string& name, DType dtype, int64_t depth);
   /// Add a transient with a unique name derived from `prefix`.
   DataDesc& add_temp(const std::string& prefix, DType dtype,
                      std::vector<sym::Expr> shape);
@@ -383,9 +376,11 @@ class SDFG {
   State& add_state(const std::string& label, bool is_start = false);
   /// Insert a state and redirect control flow: src -> new -> dst.
   State& add_state_between(int src, int dst, const std::string& label);
+  /// Live states.  Ids stay sparse after remove_state: walk state_ids().
   int num_states() const;
-  State& state(int id) { return *states_.at(id); }
-  const State& state(int id) const { return *states_.at(id); }
+  /// The live state `id`; throws dace::Error for a removed or unknown id.
+  State& state(int id);
+  const State& state(int id) const;
   bool state_alive(int id) const {
     return id >= 0 && id < (int)states_.size() && states_[id] != nullptr;
   }

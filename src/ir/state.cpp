@@ -125,11 +125,6 @@ void State::remove_node(int id) {
   nodes_[id].reset();
 }
 
-void State::remove_node_and_edges(int id) {
-  remove_edges_if([&](const Edge& e) { return e.src == id || e.dst == id; });
-  remove_node(id);
-}
-
 std::vector<int> State::node_ids() const {
   std::vector<int> out;
   for (int i = 0; i < (int)nodes_.size(); ++i) {
@@ -169,14 +164,6 @@ std::vector<size_t> State::in_edge_ids(int node) const {
   std::vector<size_t> out;
   for (size_t i = 0; i < edges_.size(); ++i) {
     if (edges_[i].dst == node) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<size_t> State::out_edge_ids(int node) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    if (edges_[i].src == node) out.push_back(i);
   }
   return out;
 }
@@ -233,22 +220,6 @@ std::vector<int> State::topological_order() const {
   DACE_CHECK(order.size() == indeg.size(), "state '", label_,
              "': dataflow graph has a cycle");
   return order;
-}
-
-std::vector<int> State::source_nodes() const {
-  std::vector<int> out;
-  for (int id : node_ids()) {
-    if (in_degree(id) == 0) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<int> State::sink_nodes() const {
-  std::vector<int> out;
-  for (int id : node_ids()) {
-    if (out_degree(id) == 0) out.push_back(id);
-  }
-  return out;
 }
 
 std::vector<int> State::scope_nodes(int map_entry) const {

@@ -152,7 +152,6 @@ class EagerImpl {
       int64_t k = a.t.rank() == 2 ? a.t.shape()[1] : 1;
       note("matmul", r.size(), a.t.size() + b.t.size(), 2 * r.size() * k);
       (void)m;
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     Tensor ta = a.as_tensor(), tb = b.as_tensor();
@@ -164,7 +163,6 @@ class EagerImpl {
     else if (op == "**") r = ops::pow(ta, tb);
     else fail(e->line, "unsupported operator '" + op + "'");
     note("ew", r.size(), ta.size() + tb.size(), r.size());
-    ++owner_.temporaries_;
     return Value::of(r);
   }
 
@@ -179,7 +177,6 @@ class EagerImpl {
       Tensor a = eval(e->args[0]).as_tensor();
       Tensor r = it->second(a);
       note("ew", r.size(), a.size(), r.size());
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.minimum" || fn == "np.maximum" || fn == "np.power") {
@@ -189,7 +186,6 @@ class EagerImpl {
                  : fn == "np.maximum" ? ops::maximum(a, b)
                                       : ops::pow(a, b);
       note("ew", r.size(), a.size() + b.size(), r.size());
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.sum" || fn == "np.max" || fn == "np.min") {
@@ -211,7 +207,6 @@ class EagerImpl {
         r = Tensor::scalar(ops::min_all(a));
       }
       note("reduce", r.size(), a.size(), a.size());
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.dot") {
@@ -219,7 +214,6 @@ class EagerImpl {
       Tensor b = eval(e->args[1]).as_tensor();
       Tensor r = ops::matmul(a, b);
       note("matmul", r.size(), a.size() + b.size(), 2 * a.size());
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.outer") {
@@ -227,7 +221,6 @@ class EagerImpl {
       Tensor b = eval(e->args[1]).as_tensor();
       Tensor r = ops::outer(a, b);
       note("ew", r.size(), a.size() + b.size(), r.size());
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.transpose") {
@@ -238,7 +231,6 @@ class EagerImpl {
       Tensor a = eval(e->args[0]).as_tensor();
       Tensor r = a.copy();
       note("copy", r.size(), a.size(), 0);
-      ++owner_.temporaries_;
       return Value::of(r);
     }
     if (fn == "np.float64" || fn == "np.float32" || fn == "float") {
@@ -286,7 +278,6 @@ class EagerImpl {
     if (which == "np.ones" || which == "np.ones_like") t.fill(1.0);
     if (which == "np.full") t.fill(eval(e->args[1]).scalar());
     note("alloc", t.size(), 0, 0);
-    ++owner_.temporaries_;
     return Value::of(t);
   }
 
@@ -379,7 +370,6 @@ class EagerImpl {
         if (r.shape() != dst.shape()) fail(st.line, "augassign broadcast");
         dst.assign_from(rr);
         note("ew", dst.size(), dst.size() + v.size(), dst.size());
-        ++owner_.temporaries_;
         return;
       }
       case StKind::For:
@@ -452,7 +442,6 @@ EagerInterpreter::EagerInterpreter(const fe::Function& f,
 
 void EagerInterpreter::run(Bindings& args, const sym::SymbolMap& symbols) {
   op_count_ = 0;
-  temporaries_ = 0;
   EagerImpl impl(*this, func_, observer_);
   impl.run(args, symbols);
 }

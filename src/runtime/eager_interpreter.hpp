@@ -39,15 +39,12 @@ class EagerInterpreter {
 
   /// Number of eager operations dispatched in the last run.
   int64_t op_count() const { return op_count_; }
-  /// Number of temporaries allocated in the last run.
-  int64_t temporaries() const { return temporaries_; }
 
  private:
   friend class EagerImpl;
   const fe::Function& func_;
   EagerObserver* observer_;
   int64_t op_count_ = 0;
-  int64_t temporaries_ = 0;
 };
 
 }  // namespace dace::rt

@@ -123,8 +123,10 @@ void Executor::allocate_transients() {
 
 void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
   if (!validated_) {
-    if (opts_.validate) sdfg_.validate();
-    if (opts_.analyze || analysis::verify_env()) {
+    sdfg_.validate();
+    // Under DACE_VERIFY_PASSES=1, refuse to run a program the static
+    // analyzer finds errors in.
+    if (analysis::verify_env()) {
       analysis::AnalysisReport report = analysis::analyze(sdfg_);
       if (report.has_errors())
         throw err("executor: refusing to run '", sdfg_.name(),
@@ -382,16 +384,18 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
                    me->schedule == ir::Schedule::GPUDevice) &&
                   prog.splittable;
 
-  // Tier-1 promotion.  Disabled whenever a launch hook is installed: the
-  // device simulators charge their cost models from per-launch VMStats
-  // deltas, and native execution produces none.
-  bool jit_ok = tier_cfg_.enabled && !opts_.launch_hook && !tp.native_failed;
-  if (jit_ok && !tp.native) {
+  // Tier-1 promotion.  The launch that crosses the threshold builds (or
+  // finds in the cache) its native code on this thread and runs it; a
+  // failed build leaves the program on Tier 0.  Disabled whenever a launch
+  // hook is installed: the device simulators charge their cost models from
+  // per-launch VMStats deltas, and native execution produces none.
+  if (tier_cfg_.enabled && !opts_.launch_hook && !tp.promoted) {
     tp.iterations += iters;
     if (tp.iterations >= tier_cfg_.threshold) {
       std::vector<ir::DType> dtypes(arrays.size());
       for (size_t i = 0; i < arrays.size(); ++i) dtypes[i] = arrays[i].dtype;
       tp.native = request_native(prog, dtypes, tier_cfg_);
+      tp.promoted = true;
       ++native_promotions_;
       METRIC_INC("dacepp_tier_promotions_total");
       if (obs::enabled()) {
@@ -408,7 +412,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   // two arguments, or pass overlapping views).  Re-check per launch and
   // fall back to the VM on overlap.
   bool restrict_ok = true;
-  if (prog.use_restrict) {
+  if (tp.native && prog.use_restrict) {
     std::vector<std::pair<uintptr_t, uintptr_t>> spans(arrays.size());
     for (size_t i = 0; i < arrays.size(); ++i) {
       uintptr_t b = reinterpret_cast<uintptr_t>(arrays[i].base);
@@ -422,18 +426,8 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
           restrict_ok = false;
   }
 
-  cg::MapNativeFn fn = nullptr;  // set when this launch runs on Tier 1
-  if (jit_ok && tp.native) {
-    int state = tp.native->state.load(std::memory_order_acquire);
-    if (state == NativeProgram::kFailed) {
-      // No host compiler (or a build error): pin this program to Tier 0.
-      tp.native_failed = true;
-      tp.native.reset();
-    } else if (state == NativeProgram::kReady && restrict_ok) {
-      fn = tp.native->fn;
-    }
-    // Still compiling (or aliased buffers this launch): interpret.
-  }
+  // Set when this launch runs on Tier 1.
+  cg::MapNativeFn fn = restrict_ok ? tp.native : nullptr;
   std::vector<double*> bases(fn ? arrays.size() : 0);
   for (size_t i = 0; i < bases.size(); ++i) bases[i] = arrays[i].base;
   if (fn) {
@@ -448,8 +442,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   // barrier.
   int tier = fn ? 1 : 0;
   int chunks = parallel ? plan_chunks(tp, tier, iters) : 1;
-  VMStats* stats = opts_.collect_stats ? &stats_ : nullptr;
-  std::mutex mu;  // guards first_error and *stats
+  std::mutex mu;  // guards first_error and stats_
   std::exception_ptr first_error;
   std::atomic<bool> cancelled{false};
   int64_t work_ns = ThreadPool::global().parallel_for(
@@ -478,11 +471,9 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
             }
           } else {
             VMStats local;
-            vm_run(prog, arrays, symvals, b, e, stats ? &local : nullptr);
-            if (stats) {
-              std::lock_guard<std::mutex> lk(mu);
-              *stats += local;
-            }
+            vm_run(prog, arrays, symvals, b, e, &local);
+            std::lock_guard<std::mutex> lk(mu);
+            stats_ += local;
           }
         } catch (...) {
           std::lock_guard<std::mutex> lk(mu);
@@ -513,7 +504,6 @@ void Executor::execute_library(const ir::State& st, int node) {
   const LibraryHandler* h = LibraryRegistry::global().find(l->op);
   DACE_CHECK(h != nullptr, "executor: no implementation for library node '",
              l->op, "'");
-  ++library_calls_;
   (*h)(*this, st, node);
 }
 

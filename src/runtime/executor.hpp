@@ -45,12 +45,7 @@ class LibraryRegistry {
 };
 
 struct ExecutorOptions {
-  bool parallel = true;    // honor CPU_Multicore schedules
-  bool validate = true;    // validate the SDFG before first run
-  bool analyze = false;    // run the static analyzer before first run and
-                           // refuse to execute on error-severity findings
-                           // (also enabled by DACE_VERIFY_PASSES=1)
-  bool collect_stats = true;
+  bool parallel = true;  // honor CPU_Multicore schedules
   /// Called after each top-level map execution ("map"), library call
   /// ("library") or top-level tasklet ("tasklet") with the statistics
   /// delta it produced. Device simulators charge launch costs here.
@@ -101,7 +96,6 @@ class Executor {
   VMStats& stats() { return stats_; }
   /// Number of top-level map executions ("kernel launches").
   int64_t map_launches() const { return map_launches_; }
-  int64_t library_calls() const { return library_calls_; }
   /// Map executions dispatched to Tier-1 native code (subset of
   /// map_launches; native runs do not accumulate VMStats).
   int64_t native_launches() const { return native_launches_; }
@@ -136,12 +130,12 @@ class Executor {
   void execute_nested(const ir::State& st, int node);
 
   /// Per-map tiered execution state: the (optimized) Tier-0 bytecode plus
-  /// promotion bookkeeping and, once hot, the shared native handle.
+  /// promotion bookkeeping and, once hot, the native entry point.
   struct TieredProgram {
     Program prog;
-    int64_t iterations = 0;      // cumulative, drives promotion
-    bool native_failed = false;  // pinned to Tier 0 after a failed build
-    std::shared_ptr<NativeProgram> native;
+    int64_t iterations = 0;  // cumulative, drives promotion
+    bool promoted = false;   // Tier-1 build requested (at most once)
+    cg::MapNativeFn native = nullptr;  // null: not promoted, or build failed
     // Measured per-iteration cost (EMA over launches, ns), indexed by
     // tier (0 = VM, 1 = native); 0 = not yet measured.  Feeds the
     // cost-driven chunk scheduler.
@@ -180,7 +174,6 @@ class Executor {
   TierConfig tier_cfg_;
   bool bc_opt_ = true;
   int64_t map_launches_ = 0;
-  int64_t library_calls_ = 0;
   int64_t native_launches_ = 0;
   int64_t native_promotions_ = 0;
   bool validated_ = false;

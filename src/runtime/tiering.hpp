@@ -1,21 +1,19 @@
 // Tier-1 promotion machinery for the tiered map executor.
 //
 // The Executor counts iterations per compiled map program; once a program
-// crosses the promotion threshold it requests a native handle here.  The
-// request kicks off an asynchronous host-compiler build (synchronous when
-// DACEPP_JIT_SYNC=1, for tests and benchmarks) and returns immediately;
-// the executor keeps interpreting until the handle flips to ready, then
-// atomically switches dispatch.  Handles are cached process-wide, keyed by
-// the program's instruction-stream hash plus the bound array dtypes, so
-// re-runs and structurally identical scopes share one compilation.
+// crosses the promotion threshold it requests a native entry point here.
+// The request builds on the calling thread, so the launch that crosses the
+// threshold waits for its build and then runs native code.  Entry points
+// are cached process-wide, keyed by the program's instruction-stream hash,
+// the bound array dtypes and the compiler, so re-runs and structurally
+// identical scopes share one compilation; a thread that asks for a key
+// another thread is building waits for that build.
 //
-// Missing or broken host compilers degrade silently: the handle reports
-// failed and the executor pins the program to Tier 0.
+// Missing or broken host compilers degrade silently: the request returns
+// nullptr and the executor keeps the program on Tier 0.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,34 +22,26 @@
 
 namespace dace::rt {
 
-/// One native compilation, possibly still in flight on a worker thread.
-struct NativeProgram {
-  enum State { kCompiling = 0, kReady = 1, kFailed = 2 };
-  std::atomic<int> state{kCompiling};
-  cg::MapNativeFn fn = nullptr;  // valid once state == kReady
-  double compile_seconds = 0;
-};
-
 /// Tier-1 policy, read from the environment once per Executor:
 ///   DACEPP_JIT=0            disable the native tier entirely
 ///   DACEPP_JIT_THRESHOLD=N  promote after N cumulative map iterations
-///   DACEPP_JIT_SYNC=1       compile on the calling thread (deterministic)
 ///   DACEPP_JIT_CC=path      host compiler override (also used by tests to
 ///                           simulate a missing compiler)
 struct TierConfig {
   bool enabled = true;
   int64_t threshold = 2000000;
-  bool sync = false;
   std::string compiler = "c++";
 
   static TierConfig from_env();
 };
 
-/// Look up or start a native compilation for `prog` bound to `dtypes`.
-/// Never blocks on the build unless cfg.sync is set.  The returned handle
-/// is shared: poll state and use fn only after seeing kReady.
-std::shared_ptr<NativeProgram> request_native(
-    const Program& prog, const std::vector<ir::DType>& dtypes,
-    const TierConfig& cfg);
+/// Native entry point of `prog` bound to `dtypes`.  The first request for
+/// a build key runs the host compiler on the calling thread; concurrent
+/// requests for the same key wait for it, later ones hit the cache.
+/// Returns nullptr when the build failed or a negative cache (in memory or
+/// in the artifact store) says that it will.
+cg::MapNativeFn request_native(const Program& prog,
+                               const std::vector<ir::DType>& dtypes,
+                               const TierConfig& cfg);
 
 }  // namespace dace::rt

@@ -370,13 +370,12 @@ ConfigOut run_one(Config c, const std::string& src,
         break;
       }
       case Config::Tier1Native: {
-        // Promote every map synchronously on first launch so the native
+        // Promote every map on its first launch so the native
         // (kernel-plan) codegen actually executes; maps the host
         // compiler rejects fall back to the VM, which still agrees.
         env::Override bc("DACEPP_BC_OPT", "1");
         env::Override jit("DACEPP_JIT", "1");
         env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-        env::Override sync("DACEPP_JIT_SYNC", "1");
         auto sdfg = fe::compile_to_sdfg(src);
         xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
         rt::execute(*sdfg, r.outputs, syms);

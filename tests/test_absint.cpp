@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/jit.hpp"
+#include "common/env.hpp"
 #include "frontend/lowering.hpp"
 #include "ir/sdfg.hpp"
 #include "kernels/suite.hpp"
@@ -473,6 +474,23 @@ TEST(AbsintCodegen, UnprovenAccessGetsGuarded) {
   rt::Program cp = rt::compile_map_scope(*clean, clean->state(0),
                                          find_entry(clean->state(0)));
   EXPECT_NE(p.hash(), cp.hash());
+}
+
+TEST(AbsintCodegen, ModeDecidesGuards) {
+  // The copy reads the unproven A[i+1] and writes the proven B[i].  Off
+  // emits no guard at all (the unchecked behaviour from before the
+  // interval analysis), the default guards the unproven read only, and
+  // all guards both accesses.
+  auto g = map_copy(Subset::element({S("i") + Expr(1)}),
+                    Subset::element({S("i")}));
+  const State& st = g->state(0);
+  int entry = find_entry(st);
+  ASSERT_GE(entry, 0);
+  for (auto [mode, guards] : {std::pair{"0", 0}, {"1", 1}, {"all", 2}}) {
+    env::Override absint("DACE_ABSINT", mode);
+    EXPECT_EQ(count_guards(rt::compile_map_scope(*g, st, entry)), guards)
+        << "DACE_ABSINT=" << mode;
+  }
 }
 
 // The executor computes the symbol ranges once and hands each map compile

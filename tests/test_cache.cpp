@@ -467,7 +467,6 @@ TEST_F(CacheJitTest, BuildAndLoadCommitsThenHits) {
   auto warm = cg::detail::build_and_load(src, "t", "dacepp_cache_fn", "c++");
   ASSERT_NE(warm.sym, nullptr);
   EXPECT_TRUE(warm.cache_hit);
-  EXPECT_GT(warm.compile_seconds, 0.0);  // load latency, not compiler time
   EXPECT_EQ(cache.stats().commits, 1u);  // no second publish
   using Fn = double (*)(double);
   EXPECT_EQ(reinterpret_cast<Fn>(warm.sym)(2.0), 6.0);
@@ -520,7 +519,6 @@ TEST_P(CacheChaos, InjectedFaultDegradesToCorrectRun) {
   uint64_t faults_before = cg::cache::faults_injected();
 
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);

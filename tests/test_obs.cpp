@@ -26,7 +26,7 @@ using rt::Bindings;
 
 /// First top-level map entry of the SDFG, or -1.
 int find_top_map(const ir::SDFG& sdfg, int* state_id) {
-  for (int s = 0; s < sdfg.num_states(); ++s) {
+  for (int s : sdfg.state_ids()) {
     const ir::State& st = sdfg.state(s);
     for (int id : st.node_ids()) {
       if (st.node(id)->kind == ir::NodeKind::MapEntry &&
@@ -208,7 +208,6 @@ TEST_F(ObsTest, StateTimerNeedsExplicitAttribute) {
 
 TEST_F(ObsTest, InstrumentationDoesNotPerturbTiering) {
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
 
@@ -321,7 +320,6 @@ Sig signature() {
 TEST_F(ObsTest, ExecutorTraceIsDeterministicAfterWarmup) {
   env::Override inst("DACE_INSTRUMENT", "timer");
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   auto sdfg = fe::compile_to_sdfg(k.source);

@@ -494,8 +494,7 @@ TEST(Serve, ThirtyTwoClientsOneCompile) {
   std::string cache_dir = make_temp_dir();
   env::Override g1("DACE_CACHE", "1");
   env::Override g2("DACE_CACHE_DIR", cache_dir.c_str());
-  env::Override g3("DACEPP_JIT_SYNC", "1");
-  env::Override g4("DACEPP_JIT_THRESHOLD", "1");
+  env::Override g3("DACEPP_JIT_THRESHOLD", "1");
   cg::cache::ArtifactCache::reset_for_testing();
 
   std::string sock = test_socket();

@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codegen/artifact_cache.hpp"
@@ -36,7 +38,7 @@ using rt::Program;
 
 /// First top-level map entry of the SDFG, or -1.
 int find_top_map(const ir::SDFG& sdfg, int* state_id) {
-  for (int s = 0; s < sdfg.num_states(); ++s) {
+  for (int s : sdfg.state_ids()) {
     const ir::State& st = sdfg.state(s);
     for (int id : st.node_ids()) {
       if (st.node(id)->kind == ir::NodeKind::MapEntry &&
@@ -47,6 +49,35 @@ int find_top_map(const ir::SDFG& sdfg, int* state_id) {
     }
   }
   return -1;
+}
+
+TEST(TieredHelpers, FindTopMapSkipsRemovedStates) {
+  // auto_optimize removes states, so state ids are sparse: state() of a
+  // removed id must throw, and find_top_map must walk the live ids.  In
+  // go_fast the only live state after the gap holds the maps; doitgen
+  // has more live states than its first removed id.
+  for (const char* name : {"doitgen", "go_fast"}) {
+    SCOPED_TRACE(name);
+    auto sdfg = fe::compile_to_sdfg(kernels::kernel(name).source);
+    xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+    int removed = 0;
+    while (sdfg->state_alive(removed)) ++removed;
+    ASSERT_LT(removed, sdfg->state_ids().back());
+    try {
+      (void)sdfg->state(removed);
+      ADD_FAILURE() << "state(" << removed << ") of a removed id returned";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("id " + std::to_string(removed)),
+                std::string::npos)
+          << e.what();
+    }
+    int sid = -1;
+    int entry = find_top_map(*sdfg, &sid);
+    ASSERT_GE(entry, 0);
+    const ir::State& st = sdfg->state(sid);
+    EXPECT_EQ(st.node(entry)->kind, ir::NodeKind::MapEntry);
+    EXPECT_EQ(st.scope_of(entry), -1);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -93,7 +124,6 @@ TEST_P(TieredDifferential, Tier0OptimizedMatchesReference) {
 
 TEST_P(TieredDifferential, Tier1NativeMatchesReference) {
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   Bindings b = run_current_config();
   expect_matches_reference(b, "tier1-native");
 }
@@ -114,7 +144,6 @@ INSTANTIATE_TEST_SUITE_P(All, TieredDifferential,
 
 TEST(Tiering, NativeTierPromotesAndMatches) {
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);
@@ -136,7 +165,6 @@ TEST(Tiering, NativeTierPromotesAndMatches) {
 TEST(Tiering, JitDisabledStaysOnTier0) {
   env::Override jit("DACEPP_JIT", "0");
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);
@@ -156,7 +184,6 @@ TEST(Tiering, JitDisabledStaysOnTier0) {
 TEST(Tiering, MissingCompilerFallsBackToTier0) {
   env::Override cc("DACEPP_JIT_CC", "/nonexistent/compiler");
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   const Kernel& k = kernels::kernel("jacobi_2d");
   const sym::SymbolMap& sizes = k.presets.at("test");
   Bindings ref = k.init(sizes);
@@ -182,7 +209,6 @@ TEST(Tiering, CacheDirWithSpaceStillPromotes) {
   // program to Tier 0 in later processes.
   namespace fs = std::filesystem;
   env::Override thr("DACEPP_JIT_THRESHOLD", "1");
-  env::Override sync("DACEPP_JIT_SYNC", "1");
   std::string root = (fs::temp_directory_path() /
                       ("dacepp tiering " + std::to_string(getpid())))
                          .string();
@@ -219,6 +245,74 @@ def spaced(x: dace.float64[N], y: dace.float64[N]):
   fs::remove_all(root);
 }
 
+TEST(Tiering, PromotionBuildsOnTheCallingThread) {
+  // The launch that crosses the threshold waits for its build and runs
+  // native code: no launch of the first run is interpreted.
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  auto sdfg = fe::compile_to_sdfg(R"(
+@dace.program
+def promote_now(x: dace.float64[N], y: dace.float64[N], z: dace.float64[N]):
+    for i in dace.map[0:N]:
+        y[i] = x[i] * 2.375 + 0.125
+    for i in dace.map[0:N]:
+        z[i] = y[i] - x[i] * 0.625
+)");
+  Bindings b;
+  b.emplace("x", rt::Tensor::from_values({4}, {1, 2, 3, 4}));
+  b.emplace("y", rt::Tensor(ir::DType::f64, {4}));
+  b.emplace("z", rt::Tensor(ir::DType::f64, {4}));
+  rt::Executor ex(*sdfg);
+  ex.run(b, {{"N", 4}});
+  EXPECT_EQ(ex.map_launches(), 2);
+  EXPECT_EQ(ex.native_launches(), ex.map_launches());
+  for (int64_t i = 0; i < 4; ++i) {
+    double x = (double)(i + 1), y = x * 2.375 + 0.125;
+    EXPECT_EQ(b.at("z").get_flat(i), y - x * 0.625);
+  }
+}
+
+TEST(Tiering, ConcurrentPromotionsBuildOnce) {
+  // Executors on four threads promote one program at the same time: one
+  // of them runs the compiler, the others wait for its build, and every
+  // launch runs native code.  The artifact store is off, so a build left
+  // by an earlier process cannot stand in for the compiler run.
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  env::Override off("DACE_CACHE", "0");
+  cg::cache::ArtifactCache::reset_for_testing();
+  const char* src = R"(
+@dace.program
+def promote_together(x: dace.float64[N], y: dace.float64[N]):
+    for i in dace.map[0:N]:
+        y[i] = x[i] * 4.875 - 0.5
+)";
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<ir::SDFG>> sdfgs;
+  for (int t = 0; t < kThreads; ++t) sdfgs.push_back(fe::compile_to_sdfg(src));
+  uint64_t builds = cg::jit_compile_count();
+  std::latch start(kThreads);
+  std::vector<int64_t> launches(kThreads), native(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      rt::Executor ex(*sdfgs[(size_t)t]);
+      Bindings b;
+      b.emplace("x", rt::Tensor(ir::DType::f64, {256}));
+      b.emplace("y", rt::Tensor(ir::DType::f64, {256}));
+      start.arrive_and_wait();
+      for (int run = 0; run < 3; ++run) ex.run(b, {{"N", 256}});
+      launches[(size_t)t] = ex.map_launches();
+      native[(size_t)t] = ex.native_launches();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(cg::jit_compile_count(), builds + 1);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(launches[(size_t)t], 3) << "thread " << t;
+    EXPECT_EQ(native[(size_t)t], launches[(size_t)t]) << "thread " << t;
+  }
+  cg::cache::ArtifactCache::reset_for_testing();
+}
+
 TEST(Tiering, BrokenCompilerIsProbedOnce) {
   // Once a build of a program fails, the failure is negative-cached on
   // (program hash, compiler): other dtype specializations must come back
@@ -236,17 +330,14 @@ TEST(Tiering, BrokenCompilerIsProbedOnce) {
   };
   rt::TierConfig cfg;
   cfg.compiler = "/nonexistent/compiler";
-  cfg.sync = true;
-  auto h1 = rt::request_native(p, {ir::DType::f64}, cfg);
-  ASSERT_EQ(h1->state.load(), rt::NativeProgram::kFailed);
+  ASSERT_EQ(rt::request_native(p, {ir::DType::f64}, cfg), nullptr);
 
-  // Async request for a different specialization: without the negative
-  // cache this would spawn another doomed build and report kCompiling.
-  cfg.sync = false;
-  auto h2 = rt::request_native(p, {ir::DType::f32}, cfg);
-  EXPECT_EQ(h2->state.load(), rt::NativeProgram::kFailed);
-  // And the handle is cached: asking again returns the same dead handle.
-  EXPECT_EQ(rt::request_native(p, {ir::DType::f32}, cfg).get(), h2.get());
+  // A different specialization: without the negative cache this would
+  // run the broken compiler again.
+  uint64_t builds = cg::jit_compile_count();
+  EXPECT_EQ(rt::request_native(p, {ir::DType::f32}, cfg), nullptr);
+  EXPECT_EQ(rt::request_native(p, {ir::DType::f32}, cfg), nullptr);
+  EXPECT_EQ(cg::jit_compile_count(), builds);
 }
 
 // ---------------------------------------------------------------------------

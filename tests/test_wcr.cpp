@@ -204,7 +204,6 @@ TEST(WcrConflict, NestedScopeMatchesEagerOnEveryRun) {
   for (const char* jit : {"0", "1"}) {
     env::Override enable("DACEPP_JIT", jit);
     env::Override threshold("DACEPP_JIT_THRESHOLD", "1");
-    env::Override sync("DACEPP_JIT_SYNC", "1");
     rt::Executor ex(*g);
     for (int run = 0; run < 5; ++run) {
       rt::Bindings got = inputs();
