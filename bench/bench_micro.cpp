@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the substrate hot paths: the
 // bytecode VM (with and without the Tier-0 optimizer), eager tensor ops,
-// symbolic engine, and simMPI primitives.
+// symbolic engine, interval prover, and simMPI primitives.
 #include <benchmark/benchmark.h>
 
+#include "analysis/absint.hpp"
 #include "bench_common.hpp"
 #include "common/env.hpp"
 #include "distributed/simmpi.hpp"
@@ -124,6 +125,43 @@ static void BM_VmGuardElision(benchmark::State& state) {
   state.counters["instrs/sweep"] = (double)per_sweep.instrs;
 }
 BENCHMARK(BM_VmGuardElision)->Args({0, 256})->Args({1, 256});
+
+// The interval prover's map analysis (absint::analyze_map) over every
+// top-level map of auto-optimized fuzz seeds 0..99.  Symbol ranges are
+// computed once, outside the timed loop, as the executor does.
+static void BM_AbsintAnalyzeMap(benchmark::State& state) {
+  namespace absint = analysis::absint;
+  std::vector<std::unique_ptr<ir::SDFG>> programs;
+  std::vector<absint::SymbolRanges> ranges;
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    programs.push_back(fe::compile_to_sdfg(fuzz::generate_program(seed)));
+    xf::auto_optimize(*programs.back(), ir::DeviceType::CPU);
+    ranges.push_back(absint::SymbolRanges::compute(*programs.back()));
+  }
+  struct Map {
+    const ir::SDFG* sdfg;
+    const ir::State* st;
+    int entry;
+    const absint::Env* env;
+  };
+  std::vector<Map> maps;
+  for (size_t p = 0; p < programs.size(); ++p) {
+    for (int sid : programs[p]->state_ids()) {
+      const ir::State& st = programs[p]->state(sid);
+      for (int id : st.node_ids()) {
+        if (st.node_as<const ir::MapEntry>(id) && st.scope_of(id) == -1)
+          maps.push_back({programs[p].get(), &st, id, &ranges[p].at(sid)});
+      }
+    }
+  }
+  for (auto _ : state) {
+    for (const Map& m : maps)
+      benchmark::DoNotOptimize(
+          absint::analyze_map(*m.sdfg, *m.st, m.entry, *m.env));
+  }
+  state.SetItemsProcessed(state.iterations() * (int64_t)maps.size());
+}
+BENCHMARK(BM_AbsintAnalyzeMap);
 
 static void BM_TensorAdd(benchmark::State& state) {
   rt::Tensor a(ir::DType::f64, {state.range(0)});

@@ -5,6 +5,7 @@
 #include <array>
 #include <deque>
 #include <sstream>
+#include <string_view>
 
 #include "common/env.hpp"
 #include "common/obs.hpp"
@@ -153,10 +154,232 @@ bool proves_nonneg_impl(Expr e, const Env& env, int depth) {
   return global_ok(e, env, 3) && e.provably_nonnegative();
 }
 
+// On an affine expression proves_nonneg_impl is arithmetic on its
+// coefficients.  The probe e(s+1) - e(s) is s's coefficient c, a
+// constant proven nonnegative exactly when c >= 0, so c > 0 substitutes
+// the lower endpoint and c < 0 the upper one; substituting adds c times
+// the endpoint.  provably_nonnegative counts every symbol as 1: it holds
+// when every coefficient is positive and their sum plus the constant is
+// >= 0.  LinearProver runs the same rounds on numbers.  It answers
+// nullopt, and the Expr path decides, as soon as the expression or an
+// endpoint it consults is not affine or a value leaves [-kLimit, kLimit],
+// a range in which no step of the Expr path can overflow.
+
+constexpr int64_t kLimit = int64_t{1} << 61;
+
+bool in_limit(int64_t v) { return v >= -kLimit && v <= kLimit; }
+
+bool checked_add(int64_t a, int64_t b, int64_t& out) {
+  return !__builtin_add_overflow(a, b, &out) && in_limit(out);
+}
+
+/// k + sum(coef * symbol) with terms sorted by name and no zero
+/// coefficient: the canonical form of an affine Expr.  Names view
+/// strings owned by the Exprs the form was built from.
+struct Linear {
+  int64_t k = 0;
+  std::vector<std::pair<std::string_view, int64_t>> terms;
+
+  bool mentions(std::string_view s) const {
+    for (const auto& t : terms)
+      if (t.first == s) return true;
+    return false;
+  }
+};
+
+/// Linear form of `e`, or nullopt when it is not affine.
+std::optional<Linear> linear_of(const Expr& e) {
+  Linear f;
+  auto term = [&f](const Expr& t) {
+    switch (t.kind()) {
+      case sym::ExprKind::Const:
+        f.k = t.constant();
+        return in_limit(f.k);
+      case sym::ExprKind::Symbol:
+        f.terms.emplace_back(t.symbol_name(), 1);
+        return true;
+      case sym::ExprKind::Mul: {
+        std::vector<Expr> ops = t.operands();
+        if (ops.size() != 2 || !ops[0].is_constant() || !ops[1].is_symbol() ||
+            !in_limit(ops[0].constant()))
+          return false;
+        f.terms.emplace_back(ops[1].symbol_name(), ops[0].constant());
+        return true;
+      }
+      default:
+        return false;
+    }
+  };
+  if (e.kind() != sym::ExprKind::Add) {
+    if (!term(e)) return std::nullopt;
+  } else {
+    for (const Expr& t : e.operands())
+      if (!term(t)) return std::nullopt;
+  }
+  return f;
+}
+
+/// a + m*b + k, or nullopt when a or b is missing or a value leaves the
+/// limit.
+std::optional<Linear> combine(const std::optional<Linear>& a, int64_t m,
+                              const std::optional<Linear>& b, int64_t k) {
+  if (!a || !b) return std::nullopt;
+  auto scaled = [m](int64_t v, int64_t& out) {
+    return !__builtin_mul_overflow(v, m, &out) && in_limit(out);
+  };
+  Linear r;
+  int64_t v = 0;
+  if (!scaled(b->k, v) || !checked_add(a->k, v, r.k) ||
+      !checked_add(r.k, k, r.k))
+    return std::nullopt;
+  r.terms.reserve(a->terms.size() + b->terms.size());
+  auto i = a->terms.begin();
+  auto j = b->terms.begin();
+  while (i != a->terms.end() || j != b->terms.end()) {
+    if (j == b->terms.end() || (i != a->terms.end() && i->first < j->first)) {
+      r.terms.push_back(*i++);
+      continue;
+    }
+    if (!scaled(j->second, v)) return std::nullopt;
+    if (i != a->terms.end() && i->first == j->first) {
+      if (!checked_add(i->second, v, v)) return std::nullopt;
+      ++i;
+    }
+    if (v != 0) r.terms.emplace_back(j->first, v);
+    ++j;
+  }
+  return r;
+}
+
+/// proves_nonneg_impl(e, env, 4) on linear forms.  The endpoint forms and
+/// the global_ok verdict of each symbol are computed once per prover, so
+/// one prover serves every claim under one environment.
+class LinearProver {
+ public:
+  explicit LinearProver(const Env& env) : env_(env) {}
+
+  /// The verdict on `e`, or nullopt when the Expr path must decide.
+  std::optional<bool> nonneg(Linear e) {
+    for (int round = 0; round < 8; ++round) {
+      std::optional<bool> done = settled(e, 3);
+      if (!done || *done) return done;
+      bool changed = false;
+      for (size_t t = 0; t < e.terms.size() && !changed; ++t) {
+        auto [name, c] = e.terms[t];
+        const Symbol& s = symbol(name);
+        if (!s.bound) continue;
+        const Endpoint& ep = c > 0 ? s.lo : s.hi;
+        if (!ep.present) continue;
+        if (!ep.form) return std::nullopt;
+        if (ep.form->mentions(name)) continue;
+        e.terms.erase(e.terms.begin() + t);
+        std::optional<Linear> next = combine(std::move(e), c, ep.form, 0);
+        if (!next) return std::nullopt;
+        e = std::move(*next);
+        changed = true;
+      }
+      if (!changed) break;
+    }
+    return settled(e, 3);
+  }
+
+ private:
+  struct Endpoint {
+    bool present = false;
+    std::optional<Linear> form;  // nullopt: not affine
+  };
+  struct Symbol {
+    std::string name;
+    bool bound = false;  // has an environment entry
+    Endpoint lo, hi;
+    // symbol_ok by depth: -1 not computed, 0 false, 1 true, 2 fall back.
+    std::array<int8_t, 4> ok{-1, -1, -1, -1};
+  };
+
+  Symbol& symbol(std::string_view name) {
+    for (Symbol& s : syms_)
+      if (s.name == name) return s;
+    Symbol& s = syms_.emplace_back();
+    s.name = name;
+    auto it = env_.find(s.name);
+    if (it == env_.end()) return s;
+    s.bound = true;
+    auto endpoint = [](const std::optional<Expr>& x) {
+      Endpoint ep;
+      ep.present = x.has_value();
+      if (x) ep.form = linear_of(*x);
+      return ep;
+    };
+    s.lo = endpoint(it->second.lo);
+    s.hi = endpoint(it->second.hi);
+    return s;
+  }
+
+  /// Expr::provably_nonnegative, summed in the Expr's term order.
+  static std::optional<bool> bounded_below(const Linear& e) {
+    int64_t lo = 0;
+    for (const auto& t : e.terms) {
+      if (t.second < 0) return false;
+      if (__builtin_add_overflow(lo, t.second, &lo)) return std::nullopt;
+    }
+    if (__builtin_add_overflow(lo, e.k, &lo)) return std::nullopt;
+    return lo >= 0;
+  }
+
+  /// global_ok(e, env, depth) && e.provably_nonnegative().
+  std::optional<bool> settled(const Linear& e, int depth) {
+    std::optional<bool> below = bounded_below(e);
+    if (below && !*below) return false;
+    for (const auto& t : e.terms) {
+      std::optional<bool> ok = symbol_ok(symbol(t.first), depth);
+      if (ok != true) return ok;
+    }
+    return below;
+  }
+
+  /// global_ok's test of one symbol: no environment entry, or a lower
+  /// bound lo such that lo - 1 passes global_ok at depth - 1 and is
+  /// provably nonnegative.
+  std::optional<bool> symbol_ok(Symbol& s, int depth) {
+    if (!s.bound) return true;
+    if (depth <= 0 || !s.lo.present) return false;
+    int8_t& memo = s.ok[depth];
+    if (memo < 0) {
+      std::optional<bool> r;
+      if (s.lo.form) {
+        Linear lom1 = *s.lo.form;
+        lom1.k -= 1;
+        r = settled(lom1, depth - 1);
+      }
+      memo = r ? *r : 2;
+    }
+    if (memo == 2) return std::nullopt;
+    return memo == 1;
+  }
+
+  const Env& env_;
+  std::deque<Symbol> syms_;  // stable references across lookups
+};
+
 }  // namespace
 
-bool proves_nonneg(const Expr& e, const Env& env) {
+namespace detail {
+
+bool proves_nonneg_expr(const Expr& e, const Env& env) {
   return proves_nonneg_impl(e, env, 4);
+}
+
+std::optional<bool> proves_nonneg_linear(const Expr& e, const Env& env) {
+  std::optional<Linear> f = linear_of(e);
+  if (!f) return std::nullopt;
+  return LinearProver(env).nonneg(std::move(*f));
+}
+
+}  // namespace detail
+
+bool proves_nonneg(const Expr& e, const Env& env) {
+  if (std::optional<bool> v = detail::proves_nonneg_linear(e, env)) return *v;
+  return detail::proves_nonneg_expr(e, env);
 }
 
 std::optional<bool> prove_le(const Expr& a, const Expr& b, const Env& env) {
@@ -287,25 +510,55 @@ Interval eval_interval(const Expr& e, const Env& env) {
 // Subset verdicts
 // ---------------------------------------------------------------------------
 
-Verdict subset_in_range(const Subset& subset,
-                        const std::vector<Expr>& shape, const Env& env) {
+namespace {
+
+/// subset_in_range under `env`, whose linear prover is `lp`.  Each claim
+/// is built as a linear form from begin, last and shape; a claim whose
+/// form is missing or undecided goes to the Expr path.
+Verdict in_range(const Subset& subset, const std::vector<Expr>& shape,
+                 const Env& env, LinearProver& lp) {
   if (subset.dims() != shape.size()) return Verdict::Unknown;
+  // `form`, when set, is the linear form of `expr()`.
+  auto holds = [&](std::optional<Linear> form, auto expr) {
+    if (form) {
+      if (std::optional<bool> v = lp.nonneg(std::move(*form))) return *v;
+    }
+    return detail::proves_nonneg_expr(expr(), env);
+  };
+  const std::optional<Linear> zero = Linear{};
   bool all_ok = true;
   for (size_t d = 0; d < shape.size(); ++d) {
     const Range& r = subset.range(d);
-    Expr last = last_index(r);
+    // last_index: end - 1 at unit step, read without Expr arithmetic.
+    const bool unit = r.step.is_one();
+    const Expr last_expr = unit ? r.end : last_index(r);
+    std::optional<Linear> begin = linear_of(r.begin);
+    std::optional<Linear> size = linear_of(shape[d]);
+    std::optional<Linear> last = combine(zero, 1, linear_of(last_expr),
+                                         unit ? -1 : 0);
     // Provable violation: begin <= -1 or last >= shape for every
     // admitted valuation.
-    if (proves_nonneg(Expr(0) - r.begin - Expr(1), env) ||
-        proves_nonneg(last - shape[d], env)) {
+    if (holds(combine(zero, -1, begin, -1),
+              [&] { return Expr(0) - r.begin - Expr(1); }) ||
+        holds(combine(last, -1, size, 0),
+              [&] { return last_index(r) - shape[d]; })) {
       return Verdict::Refuted;
     }
-    if (!proves_nonneg(r.begin, env) ||
-        !proves_nonneg(shape[d] - Expr(1) - last, env)) {
+    if (!holds(begin, [&] { return r.begin; }) ||
+        !holds(combine(size, -1, last, -1),
+               [&] { return shape[d] - Expr(1) - last_index(r); })) {
       all_ok = false;
     }
   }
   return all_ok ? Verdict::Proven : Verdict::Unknown;
+}
+
+}  // namespace
+
+Verdict subset_in_range(const Subset& subset,
+                        const std::vector<Expr>& shape, const Env& env) {
+  LinearProver lp(env);
+  return in_range(subset, shape, env, lp);
 }
 
 std::optional<bool> proves_disjoint(const Subset& a, const Subset& b,
@@ -556,11 +809,11 @@ std::vector<const ir::MapEntry*> scope_chain(const ir::State& st, int scope) {
   return {chain.rbegin(), chain.rend()};
 }
 
-}  // namespace
-
-Env edge_env(const ir::State& st, const ir::Edge& e, const Env& state_env) {
+/// `state_env` extended with the iteration intervals of the parameters
+/// of every map enclosing `scope` (inclusive).
+Env scope_env(const ir::State& st, int scope, const Env& state_env) {
   Env env = state_env;
-  for (const auto* me : scope_chain(st, edge_scope(st, e))) {
+  for (const auto* me : scope_chain(st, scope)) {
     if (!me) continue;
     for (size_t i = 0; i < me->params.size() && i < me->range.dims(); ++i) {
       const Range& r = me->range.range(i);
@@ -568,6 +821,12 @@ Env edge_env(const ir::State& st, const ir::Edge& e, const Env& state_env) {
     }
   }
   return env;
+}
+
+}  // namespace
+
+Env edge_env(const ir::State& st, const ir::Edge& e, const Env& state_env) {
+  return scope_env(st, edge_scope(st, e), state_env);
 }
 
 // ---------------------------------------------------------------------------
@@ -619,30 +878,56 @@ StrideInfo flat_stride(const std::vector<Expr>& shape, const Subset& subset,
 
 namespace {
 
-/// True if the edge lies inside the scope of map entry `entry`
-/// (including edges touching the entry's inner side or the exit).
-bool edge_inside(const ir::State& st, const ir::Edge& e, int entry) {
-  int sc = edge_scope(st, e);
-  while (sc >= 0) {
-    if (sc == entry) return true;
-    sc = st.scope_of(sc);
-  }
-  return false;
+/// True if the edge lies inside the scope of map entry `entry`, whose
+/// nodes State::scope_nodes returned (sorted) as `nodes`: edges leaving
+/// the entry's inner side or a node of the scope, into the exit too.
+bool edge_inside(const ir::Edge& e, int entry, const std::vector<int>& nodes) {
+  return e.src == entry ||
+         std::binary_search(nodes.begin(), nodes.end(), e.src);
 }
+
+/// The environment of one scope and the linear prover over it.
+struct ScopeEnv {
+  explicit ScopeEnv(Env e) : env(std::move(e)), prover(env) {}
+  Env env;
+  LinearProver prover;
+};
 
 }  // namespace
 
 MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
                      const Env& state_env) {
+  OBS_SPAN("analysis", "absint.map");
   MapFacts f;
   const auto* me = st.node_as<const ir::MapEntry>(entry);
   if (!me || me->params.empty()) return f;
 
-  bool all_ok = true;
-  bool nested_maps = false;
-  for (int nid : st.scope_nodes(entry)) {
-    if (st.node_as<const ir::MapEntry>(nid)) nested_maps = true;
+  // The scope's nodes and those of each nested scope.  An edge inside
+  // has its source as its own scope when that is a map entry, else the
+  // smallest scope holding the source.
+  const std::vector<int> nodes = st.scope_nodes(entry);
+  std::vector<std::pair<int, std::vector<int>>> nested;
+  for (int nid : nodes) {
+    if (st.node_as<const ir::MapEntry>(nid))
+      nested.emplace_back(nid, st.scope_nodes(nid));
   }
+  auto scope_of_edge = [&](const ir::Edge& e) {
+    if (!edge_inside(e, entry, nodes)) return -1;
+    if (st.node_as<const ir::MapEntry>(e.src)) return e.src;
+    int best = entry;
+    size_t best_size = nodes.size();
+    for (const auto& [m, inner] : nested) {
+      if (inner.size() < best_size &&
+          std::binary_search(inner.begin(), inner.end(), e.src)) {
+        best = m;
+        best_size = inner.size();
+      }
+    }
+    return best;
+  };
+  std::map<int, ScopeEnv> envs;
+  const bool nested_maps = !nested.empty();
+  bool all_ok = true;
 
   // Per-container load/store footprints adjacent to compute nodes, for
   // the vectorization hazard check.
@@ -653,8 +938,8 @@ MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
 
   for (size_t ei = 0; ei < st.edges().size(); ++ei) {
     const ir::Edge& e = st.edges()[ei];
-    if (!edge_inside(st, e, entry)) continue;
-    if (e.memlet.empty()) continue;
+    int scope = scope_of_edge(e);
+    if (scope < 0 || e.memlet.empty()) continue;
     if (!sdfg.has_array(e.memlet.data)) {
       all_ok = false;
       continue;
@@ -672,8 +957,11 @@ MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
       all_ok = false;
       continue;
     }
-    Env env = edge_env(st, e, state_env);
-    if (subset_in_range(e.memlet.subset, d.shape, env) == Verdict::Proven) {
+    auto it = envs.find(scope);
+    if (it == envs.end())
+      it = envs.try_emplace(scope, scope_env(st, scope, state_env)).first;
+    if (in_range(e.memlet.subset, d.shape, it->second.env,
+                 it->second.prover) == Verdict::Proven) {
       f.inrange_edges.insert(ei);
     } else {
       all_ok = false;
@@ -975,8 +1263,9 @@ void lint_strides(const ir::SDFG& sdfg, AnalysisReport& report) {
       const auto* me = st.node_as<const ir::MapEntry>(nid);
       if (!me || me->params.empty()) continue;
       // Innermost maps only (no nested map inside this scope).
+      const std::vector<int> nodes = st.scope_nodes(nid);
       bool innermost = true;
-      for (int inner : st.scope_nodes(nid))
+      for (int inner : nodes)
         if (st.node_as<const ir::MapEntry>(inner)) innermost = false;
       if (!innermost) continue;
       // Hot: this map or any enclosing one has a parallel schedule.
@@ -986,7 +1275,7 @@ void lint_strides(const ir::SDFG& sdfg, AnalysisReport& report) {
       if (!hot) continue;
       const std::string& inner_param = me->params.back();
       for (const auto& e : st.edges()) {
-        if (!edge_inside(st, e, nid) || e.memlet.empty()) continue;
+        if (!edge_inside(e, nid, nodes) || e.memlet.empty()) continue;
         if (!sdfg.has_array(e.memlet.data)) continue;
         const ir::DataDesc& d = sdfg.array(e.memlet.data);
         if (d.is_stream || d.rank() == 0) continue;

@@ -83,8 +83,19 @@ Interval eval_interval(const sym::Expr& e, const Env& env);
 /// the residue is discharged by the global ">= 1" prover, but only when
 /// every remaining env-bound symbol provably satisfies that convention
 /// -- so map parameters starting at 0 and widened loop variables never
-/// leak into the unsound fallback.
+/// leak into the unsound fallback.  When `e` and every endpoint the
+/// proof consults are affine, the proof runs on integer coefficients
+/// and returns exactly the verdict of the expression-tree path.
 bool proves_nonneg(const sym::Expr& e, const Env& env);
+
+namespace detail {
+/// The two paths of proves_nonneg.  The expression-tree path decides
+/// every claim; the affine path returns its verdict, or nullopt when
+/// something it consults is not affine or a coefficient would leave
+/// [-2^61, 2^61], and proves_nonneg then asks the tree path.
+bool proves_nonneg_expr(const sym::Expr& e, const Env& env);
+std::optional<bool> proves_nonneg_linear(const sym::Expr& e, const Env& env);
+}  // namespace detail
 
 /// Three-valued comparison: true = a <= b proven, false = a > b proven,
 /// nullopt = unknown.

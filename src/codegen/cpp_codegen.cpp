@@ -194,8 +194,7 @@ class Emitter {
       if (!d.transient) continue;
       DACE_CHECK(!d.is_stream, "codegen: streams are FPGA-executor only");
       if (d.is_scalar()) {
-        line("double " + name + "_v = 0.0; double* " + name + " = &" + name +
-             "_v;");
+        declare_scalar(name);
         continue;
       }
       std::string n = sym_c(d.num_elements());
@@ -301,20 +300,43 @@ class Emitter {
   /// `entry` that update atomically.  CPU: the edges that two threads of a
   /// split of the first parameter can apply to the same element -- the
   /// executor's conflict rule, nested scopes included.  CUDA: every WCR
-  /// output of a tasklet directly in a parallel scope.
+  /// output of a tasklet directly in a parallel scope.  Updates of the
+  /// scope's private scalars are never atomic.
   std::set<size_t> atomic_wcr(const State& st, int entry) const {
     if (!parallel_schedule(*st.node_as<const ir::MapEntry>(entry))) return {};
-    if (flavor_ == Flavor::CPU)
-      return analysis::conflicting_wcr_writes(sdfg_, st, entry);
     std::set<size_t> out;
-    if (flavor_ != Flavor::CUDA) return out;
-    for (int id : direct_children(st, entry)) {
-      if (st.node(id)->kind != ir::NodeKind::Tasklet) continue;
-      for (const auto* e : st.out_edges(id))
-        if (e->memlet.wcr != ir::WCR::None)
-          out.insert((size_t)(e - st.edges().data()));
+    if (flavor_ == Flavor::CPU) {
+      out = analysis::conflicting_wcr_writes(sdfg_, st, entry);
+    } else if (flavor_ == Flavor::CUDA) {
+      for (int id : direct_children(st, entry)) {
+        if (st.node(id)->kind != ir::NodeKind::Tasklet) continue;
+        for (const auto* e : st.out_edges(id))
+          if (e->memlet.wcr != ir::WCR::None)
+            out.insert((size_t)(e - st.edges().data()));
+      }
+    }
+    std::set<std::string> priv = private_scalars(st, entry);
+    std::erase_if(out, [&](size_t ei) {
+      return priv.count(st.edges()[ei].memlet.data) > 0;
+    });
+    return out;
+  }
+
+  /// Scalar transients with an access node inside the parallel scope at
+  /// `entry`.  Like the map compiler's registers, each iteration owns
+  /// them: they are declared at the top of the loop body.
+  std::set<std::string> private_scalars(const State& st, int entry) const {
+    std::set<std::string> out;
+    for (int id : st.scope_nodes(entry)) {
+      const auto* a = st.node_as<const ir::AccessNode>(id);
+      if (a && is_scalar_transient(a->data)) out.insert(a->data);
     }
     return out;
+  }
+
+  void declare_scalar(const std::string& name) {
+    line("double " + name + "_v = 0.0; double* " + name + " = &" + name +
+         "_v;");
   }
 
   /// True when a tasklet of the scope at `entry` writes with WCR.
@@ -359,6 +381,9 @@ class Emitter {
       if (flavor_ == Flavor::HLS && d + 1 == me->params.size())
         line("#pragma HLS PIPELINE II=1");
     }
+    if (parallel)
+      for (const std::string& name : private_scalars(st, entry))
+        declare_scalar(name);
     for (int id : direct_children(st, entry)) {
       switch (st.node(id)->kind) {
         case ir::NodeKind::Tasklet:

@@ -228,6 +228,18 @@ class Lowerer {
     }
   }
 
+  /// The step of a slice, `range(...)` or `dace.map[...]` (1 when
+  /// absent).  Loops and slices run upward only, so a constant step must
+  /// be positive; `code` and `what` name the construct.
+  Expr step_expr(const ExprPtr& e, const char* code, const char* what) {
+    if (!e) return Expr(1);
+    Expr s = index_expr(e);
+    if (s.is_constant() && s.constant() <= 0)
+      fail(code, e,
+           std::string(what) + " step must be positive, got " + s.to_string());
+    return s;
+  }
+
   /// Resolve a slice bound; negative constants wrap around `size`.
   Expr slice_bound(const ExprPtr& e, const Expr& size) {
     Expr v = index_expr(e);
@@ -263,7 +275,7 @@ class Lowerer {
         }
         Expr b = s.begin ? slice_bound(s.begin, d.shape[dim]) : Expr(0);
         Expr en = s.end ? slice_bound(s.end, d.shape[dim]) : d.shape[dim];
-        Expr st = s.step ? index_expr(s.step) : Expr(1);
+        Expr st = step_expr(s.step, "E304", "slice");
         ranges.emplace_back(b, en, st);
         o.dim_map.push_back(view_dim++);
         o.view_shape.push_back(ranges.back().size());
@@ -1077,7 +1089,7 @@ class Lowerer {
     } else if (args.size() >= 2) {
       begin = index_expr(args[0]);
       end = index_expr(args[1]);
-      if (args.size() == 3) step = index_expr(args[2]);
+      if (args.size() == 3) step = step_expr(args[2], "E309", "range");
     }
 
     // Shadow handling: remember previous binding.
@@ -1226,7 +1238,7 @@ class Lowerer {
       Expr b = s.begin ? index_expr(s.begin) : Expr(0);
       if (s.end == nullptr) fail("E307", st, "dace.map range needs an end");
       Expr e = index_expr(s.end);
-      Expr stp = s.step ? index_expr(s.step) : Expr(1);
+      Expr stp = step_expr(s.step, "E307", "dace.map");
       ranges.emplace_back(b, e, stp);
     }
     if (ranges.size() != st.loop_vars.size())

@@ -89,6 +89,14 @@ class EagerImpl {
     return v.i;
   }
 
+  /// A slice or loop step (1 when absent); only positive steps exist.
+  int64_t eval_step(const ExprPtr& e, int line) {
+    int64_t s = e ? eval_int(e) : 1;
+    if (s <= 0)
+      fail(line, "step must be positive, got " + std::to_string(s));
+    return s;
+  }
+
   Value eval(const ExprPtr& e) {
     switch (e->kind) {
       case ExKind::Num:
@@ -306,7 +314,7 @@ class EagerImpl {
         if (ee < 0) ee += size;
         b.push_back(bb);
         en.push_back(ee);
-        st.push_back(s.step ? eval_int(s.step) : 1);
+        st.push_back(eval_step(s.step, e->line));
         drop.push_back(false);
       } else {
         b.push_back(0);
@@ -399,8 +407,11 @@ class EagerImpl {
       for (const auto& s : st.iter->slices) {
         begins.push_back(s.begin ? eval_int(s.begin) : 0);
         ends.push_back(eval_int(s.end));
-        steps.push_back(s.step ? eval_int(s.step) : 1);
+        steps.push_back(eval_step(s.step, st.line));
       }
+      // An empty range in any dimension runs no iteration at all.
+      for (size_t d = 0; d < begins.size(); ++d)
+        if (begins[d] >= ends[d]) return;
       std::vector<int64_t> idx = begins;
       size_t rank = begins.size();
       if (rank == 0) return;
@@ -427,7 +438,7 @@ class EagerImpl {
     } else {
       begin = eval_int(a[0]);
       end = eval_int(a[1]);
-      if (a.size() == 3) step = eval_int(a[2]);
+      if (a.size() == 3) step = eval_step(a[2], st.line);
     }
     for (int64_t i = begin; i < end; i += step) {
       env_[st.loop_vars[0]] = Value::of(i);

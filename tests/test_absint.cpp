@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+
 #include "codegen/jit.hpp"
 #include "common/env.hpp"
 #include "frontend/lowering.hpp"
@@ -61,6 +64,72 @@ TEST(AbsintProver, ProveLeIsThreeValued) {
   EXPECT_EQ(prove_le(S("i"), S("N") - Expr(1), env), std::optional<bool>(true));
   EXPECT_EQ(prove_le(S("N"), S("i"), env), std::optional<bool>(false));
   EXPECT_EQ(prove_le(S("i"), S("M"), env), std::nullopt);
+}
+
+TEST(AbsintProver, LinearPathAgreesWithExprPath) {
+  // Random affine claims over environments with affine endpoints: the
+  // affine path decides every one, and its verdict is the tree path's.
+  const std::vector<std::string> names = {"N", "M", "i", "j", "k"};
+  std::mt19937_64 rng(26);
+  auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto affine = [&](int nterms, int coef) {
+    Expr e(uniform(-6, 6));
+    for (int t = 0; t < nterms; ++t)
+      e = e + Expr(uniform(-coef, coef)) * S(names[uniform(0, 4)]);
+    return e;
+  };
+  int proven = 0;
+  for (int c = 0; c < 2000; ++c) {
+    Env env;
+    for (const std::string& s : names) {
+      if (uniform(0, 2) == 0) continue;  // unbound: the ">= 1" convention
+      Interval iv;
+      // Lower bounds from -1 up, so some fall below 1; an endpoint over
+      // up to two symbols may name its own symbol.
+      if (uniform(0, 3) != 0)
+        iv.lo = Expr(uniform(-1, 2)) + affine(uniform(0, 1), 2);
+      if (uniform(0, 3) != 0) iv.hi = affine(uniform(0, 2), 2);
+      env[s] = iv;
+    }
+    Expr e = affine(uniform(1, 4), 4);
+    std::optional<bool> linear = detail::proves_nonneg_linear(e, env);
+    ASSERT_TRUE(linear.has_value()) << e.to_string();
+    bool tree = detail::proves_nonneg_expr(e, env);
+    ASSERT_EQ(*linear, tree) << "case " << c << ": " << e.to_string();
+    EXPECT_EQ(proves_nonneg(e, env), tree);
+    proven += tree;
+  }
+  // Both verdicts are common, so agreement is not vacuous.
+  EXPECT_GT(proven, 200);
+  EXPECT_LT(proven, 1800);
+
+  // Claims the affine path hands to the tree path: a coefficient beyond
+  // its range, a product beyond it (2^31 * 2^31, which the tree path
+  // still computes without overflow), the tiled go_fast map's min()
+  // endpoint, and a floordiv.
+  Env tiled{{"__tile_i", Interval{Expr(0), S("N") - Expr(1)}},
+            {"i", Interval{S("__tile_i"),
+                           sym::min(S("__tile_i") + Expr(1024), S("N")) -
+                               Expr(1)}}};
+  Env big{{"i", Interval{Expr(0), Expr(int64_t{1} << 31) * S("N")}}};
+  const std::vector<std::pair<Expr, Env>> fallbacks = {
+      {Expr(INT64_MAX - 1) * S("i") - S("N"),
+       Env{{"i", Interval{Expr(0), S("N") - Expr(1)}}}},
+      {S("N") - Expr(int64_t{1} << 31) * S("i"), big},
+      {S("N") - Expr(1) - S("i"), tiled},
+      {sym::floordiv(S("N"), Expr(2)) + S("i"),
+       Env{{"i", Interval{Expr(0), S("N") - Expr(1)}}}},
+  };
+  for (const auto& [e, env] : fallbacks) {
+    EXPECT_FALSE(detail::proves_nonneg_linear(e, env).has_value())
+        << e.to_string();
+    EXPECT_EQ(proves_nonneg(e, env), detail::proves_nonneg_expr(e, env))
+        << e.to_string();
+  }
+  // The tree path still proves what it can.
+  EXPECT_TRUE(proves_nonneg(fallbacks.back().first, fallbacks.back().second));
 }
 
 // -- interval arithmetic -----------------------------------------------------

@@ -70,6 +70,23 @@ def tri(A: dace.float64[N, N], out: dace.float64[N]):
             out[j] += A[i, j]
 )");
   EXPECT_EQ(line_before(tri, "out[j] += "), "#pragma omp atomic");
+  // go_fast's tile loop: its scalar transients belong to each iteration,
+  // declared in the loop body and updated without atomics; the tile
+  // writeback into `trace` can collide and stays atomic.
+  std::string go_fast = cpu_text(kernels::kernel("go_fast").source);
+  size_t tile_loop = go_fast.find("for (long long __tile_i = ");
+  ASSERT_NE(tile_loop, std::string::npos);
+  EXPECT_EQ(line_before(go_fast, "for (long long __tile_i = "),
+            "#pragma omp parallel for");
+  for (std::string s : {"__tmp_0", "__acc_trace_2"}) {
+    std::string decl = "double " + s + "_v = 0.0; double* " + s;
+    EXPECT_NE(go_fast.find(decl, tile_loop), std::string::npos) << s;
+    EXPECT_NE(go_fast.find(s + "[0LL] = "), std::string::npos) << s;
+  }
+  EXPECT_NE(go_fast.find("__acc_trace_2[0LL] += "), std::string::npos);
+  EXPECT_NE(line_before(go_fast, "__acc_trace_2[0LL] += "),
+            "#pragma omp atomic");
+  EXPECT_EQ(line_before(go_fast, "trace[0LL] += "), "#pragma omp atomic");
 }
 
 TEST(Codegen, CudaAndHlsFlavors) {

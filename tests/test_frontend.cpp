@@ -3,6 +3,8 @@
 #include "frontend/lexer.hpp"
 #include "frontend/lowering.hpp"
 #include "frontend/parser.hpp"
+#include "runtime/eager_interpreter.hpp"
+#include "runtime/executor.hpp"
 
 namespace dace::fe {
 namespace {
@@ -398,6 +400,78 @@ def f(A: dace.float64[N]):
     EXPECT_NE(msg.find("missing_name"), std::string::npos);
     EXPECT_NE(msg.find("4:"), std::string::npos);  // line 4
   }
+}
+
+// -- loop and slice steps ------------------------------------------------------
+
+/// Code of the diagnostic lowering `src` stops at, or "<none>".
+std::string lowering_error(const std::string& src) {
+  diag::DiagSink sink;
+  auto g = compile_to_sdfg(src, sink);
+  if (g || sink.diagnostics().empty()) return "<none>";
+  return sink.diagnostics()[0].code;
+}
+
+/// Runs `src` in the eager interpreter on A = B = zeros(8).
+void run_eager(const std::string& src,
+               const sym::SymbolMap& syms = {{"N", 8}}) {
+  rt::Bindings b;
+  b.emplace("A", rt::Tensor::from_values({8}, std::vector<double>(8, 0.0)));
+  b.emplace("B", rt::Tensor::from_values({8}, std::vector<double>(8, 0.0)));
+  Module mod = parse(src);
+  rt::EagerInterpreter(mod.functions[0]).run(b, syms);
+}
+
+TEST(Steps, EmptyMapRunsNoIteration) {
+  // dace.map[M:N] at M = N runs nothing in the eager oracle, as in the
+  // executor; the oracle used to run the body once, at i = N.
+  const std::string src = R"(
+@dace.program
+def tail(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[M:N]:
+        B[i] = A[i] + 1.0
+)";
+  const sym::SymbolMap syms{{"N", 8}, {"M", 8}};
+  EXPECT_NO_THROW(run_eager(src, syms));
+  rt::Bindings b;
+  b.emplace("A", rt::Tensor::from_values({8}, std::vector<double>(8, 0.0)));
+  b.emplace("B", rt::Tensor::from_values({8}, std::vector<double>(8, 0.0)));
+  rt::execute(*compile_to_sdfg(src), b, syms);
+  for (int64_t k = 0; k < 8; ++k) EXPECT_EQ(b.at("B").get_flat(k), 0.0);
+}
+
+TEST(Steps, NegativeRangeStepIsRejected) {
+  // The loop guard is `i < end`, so a downward range would run nothing.
+  const std::string src = R"(
+@dace.program
+def rev(A: dace.float64[N], B: dace.float64[N]):
+    for i in range(N - 1, -1, -1):
+        B[i] = A[i]
+)";
+  EXPECT_EQ(lowering_error(src), "E309");
+  EXPECT_THROW(run_eager(src), Error);
+}
+
+TEST(Steps, NegativeMapStepIsRejected) {
+  const std::string src = R"(
+@dace.program
+def rev(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[N-1:-1:-1]:
+        B[i] = A[i]
+)";
+  EXPECT_EQ(lowering_error(src), "E307");
+  EXPECT_THROW(run_eager(src), Error);
+}
+
+TEST(Steps, NegativeSliceStepIsRejected) {
+  // Not a broadcast mismatch (E303): the step itself is invalid.
+  const std::string src = R"(
+@dace.program
+def rev(A: dace.float64[N], B: dace.float64[N]):
+    B[:] = A[::-1]
+)";
+  EXPECT_EQ(lowering_error(src), "E304");
+  EXPECT_THROW(run_eager(src), Error);
 }
 
 }  // namespace
