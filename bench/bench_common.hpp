@@ -5,11 +5,11 @@
 // Timing runs on the obs:: monotonic clock (common/obs.hpp), so bench
 // spans land on the same timeline as runtime/JIT/pass spans when tracing
 // is enabled (DACE_TRACE_FILE=...).  Every *named* timing additionally
-// lands in a machine-readable JSON report written at process exit:
-// BENCH_10.json in the working directory, or $BENCH_JSON when set.  Keys
-// are the timing names, values are median nanoseconds.  Writes merge
-// into an existing report (our keys win), so several bench binaries run
-// in sequence accumulate one trajectory snapshot per PR.
+// lands in a machine-readable JSON report written at process exit to
+// $BENCH_JSON; with BENCH_JSON unset no report is written, and one line
+// on stderr says so.  Keys are the timing names, values are median
+// nanoseconds.  Writes merge into an existing report (our keys win), so
+// several bench binaries run in sequence accumulate one snapshot.
 #pragma once
 
 #include <algorithm>
@@ -57,9 +57,15 @@ class JsonReport {
 
   void write() {
     const char* env = std::getenv("BENCH_JSON");
-    std::string path = env && *env ? env : "BENCH_10.json";
     std::lock_guard<std::mutex> lk(mu_);
     if (entries_.empty()) return;
+    if (!env || !*env) {
+      std::fprintf(stderr,
+                   "bench: BENCH_JSON is unset; %zu timings not written\n",
+                   entries_.size());
+      return;
+    }
+    std::string path = env;
     // Merge-on-write: fold keys already in the file under ours, so
     // bench_serve + bench_fig7 (separate processes) share one snapshot.
     std::vector<std::pair<std::string, double>> merged;

@@ -365,8 +365,14 @@ class LinearProver {
 
 namespace detail {
 
+// A claim whose arithmetic leaves int64 (the symbolic engine throws on
+// the overflow) is not proven.
 bool proves_nonneg_expr(const Expr& e, const Env& env) {
-  return proves_nonneg_impl(e, env, 4);
+  try {
+    return proves_nonneg_impl(e, env, 4);
+  } catch (const dace::Error&) {
+    return false;
+  }
 }
 
 std::optional<bool> proves_nonneg_linear(const Expr& e, const Env& env) {

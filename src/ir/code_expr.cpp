@@ -1,6 +1,6 @@
 #include "ir/code_expr.hpp"
 
-#include <sstream>
+#include <cstdio>
 
 namespace dace::ir {
 
@@ -190,44 +190,52 @@ const char* func_token(CodeOp op) {
   }
 }
 
-void print(const CodeExpr& e, std::ostream& os) {
+// A constant prints as `ostream << double` does: %g at precision 6.
+void print(const CodeExpr& e, std::string& out) {
   switch (e.op()) {
-    case CodeOp::Const: os << e.value(); return;
-    case CodeOp::Input: os << e.name(); return;
-    case CodeOp::Sym: os << e.name(); return;
+    case CodeOp::Const: {
+      char buf[32];
+      out.append(buf, std::snprintf(buf, sizeof buf, "%g", e.value()));
+      return;
+    }
+    case CodeOp::Input: out += e.name(); return;
+    case CodeOp::Sym: out += e.name(); return;
     case CodeOp::Neg:
-      os << "(-";
-      print(e.args()[0], os);
-      os << ")";
+      out += "(-";
+      print(e.args()[0], out);
+      out += ')';
       return;
     default: break;
   }
   if (const char* tok = binop_token(e.op())) {
-    os << "(";
-    print(e.args()[0], os);
-    os << " " << tok << " ";
-    print(e.args()[1], os);
-    os << ")";
+    out += '(';
+    print(e.args()[0], out);
+    out += ' ';
+    out += tok;
+    out += ' ';
+    print(e.args()[1], out);
+    out += ')';
     return;
   }
   if (const char* fn = func_token(e.op())) {
-    os << fn << "(";
+    out += fn;
+    out += '(';
     for (size_t i = 0; i < e.args().size(); ++i) {
-      if (i) os << ", ";
-      print(e.args()[i], os);
+      if (i) out += ", ";
+      print(e.args()[i], out);
     }
-    os << ")";
+    out += ')';
     return;
   }
-  os << "?";
+  out += '?';
 }
 }  // namespace
 
 std::string CodeExpr::to_string() const {
   if (!node_) return "<none>";
-  std::ostringstream os;
-  print(*this, os);
-  return os.str();
+  std::string out;
+  print(*this, out);
+  return out;
 }
 
 namespace {

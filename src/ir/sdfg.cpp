@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <deque>
-#include <sstream>
 
 #include "ir/sdfg.hpp"
 
@@ -20,12 +19,15 @@ std::string NestedSDFGNode::label() const {
 }
 
 std::string InterstateEdge::to_string() const {
-  std::ostringstream os;
-  if (condition.valid()) os << "if " << condition.to_string();
+  std::string out;
+  if (condition.valid()) out = "if " + condition.to_string();
   for (const auto& [k, v] : assignments) {
-    os << " " << k << "=" << v.to_string();
+    out += ' ';
+    out += k;
+    out += '=';
+    out += v.to_string();
   }
-  return os.str();
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 // SDFG rendering and serialization: Graphviz for human inspection, a
 // stable text dump for golden tests, and a reloadable S-expression
 // format (save / load_sdfg) for offline tools such as sdfg-lint.
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -14,15 +13,37 @@ namespace dace::ir {
 
 namespace {
 
+/// A string written double-quoted, with `"` and `\\` escaped.
+struct Quoted {
+  const std::string& s;
+};
+
+// put(out, parts...) appends each part: text and characters as they
+// are, integers in decimal, Quoted strings quoted.
+void put_part(std::string& out, std::string_view s) { out += s; }
+void put_part(std::string& out, char c) { out += c; }
+void put_part(std::string& out, int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+void put_part(std::string& out, int v) { put_part(out, int64_t{v}); }
+void put_part(std::string& out, Quoted q) {
+  out += '"';
+  for (char c : q.s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  out += '"';
+}
+
+template <typename... Parts>
+void put(std::string& out, const Parts&... parts) {
+  (put_part(out, parts), ...);
+}
+
 std::string quote(const std::string& s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
+  put(out, Quoted{s});
   return out;
 }
 
@@ -87,61 +108,59 @@ std::string SDFG::to_dot() const {
 }
 
 std::string SDFG::dump() const {
-  std::ostringstream os;
-  os << "sdfg " << name_ << "\n";
+  std::string out;
+  put(out, "sdfg ", name_, '\n');
   for (const auto& [name, d] : arrays_) {
-    os << "  " << (d.transient ? "transient " : "array ") << name << ": "
-       << dtype_name(d.dtype) << "[";
-    for (size_t i = 0; i < d.shape.size(); ++i) {
-      if (i) os << ", ";
-      os << d.shape[i].to_string();
-    }
-    os << "]";
-    if (d.storage != Storage::Default) os << " @" << storage_name(d.storage);
-    if (d.lifetime == Lifetime::Persistent) os << " persistent";
-    if (d.is_stream) os << " stream(" << d.stream_depth << ")";
-    os << "\n";
+    put(out, d.transient ? "  transient " : "  array ", name, ": ",
+        dtype_name(d.dtype), '[');
+    for (size_t i = 0; i < d.shape.size(); ++i)
+      put(out, i ? ", " : "", d.shape[i].to_string());
+    put(out, ']');
+    if (d.storage != Storage::Default) put(out, " @", storage_name(d.storage));
+    if (d.lifetime == Lifetime::Persistent) put(out, " persistent");
+    if (d.is_stream) put(out, " stream(", d.stream_depth, ')');
+    put(out, '\n');
   }
   for (int sid : state_order()) {
     const State& st = state(sid);
-    os << "  state " << sid << " '" << st.label() << "'"
-       << (sid == start_state_ ? " (start)" : "") << "\n";
+    put(out, "  state ", sid, " '", st.label(), '\'',
+        sid == start_state_ ? " (start)" : "", '\n');
     for (int nid : st.node_ids()) {
       const Node* n = st.node(nid);
-      os << "    n" << nid << ": ";
+      put(out, "    n", nid, ": ");
       switch (n->kind) {
-        case NodeKind::Access: os << "access "; break;
-        case NodeKind::Tasklet: os << "tasklet "; break;
-        case NodeKind::MapEntry: os << "map_entry "; break;
-        case NodeKind::MapExit: os << "map_exit "; break;
-        case NodeKind::Library: os << "library "; break;
-        case NodeKind::NestedSDFG: os << "nested "; break;
+        case NodeKind::Access: put(out, "access "); break;
+        case NodeKind::Tasklet: put(out, "tasklet "); break;
+        case NodeKind::MapEntry: put(out, "map_entry "); break;
+        case NodeKind::MapExit: put(out, "map_exit "); break;
+        case NodeKind::Library: put(out, "library "); break;
+        case NodeKind::NestedSDFG: put(out, "nested "); break;
       }
-      os << n->label();
+      put(out, n->label());
       if (const auto* t = dynamic_cast<const Tasklet*>(n)) {
-        os << " :: " << t->output << " = " << t->code.to_string();
+        put(out, " :: ", t->output, " = ", t->code.to_string());
       } else if (const auto* m = dynamic_cast<const MapEntry*>(n)) {
-        os << " :: " << schedule_name(m->schedule);
+        put(out, " :: ", schedule_name(m->schedule));
       } else if (const auto* l = dynamic_cast<const LibraryNode*>(n)) {
-        os << " :: impl=" << l->implementation;
+        put(out, " :: impl=", l->implementation);
       }
-      os << "\n";
+      put(out, '\n');
     }
     for (const auto& e : st.edges()) {
-      os << "    n" << e.src;
-      if (!e.src_conn.empty()) os << "." << e.src_conn;
-      os << " -> n" << e.dst;
-      if (!e.dst_conn.empty()) os << "." << e.dst_conn;
-      os << " : " << e.memlet.to_string() << "\n";
+      put(out, "    n", e.src);
+      if (!e.src_conn.empty()) put(out, '.', e.src_conn);
+      put(out, " -> n", e.dst);
+      if (!e.dst_conn.empty()) put(out, '.', e.dst_conn);
+      put(out, " : ", e.memlet.to_string(), '\n');
     }
   }
   for (const auto& e : istate_edges_) {
-    os << "  edge " << e.src << " -> " << e.dst;
+    put(out, "  edge ", e.src, " -> ", e.dst);
     std::string s = e.to_string();
-    if (!s.empty()) os << " [" << s << "]";
-    os << "\n";
+    if (!s.empty()) put(out, " [", s, ']');
+    put(out, '\n');
   }
-  return os.str();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -165,57 +184,49 @@ std::string SDFG::dump() const {
 
 namespace {
 
-std::string quote_atom(const std::string& s) { return quote(s); }
-
 // -- symbolic expressions ---------------------------------------------------
 
-void write_expr(std::ostringstream& os, const sym::Expr& e) {
+void write_expr(std::string& out, const sym::Expr& e) {
   using sym::ExprKind;
   switch (e.kind()) {
     case ExprKind::Const:
-      os << "(c " << e.constant() << ")";
+      put(out, "(c ", e.constant(), ')');
       return;
     case ExprKind::Symbol:
-      os << "(s " << quote_atom(e.symbol_name()) << ")";
+      put(out, "(s ", Quoted{e.symbol_name()}, ')');
       return;
-    default:
-      break;
+    case ExprKind::Add: put(out, "(add"); break;
+    case ExprKind::Mul: put(out, "(mul"); break;
+    case ExprKind::FloorDiv: put(out, "(fdiv"); break;
+    case ExprKind::Mod: put(out, "(emod"); break;
+    case ExprKind::Min: put(out, "(emin"); break;
+    case ExprKind::Max: put(out, "(emax"); break;
   }
-  const char* tag = "?";
-  switch (e.kind()) {
-    case ExprKind::Add: tag = "add"; break;
-    case ExprKind::Mul: tag = "mul"; break;
-    case ExprKind::FloorDiv: tag = "fdiv"; break;
-    case ExprKind::Mod: tag = "emod"; break;
-    case ExprKind::Min: tag = "emin"; break;
-    case ExprKind::Max: tag = "emax"; break;
-    default: break;
+  for (size_t i = 0; i < e.num_operands(); ++i) {
+    put(out, ' ');
+    write_expr(out, e.operand(i));
   }
-  os << "(" << tag;
-  for (const auto& a : e.operands()) {
-    os << " ";
-    write_expr(os, a);
-  }
-  os << ")";
+  put(out, ')');
 }
 
-void write_range(std::ostringstream& os, const sym::Range& r) {
-  os << "(r ";
-  write_expr(os, r.begin);
-  os << " ";
-  write_expr(os, r.end);
-  os << " ";
-  write_expr(os, r.step);
-  os << ")";
+void write_range(std::string& out, const sym::Range& r) {
+  put(out, "(r ");
+  write_expr(out, r.begin);
+  put(out, ' ');
+  write_expr(out, r.end);
+  put(out, ' ');
+  write_expr(out, r.step);
+  put(out, ')');
 }
 
-void write_subset(std::ostringstream& os, const sym::Subset& s) {
-  os << "(subset";
+/// (tag range*)
+void write_ranges(std::string& out, const char* tag, const sym::Subset& s) {
+  put(out, '(', tag);
   for (const auto& r : s.ranges()) {
-    os << " ";
-    write_range(os, r);
+    put(out, ' ');
+    write_range(out, r);
   }
-  os << ")";
+  put(out, ')');
 }
 
 // -- tasklet code -----------------------------------------------------------
@@ -256,176 +267,168 @@ const char* code_op_name(CodeOp op) {
   return "?";
 }
 
-void write_code(std::ostringstream& os, const CodeExpr& c) {
+void write_code(std::string& out, const CodeExpr& c) {
   if (!c.valid()) {
-    os << "none";
+    put(out, "none");
     return;
   }
   switch (c.op()) {
     case CodeOp::Const: {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", c.value());
-      os << "(num " << buf << ")";
+      int len = std::snprintf(buf, sizeof(buf), "%.17g", c.value());
+      put(out, "(num ", std::string_view(buf, len), ')');
       return;
     }
-    case CodeOp::Input:
-      os << "(in " << quote_atom(c.name()) << ")";
-      return;
-    case CodeOp::Sym:
-      os << "(sym " << quote_atom(c.name()) << ")";
-      return;
-    default:
-      break;
+    case CodeOp::Input: put(out, "(in ", Quoted{c.name()}, ')'); return;
+    case CodeOp::Sym: put(out, "(sym ", Quoted{c.name()}, ')'); return;
+    default: break;
   }
-  os << "(" << code_op_name(c.op());
+  put(out, '(', code_op_name(c.op()));
   for (const auto& a : c.args()) {
-    os << " ";
-    write_code(os, a);
+    put(out, ' ');
+    write_code(out, a);
   }
-  os << ")";
+  put(out, ')');
 }
 
 // -- graph ------------------------------------------------------------------
 
-void write_memlet(std::ostringstream& os, const Memlet& m) {
+void write_memlet(std::string& out, const Memlet& m) {
   if (m.empty()) {
-    os << "none";
+    put(out, "none");
     return;
   }
-  os << "(m " << quote_atom(m.data) << " " << wcr_name(m.wcr) << " "
-     << (m.dynamic ? 1 : 0) << " ";
-  write_subset(os, m.subset);
-  os << ")";
+  put(out, "(m ", Quoted{m.data}, ' ', wcr_name(m.wcr), ' ', m.dynamic ? 1 : 0,
+      ' ');
+  write_ranges(out, "subset", m.subset);
+  put(out, ')');
 }
 
-void write_sdfg(std::ostringstream& os, const SDFG& g);
+void write_sdfg(std::string& out, const SDFG& g);
 
-void write_node(std::ostringstream& os, const State& st, int id) {
+void write_node(std::string& out, const State& st, int id) {
   const Node* n = st.node(id);
-  os << "    (node " << id << " ";
+  put(out, "    (node ", id, ' ');
   switch (n->kind) {
     case NodeKind::Access:
-      os << "(access " << quote_atom(static_cast<const AccessNode*>(n)->data)
-         << ")";
+      put(out, "(access ", Quoted{static_cast<const AccessNode*>(n)->data},
+          ')');
       break;
     case NodeKind::Tasklet: {
       const auto* t = static_cast<const Tasklet*>(n);
-      os << "(tasklet " << quote_atom(t->name) << " " << quote_atom(t->output)
-         << " (ins";
-      for (const auto& in : t->inputs) os << " " << quote_atom(in);
-      os << ") ";
-      write_code(os, t->code);
-      os << ")";
+      put(out, "(tasklet ", Quoted{t->name}, ' ', Quoted{t->output}, " (ins");
+      for (const auto& in : t->inputs) put(out, ' ', Quoted{in});
+      put(out, ") ");
+      write_code(out, t->code);
+      put(out, ')');
       break;
     }
     case NodeKind::MapEntry: {
       const auto* m = static_cast<const MapEntry*>(n);
-      os << "(map_entry " << quote_atom(m->name) << " " << m->exit_node << " "
-         << schedule_name(m->schedule) << " " << (m->omp_collapse ? 1 : 0)
-         << " (params";
-      for (const auto& p : m->params) os << " " << quote_atom(p);
-      os << ") (range";
-      for (const auto& r : m->range.ranges()) {
-        os << " ";
-        write_range(os, r);
-      }
-      os << "))";
+      put(out, "(map_entry ", Quoted{m->name}, ' ', m->exit_node, ' ',
+          schedule_name(m->schedule), ' ', m->omp_collapse ? 1 : 0,
+          " (params");
+      for (const auto& p : m->params) put(out, ' ', Quoted{p});
+      put(out, ") ");
+      write_ranges(out, "range", m->range);
+      put(out, ')');
       break;
     }
     case NodeKind::MapExit:
-      os << "(map_exit " << static_cast<const MapExit*>(n)->entry_node << ")";
+      put(out, "(map_exit ", static_cast<const MapExit*>(n)->entry_node, ')');
       break;
     case NodeKind::Library: {
       const auto* l = static_cast<const LibraryNode*>(n);
-      os << "(library " << quote_atom(l->op) << " "
-         << quote_atom(l->implementation);
+      put(out, "(library ", Quoted{l->op}, ' ', Quoted{l->implementation});
       for (const auto& [k, v] : l->attrs)
-        os << " (attr " << quote_atom(k) << " " << quote_atom(v) << ")";
+        put(out, " (attr ", Quoted{k}, ' ', Quoted{v}, ')');
       for (const auto& [k, v] : l->sym_attrs) {
-        os << " (sattr " << quote_atom(k) << " ";
-        write_expr(os, v);
-        os << ")";
+        put(out, " (sattr ", Quoted{k}, ' ');
+        write_expr(out, v);
+        put(out, ')');
       }
-      os << ")";
+      put(out, ')');
       break;
     }
     case NodeKind::NestedSDFG: {
       const auto* nn = static_cast<const NestedSDFGNode*>(n);
-      os << "(nested (ins";
-      for (const auto& c : nn->in_connectors) os << " " << quote_atom(c);
-      os << ") (outs";
-      for (const auto& c : nn->out_connectors) os << " " << quote_atom(c);
-      os << ")";
+      put(out, "(nested (ins");
+      for (const auto& c : nn->in_connectors) put(out, ' ', Quoted{c});
+      put(out, ") (outs");
+      for (const auto& c : nn->out_connectors) put(out, ' ', Quoted{c});
+      put(out, ')');
       for (const auto& [k, v] : nn->symbol_mapping) {
-        os << " (map " << quote_atom(k) << " ";
-        write_expr(os, v);
-        os << ")";
+        put(out, " (map ", Quoted{k}, ' ');
+        write_expr(out, v);
+        put(out, ')');
       }
-      os << " ";
-      write_sdfg(os, *nn->sdfg);
-      os << ")";
+      put(out, ' ');
+      write_sdfg(out, *nn->sdfg);
+      put(out, ')');
       break;
     }
   }
-  os << ")\n";
+  put(out, ")\n");
 }
 
-void write_sdfg(std::ostringstream& os, const SDFG& g) {
-  os << "(sdfg " << quote_atom(g.name()) << "\n";
-  os << "  (symbols";
-  for (const auto& s : g.symbols()) os << " " << quote_atom(s);
-  os << ")\n";
+void write_sdfg(std::string& out, const SDFG& g) {
+  put(out, "(sdfg ", Quoted{g.name()}, "\n  (symbols");
+  for (const auto& s : g.symbols()) put(out, ' ', Quoted{s});
+  put(out, ")\n");
   for (const auto& [name, d] : g.arrays()) {
-    os << "  (array " << quote_atom(name) << " " << dtype_name(d.dtype) << " "
-       << (d.transient ? 1 : 0) << " " << storage_name(d.storage) << " "
-       << (d.lifetime == Lifetime::Persistent ? "Persistent" : "Scope") << " "
-       << (d.is_stream ? 1 : 0) << " " << d.stream_depth << " (shape";
+    put(out, "  (array ", Quoted{name}, ' ', dtype_name(d.dtype), ' ',
+        d.transient ? 1 : 0, ' ', storage_name(d.storage), ' ',
+        d.lifetime == Lifetime::Persistent ? "Persistent" : "Scope", ' ',
+        d.is_stream ? 1 : 0, ' ', d.stream_depth, " (shape");
     for (const auto& s : d.shape) {
-      os << " ";
-      write_expr(os, s);
+      put(out, ' ');
+      write_expr(out, s);
     }
-    os << "))\n";
+    put(out, "))\n");
   }
-  for (const auto& a : g.arg_names()) os << "  (arg " << quote_atom(a) << ")\n";
-  os << "  (start " << g.start_state() << ")\n";
+  for (const auto& a : g.arg_names()) put(out, "  (arg ", Quoted{a}, ")\n");
+  put(out, "  (start ", g.start_state(), ")\n");
   for (int sid : g.state_ids()) {
     const State& st = g.state(sid);
-    os << "  (state " << sid << " " << quote_atom(st.label()) << "\n";
-    for (int nid : st.node_ids()) write_node(os, st, nid);
+    put(out, "  (state ", sid, ' ', Quoted{st.label()}, '\n');
+    for (int nid : st.node_ids()) write_node(out, st, nid);
     for (const auto& e : st.edges()) {
-      os << "    (edge " << e.src << " " << quote_atom(e.src_conn) << " "
-         << e.dst << " " << quote_atom(e.dst_conn) << " ";
-      write_memlet(os, e.memlet);
-      os << ")\n";
+      put(out, "    (edge ", e.src, ' ', Quoted{e.src_conn}, ' ', e.dst, ' ',
+          Quoted{e.dst_conn}, ' ');
+      write_memlet(out, e.memlet);
+      put(out, ")\n");
     }
-    os << "  )\n";
+    put(out, "  )\n");
   }
   for (const auto& e : g.interstate_edges()) {
-    os << "  (iedge " << e.src << " " << e.dst << " ";
-    write_code(os, e.condition);
+    put(out, "  (iedge ", e.src, ' ', e.dst, ' ');
+    write_code(out, e.condition);
     for (const auto& [k, v] : e.assignments) {
-      os << " (assign " << quote_atom(k) << " ";
-      write_expr(os, v);
-      os << ")";
+      put(out, " (assign ", Quoted{k}, ' ');
+      write_expr(out, v);
+      put(out, ')');
     }
-    os << ")\n";
+    put(out, ")\n");
   }
-  os << ")\n";
+  put(out, ")\n");
 }
 
 // -- parser -----------------------------------------------------------------
 
 // Malformed or truncated input yields a located diag::DiagError (code,
 // line:col of the offending byte, expected-token message) instead of a
-// crash or a silent mis-parse.
+// crash or a silent mis-parse.  Tags, atoms and strings are views into
+// the text; only a quoted string with escapes is copied, into a buffer
+// the next string() overwrites.
 struct Parser {
-  const std::string& text;
+  std::string_view text;
   size_t pos = 0;
   int depth = 0;  // guards against stack overflow on pathological nesting
+  std::string unescaped;
 
   static constexpr int kMaxDepth = 200;
 
-  explicit Parser(const std::string& t) : text(t) {}
+  explicit Parser(std::string_view t) : text(t) {}
 
   /// 1-based line/col of an offset into the text.
   std::pair<int, int> line_col(size_t at) const {
@@ -463,8 +466,13 @@ struct Parser {
     return std::string("'") + text[pos] + "'";
   }
 
+  // std::isspace in the C locale, without the per-byte locale lookup.
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
   void skip_ws() {
-    while (pos < text.size() && std::isspace((unsigned char)text[pos])) ++pos;
+    while (pos < text.size() && is_space(text[pos])) ++pos;
   }
   char peek() {
     skip_ws();
@@ -481,43 +489,51 @@ struct Parser {
     ++pos;
   }
   /// Unquoted atom: identifiers, numbers, tags.
-  std::string atom() {
+  std::string_view atom() {
     skip_ws();
     size_t start = pos;
-    while (pos < text.size() && !std::isspace((unsigned char)text[pos]) &&
+    while (pos < text.size() && !is_space(text[pos]) &&
            text[pos] != '(' && text[pos] != ')' && text[pos] != '"') {
       ++pos;
     }
     if (pos == start) fail("E402", "expected atom, got " + describe_here());
     return text.substr(start, pos - start);
   }
-  std::string string() {
+  std::string_view string() {
     expect('"');
     size_t start = pos - 1;
-    std::string out;
+    size_t begin = pos;
+    while (pos < text.size() && text[pos] != '"' && text[pos] != '\\') ++pos;
+    if (pos < text.size() && text[pos] == '"') {
+      ++pos;
+      return text.substr(begin, pos - 1 - begin);
+    }
+    unescaped.assign(text, begin, pos - begin);
     while (pos < text.size() && text[pos] != '"') {
       if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      out.push_back(text[pos++]);
+      unescaped.push_back(text[pos++]);
     }
     if (pos >= text.size()) fail("E401", "unterminated string", start);
     ++pos;
-    return out;
+    return unescaped;
   }
+  /// strtoll's syntax: an optional sign, then decimal digits, in range.
   int64_t integer() {
     skip_ws();
     size_t at = pos;
-    std::string a = atom();
-    char* end = nullptr;
-    errno = 0;
-    int64_t v = std::strtoll(a.c_str(), &end, 10);
-    if (end != a.c_str() + a.size() || a.empty() || errno == ERANGE)
-      fail("E404", "expected integer, got '" + a + "'", at);
+    std::string_view a = atom();
+    size_t plus = a[0] == '+';
+    int64_t v = 0;
+    auto [end, ec] = std::from_chars(a.data() + plus, a.data() + a.size(), v);
+    if (ec != std::errc() || end != a.data() + a.size() ||
+        (plus && a[1] == '-'))
+      fail("E404", "expected integer, got '" + std::string(a) + "'", at);
     return v;
   }
   double real() {
     skip_ws();
     size_t at = pos;
-    std::string a = atom();
+    std::string a(atom());  // strtod reads a terminated copy
     char* end = nullptr;
     double v = std::strtod(a.c_str(), &end);
     if (end != a.c_str() + a.size() || a.empty())
@@ -525,7 +541,7 @@ struct Parser {
     return v;
   }
   /// Opens a list and returns its tag: "(tag ..."
-  std::string open() {
+  std::string_view open() {
     expect('(');
     if (++depth > kMaxDepth) fail("E404", "nesting too deep");
     return atom();
@@ -537,29 +553,31 @@ struct Parser {
   }
 };
 
+sym::Expr parse_expr(Parser& p);
+
+sym::Expr parse_expr_body(Parser& p, std::string_view tag, size_t at) {
+  if (tag == "c") return sym::Expr(p.integer());
+  if (tag == "s") return sym::Expr::symbol(std::string(p.string()));
+  if (tag == "add" || tag == "mul") {
+    std::vector<sym::Expr> args;
+    while (!p.list_done()) args.push_back(parse_expr(p));
+    return tag == "mul" ? sym::product(args) : sym::sum(args);
+  }
+  if (tag != "fdiv" && tag != "emod" && tag != "emin" && tag != "emax")
+    p.fail("E403", "unknown expression tag '" + std::string(tag) + "'", at);
+  sym::Expr a = parse_expr(p);
+  sym::Expr b = parse_expr(p);
+  if (tag == "fdiv") return floordiv(a, b);
+  if (tag == "emod") return mod(a, b);
+  if (tag == "emin") return min(a, b);
+  return max(a, b);
+}
+
 sym::Expr parse_expr(Parser& p) {
   p.skip_ws();
   size_t at = p.pos;
-  std::string tag = p.open();
-  sym::Expr out;
-  if (tag == "c") {
-    out = sym::Expr(p.integer());
-  } else if (tag == "s") {
-    out = sym::Expr::symbol(p.string());
-  } else if (tag == "add" || tag == "mul") {
-    std::vector<sym::Expr> args;
-    while (!p.list_done()) args.push_back(parse_expr(p));
-    out = tag == "mul" ? sym::product(args) : sym::sum(args);
-  } else {
-    if (tag != "fdiv" && tag != "emod" && tag != "emin" && tag != "emax")
-      p.fail("E403", "unknown expression tag '" + tag + "'", at);
-    sym::Expr a = parse_expr(p);
-    sym::Expr b = parse_expr(p);
-    if (tag == "fdiv") out = floordiv(a, b);
-    else if (tag == "emod") out = mod(a, b);
-    else if (tag == "emin") out = min(a, b);
-    else out = max(a, b);
-  }
+  std::string_view tag = p.open();
+  sym::Expr out = parse_expr_body(p, tag, at);
   p.close();
   return out;
 }
@@ -567,8 +585,10 @@ sym::Expr parse_expr(Parser& p) {
 sym::Range parse_range(Parser& p) {
   p.skip_ws();
   size_t at = p.pos;
-  std::string tag = p.open();
-  if (tag != "r") p.fail("E402", "expected range (r ...), got '" + tag + "'", at);
+  std::string_view tag = p.open();
+  if (tag != "r")
+    p.fail("E402", "expected range (r ...), got '" + std::string(tag) + "'",
+           at);
   sym::Expr b = parse_expr(p);
   sym::Expr e = parse_expr(p);
   sym::Expr s = parse_expr(p);
@@ -579,17 +599,18 @@ sym::Range parse_range(Parser& p) {
 sym::Subset parse_subset(Parser& p) {
   p.skip_ws();
   size_t at = p.pos;
-  std::string tag = p.open();
+  std::string_view tag = p.open();
   if (tag != "subset")
-    p.fail("E402", "expected subset (subset ...), got '" + tag + "'", at);
+    p.fail("E402",
+           "expected subset (subset ...), got '" + std::string(tag) + "'", at);
   std::vector<sym::Range> rs;
   while (!p.list_done()) rs.push_back(parse_range(p));
   p.close();
   return sym::Subset(std::move(rs));
 }
 
-CodeOp code_op_from(Parser& p, const std::string& name, size_t at) {
-  static const std::map<std::string, CodeOp> table = {
+CodeOp code_op_from(Parser& p, std::string_view name, size_t at) {
+  static const std::map<std::string, CodeOp, std::less<>> table = {
       {"num", CodeOp::Const}, {"in", CodeOp::Input},  {"sym", CodeOp::Sym},
       {"add", CodeOp::Add},   {"sub", CodeOp::Sub},   {"mul", CodeOp::Mul},
       {"div", CodeOp::Div},   {"pow", CodeOp::Pow},   {"mod", CodeOp::Mod},
@@ -602,7 +623,8 @@ CodeOp code_op_from(Parser& p, const std::string& name, size_t at) {
       {"or", CodeOp::Or},     {"not", CodeOp::Not},   {"select", CodeOp::Select},
   };
   auto it = table.find(name);
-  if (it == table.end()) p.fail("E403", "unknown code op '" + name + "'", at);
+  if (it == table.end())
+    p.fail("E403", "unknown code op '" + std::string(name) + "'", at);
   return it->second;
 }
 
@@ -610,18 +632,19 @@ CodeExpr parse_code(Parser& p) {
   p.skip_ws();
   size_t at = p.pos;
   if (p.peek() != '(') {
-    std::string a = p.atom();
+    std::string_view a = p.atom();
     if (a != "none")
-      p.fail("E402", "expected code expression, got '" + a + "'", at);
+      p.fail("E402", "expected code expression, got '" + std::string(a) + "'",
+             at);
     return CodeExpr();
   }
-  std::string tag = p.open();
+  std::string_view tag = p.open();
   CodeOp op = code_op_from(p, tag, at);
   CodeExpr out;
   switch (op) {
     case CodeOp::Const: out = CodeExpr::constant(p.real()); break;
-    case CodeOp::Input: out = CodeExpr::input(p.string()); break;
-    case CodeOp::Sym: out = CodeExpr::symbol(p.string()); break;
+    case CodeOp::Input: out = CodeExpr::input(std::string(p.string())); break;
+    case CodeOp::Sym: out = CodeExpr::symbol(std::string(p.string())); break;
     default: {
       std::vector<CodeExpr> args;
       while (!p.list_done()) args.push_back(parse_code(p));
@@ -632,8 +655,9 @@ CodeExpr parse_code(Parser& p) {
       } else if (args.size() == 3 && op == CodeOp::Select) {
         out = CodeExpr::select(args[0], args[1], args[2]);
       } else {
-        p.fail("E404", "op '" + tag + "' with " + std::to_string(args.size()) +
-                           " args",
+        p.fail("E404",
+               "op '" + std::string(tag) + "' with " +
+                   std::to_string(args.size()) + " args",
                at);
       }
       p.close();
@@ -649,23 +673,27 @@ Enum enum_from(Parser& p, const char* (*printer)(Enum),
                std::initializer_list<Enum> values, const char* what) {
   p.skip_ws();
   size_t at = p.pos;
-  std::string name = p.atom();
+  std::string_view name = p.atom();
   for (Enum v : values) {
     if (name == printer(v)) return v;
   }
-  p.fail("E403", std::string("unknown ") + what + " '" + name + "'", at);
+  p.fail("E403",
+         std::string("unknown ") + what + " '" + std::string(name) + "'", at);
 }
 
 Memlet parse_memlet(Parser& p) {
   p.skip_ws();
   size_t at = p.pos;
   if (p.peek() != '(') {
-    std::string a = p.atom();
-    if (a != "none") p.fail("E402", "expected memlet, got '" + a + "'", at);
+    std::string_view a = p.atom();
+    if (a != "none")
+      p.fail("E402", "expected memlet, got '" + std::string(a) + "'", at);
     return Memlet();
   }
-  std::string tag = p.open();
-  if (tag != "m") p.fail("E402", "expected memlet (m ...), got '" + tag + "'", at);
+  std::string_view tag = p.open();
+  if (tag != "m")
+    p.fail("E402", "expected memlet (m ...), got '" + std::string(tag) + "'",
+           at);
   Memlet m;
   m.data = p.string();
   m.wcr = enum_from<WCR>(p, wcr_name,
@@ -697,22 +725,23 @@ void parse_node(Parser& p, State& st, int& next_id) {
   }
   p.skip_ws();
   size_t at = p.pos;
-  std::string tag = p.open();
+  std::string_view tag = p.open();
   if (tag == "access") {
-    st.add_access(p.string());
+    st.add_access(std::string(p.string()));
   } else if (tag == "tasklet") {
-    std::string name = p.string();
-    std::string output = p.string();
-    std::string ins_tag = p.open();
+    std::string name(p.string());
+    std::string output(p.string());
+    std::string_view ins_tag = p.open();
     if (ins_tag != "ins") p.fail("E402", "expected (ins ...) in tasklet");
     std::vector<std::string> inputs;
-    while (!p.list_done()) inputs.push_back(p.string());
+    while (!p.list_done()) inputs.emplace_back(p.string());
     p.close();
     CodeExpr code = parse_code(p);
     int tid = st.add_tasklet(name, std::move(inputs), std::move(code));
     st.node_as<Tasklet>(tid)->output = output;
   } else if (tag == "map_entry") {
-    auto me = std::make_unique<MapEntry>(p.string(), std::vector<std::string>{},
+    auto me = std::make_unique<MapEntry>(std::string(p.string()),
+                                         std::vector<std::string>{},
                                          sym::Subset{});
     me->exit_node = static_cast<int>(p.integer());
     me->schedule = enum_from<Schedule>(
@@ -721,11 +750,11 @@ void parse_node(Parser& p, State& st, int& next_id) {
          Schedule::FPGAPipeline},
         "schedule");
     me->omp_collapse = p.integer() != 0;
-    std::string params_tag = p.open();
+    std::string_view params_tag = p.open();
     if (params_tag != "params") p.fail("E402", "expected (params ...) in map_entry");
-    while (!p.list_done()) me->params.push_back(p.string());
+    while (!p.list_done()) me->params.emplace_back(p.string());
     p.close();
-    std::string range_tag = p.open();
+    std::string_view range_tag = p.open();
     if (range_tag != "range") p.fail("E402", "expected (range ...) in map_entry");
     std::vector<sym::Range> rs;
     while (!p.list_done()) rs.push_back(parse_range(p));
@@ -737,18 +766,18 @@ void parse_node(Parser& p, State& st, int& next_id) {
     mx->entry_node = static_cast<int>(p.integer());
     st.add_node(std::move(mx));
   } else if (tag == "library") {
-    auto lib = std::make_unique<LibraryNode>(p.string());
+    auto lib = std::make_unique<LibraryNode>(std::string(p.string()));
     lib->implementation = p.string();
     while (!p.list_done()) {
-      std::string sub = p.open();
+      std::string_view sub = p.open();
       if (sub == "attr") {
-        std::string k = p.string();
+        std::string k(p.string());
         lib->attrs[k] = p.string();
       } else if (sub == "sattr") {
-        std::string k = p.string();
+        std::string k(p.string());
         lib->sym_attrs[k] = parse_expr(p);
       } else {
-        p.fail("E403", "unknown library field '" + sub + "'");
+        p.fail("E403", "unknown library field '" + std::string(sub) + "'");
       }
       p.close();
     }
@@ -756,25 +785,26 @@ void parse_node(Parser& p, State& st, int& next_id) {
   } else if (tag == "nested") {
     std::set<std::string> ins, outs;
     sym::SubstMap symmap;
-    std::string ins_tag = p.open();
+    std::string_view ins_tag = p.open();
     if (ins_tag != "ins") p.fail("E402", "expected (ins ...) in nested SDFG");
-    while (!p.list_done()) ins.insert(p.string());
+    while (!p.list_done()) ins.emplace(p.string());
     p.close();
-    std::string outs_tag = p.open();
+    std::string_view outs_tag = p.open();
     if (outs_tag != "outs") p.fail("E402", "expected (outs ...) in nested SDFG");
-    while (!p.list_done()) outs.insert(p.string());
+    while (!p.list_done()) outs.emplace(p.string());
     p.close();
     while (p.peek() == '(') {
       // Either a (map sym expr) entry or the nested (sdfg ...) itself.
       size_t mark = p.pos;
-      std::string sub = p.open();
+      std::string_view sub = p.open();
       if (sub == "map") {
-        std::string k = p.string();
+        std::string k(p.string());
         symmap[k] = parse_expr(p);
         p.close();
         continue;
       }
-      if (sub != "sdfg") p.fail("E403", "unknown nested field '" + sub + "'");
+      if (sub != "sdfg")
+        p.fail("E403", "unknown nested field '" + std::string(sub) + "'");
       p.pos = mark;
       --p.depth;  // re-parsed below by parse_sdfg
       break;
@@ -787,7 +817,7 @@ void parse_node(Parser& p, State& st, int& next_id) {
     node->symbol_mapping = std::move(symmap);
     st.add_node(std::move(node));
   } else {
-    p.fail("E403", "unknown node tag '" + tag + "'", at);
+    p.fail("E403", "unknown node tag '" + std::string(tag) + "'", at);
   }
   ++next_id;
   p.close();  // closes the node body
@@ -797,23 +827,24 @@ void parse_node(Parser& p, State& st, int& next_id) {
 std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
   p.skip_ws();
   size_t sdfg_at = p.pos;
-  std::string tag = p.open();
+  std::string_view tag = p.open();
   if (tag != "sdfg")
-    p.fail("E402", "expected (sdfg ...), got '" + tag + "'", sdfg_at);
-  auto g = std::make_unique<SDFG>(p.string());
+    p.fail("E402", "expected (sdfg ...), got '" + std::string(tag) + "'",
+           sdfg_at);
+  auto g = std::make_unique<SDFG>(std::string(p.string()));
   int start = 0;
   size_t start_at = 0;
   int next_state = 0;
   while (!p.list_done()) {
     p.skip_ws();
     size_t section_at = p.pos;
-    std::string section = p.open();
+    std::string_view section = p.open();
     if (section == "symbols") {
-      while (!p.list_done()) g->add_symbol(p.string());
+      while (!p.list_done()) g->add_symbol(std::string(p.string()));
     } else if (section == "array") {
       p.skip_ws();
       size_t name_at = p.pos;
-      std::string name = p.string();
+      std::string name(p.string());
       if (g->has_array(name))
         p.fail("E405", "duplicate array name '" + name + "'", name_at);
       DType dtype = enum_from<DType>(
@@ -827,10 +858,10 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
            Storage::CPUHeap, Storage::GPUGlobal, Storage::GPUShared,
            Storage::FPGAGlobal, Storage::FPGALocal},
           "storage");
-      std::string lifetime = p.atom();
+      std::string_view lifetime = p.atom();
       bool is_stream = p.integer() != 0;
       int64_t depth = p.integer();
-      std::string shape_tag = p.open();
+      std::string_view shape_tag = p.open();
       if (shape_tag != "shape") p.fail("E402", "expected (shape ...) in array");
       std::vector<sym::Expr> shape;
       while (!p.list_done()) shape.push_back(parse_expr(p));
@@ -842,7 +873,7 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
       d.is_stream = is_stream;
       d.stream_depth = depth;
     } else if (section == "arg") {
-      g->add_arg(p.string());
+      g->add_arg(std::string(p.string()));
     } else if (section == "start") {
       p.skip_ws();
       start_at = p.pos;
@@ -860,22 +891,22 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
         g->add_state("__load_pad");
         g->remove_state(next_state++);
       }
-      State& st = g->add_state(p.string());
+      State& st = g->add_state(std::string(p.string()));
       ++next_state;
       int next_node = 0;
       while (p.peek() == '(') {
         p.skip_ws();
         size_t sub_at = p.pos;
-        std::string sub = p.open();
+        std::string_view sub = p.open();
         if (sub == "node") {
           parse_node(p, st, next_node);
         } else if (sub == "edge") {
           p.skip_ws();
           size_t edge_at = p.pos;
           int src = static_cast<int>(p.integer());
-          std::string src_conn = p.string();
+          std::string src_conn(p.string());
           int dst = static_cast<int>(p.integer());
-          std::string dst_conn = p.string();
+          std::string dst_conn(p.string());
           Memlet m = parse_memlet(p);
           if (src < 0 || src >= next_node || !st.alive(src))
             p.fail("E406", "edge references nonexistent source node " +
@@ -888,7 +919,8 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
           st.add_edge(src, src_conn, dst, dst_conn, std::move(m));
           p.close();
         } else {
-          p.fail("E403", "unknown state field '" + sub + "'", sub_at);
+          p.fail("E403", "unknown state field '" + std::string(sub) + "'",
+                 sub_at);
         }
       }
     } else if (section == "iedge") {
@@ -899,9 +931,9 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
       CodeExpr cond = parse_code(p);
       std::vector<std::pair<std::string, sym::Expr>> assignments;
       while (!p.list_done()) {
-        std::string sub = p.open();
+        std::string_view sub = p.open();
         if (sub != "assign") p.fail("E402", "expected (assign ...) in iedge");
-        std::string k = p.string();
+        std::string k(p.string());
         assignments.emplace_back(k, parse_expr(p));
         p.close();
       }
@@ -917,7 +949,8 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
       g->add_interstate_edge(src, dst, std::move(cond),
                              std::move(assignments));
     } else {
-      p.fail("E403", "unknown section '" + section + "'", section_at);
+      p.fail("E403", "unknown section '" + std::string(section) + "'",
+             section_at);
     }
     p.close();
   }
@@ -932,9 +965,9 @@ std::unique_ptr<SDFG> parse_sdfg(Parser& p) {
 }  // namespace
 
 std::string SDFG::save() const {
-  std::ostringstream os;
-  write_sdfg(os, *this);
-  return os.str();
+  std::string out;
+  write_sdfg(out, *this);
+  return out;
 }
 
 std::unique_ptr<SDFG> load_sdfg(const std::string& text) {

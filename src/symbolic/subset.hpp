@@ -34,8 +34,8 @@ struct Range {
   /// Number of iterations: ceil((end - begin) / step).
   Expr size() const { return ceildiv(end - begin, step); }
 
-  /// At step 1 the size is end - begin.
-  bool is_index() const { return step.is_one() && (end - begin).is_one(); }
+  /// At step 1 the size is end - begin, so end is begin + 1.
+  bool is_index() const { return step.is_one() && end.is_successor_of(begin); }
 
   Range subs(const SubstMap& m) const {
     return Range(begin.subs(m), end.subs(m), step.subs(m));

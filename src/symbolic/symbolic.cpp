@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 namespace dace::sym {
 
@@ -49,6 +50,29 @@ int64_t floordiv_i64(int64_t a, int64_t b) {
 
 int64_t mod_i64(int64_t a, int64_t b) { return a - floordiv_i64(a, b) * b; }
 
+// Coefficient arithmetic: a result outside int64 is an error, not a
+// wrapped coefficient.
+int64_t add_i64(int64_t a, int64_t b) {
+  int64_t r;
+  DACE_CHECK(!__builtin_add_overflow(a, b, &r),
+             "symbolic: integer overflow in ", a, " + ", b);
+  return r;
+}
+
+int64_t sub_i64(int64_t a, int64_t b) {
+  int64_t r;
+  DACE_CHECK(!__builtin_sub_overflow(a, b, &r),
+             "symbolic: integer overflow in ", a, " - ", b);
+  return r;
+}
+
+int64_t mul_i64(int64_t a, int64_t b) {
+  int64_t r;
+  DACE_CHECK(!__builtin_mul_overflow(a, b, &r),
+             "symbolic: integer overflow in ", a, " * ", b);
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // Canonicalization: polynomial normal form over atoms.
 // ---------------------------------------------------------------------------
@@ -66,7 +90,7 @@ void poly_add_term(Poly& p, const Mono& m, int64_t coef) {
   if (coef == 0) return;
   auto [it, inserted] = p.emplace(m, coef);
   if (!inserted) {
-    it->second += coef;
+    it->second = add_i64(it->second, coef);
     if (it->second == 0) p.erase(it);
   }
 }
@@ -91,7 +115,7 @@ Poly poly_mul(const Poly& a, const Poly& b) {
           ++ib;
         }
       }
-      poly_add_term(out, m, ca * cb);
+      poly_add_term(out, m, mul_i64(ca, cb));
     }
   }
   return out;
@@ -564,6 +588,44 @@ bool Expr::provably_nonpositive() const {
 bool Expr::is_zero() const { return is_constant() && node_->value == 0; }
 bool Expr::is_one() const { return is_constant() && node_->value == 1; }
 
+namespace {
+bool same_tree(const NodePtr& a, const NodePtr& b) {
+  if (a == b) return true;
+  if (a->kind != b->kind || a->value != b->value || a->name != b->name ||
+      a->args.size() != b->args.size())
+    return false;
+  for (size_t i = 0; i < a->args.size(); ++i)
+    if (!same_tree(a->args[i], b->args[i])) return false;
+  return true;
+}
+
+// The terms of a canonical sum; any other node is a sum of one term.
+std::pair<const NodePtr*, size_t> terms_of(const NodePtr& n) {
+  if (n->kind == ExprKind::Add) return {n->args.data(), n->args.size()};
+  return {&n, 1};
+}
+}  // namespace
+
+// from_poly puts the constant term last, so the canonical b + 1 is b's
+// other terms in order followed by b's constant raised by 1: dropped
+// when that is 0, appended as 1 when b has no constant term.
+bool Expr::is_successor_of(const Expr& b) const {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const NodePtr& n = b.node_;
+  if (n->kind == ExprKind::Const)
+    return is_constant() && n->value != kMax && node_->value == n->value + 1;
+  auto [bt, nb] = terms_of(n);
+  int64_t k = 0;
+  if (bt[nb - 1]->kind == ExprKind::Const) k = bt[--nb]->value;
+  if (k == kMax) return false;
+  ++k;
+  auto [et, ne] = terms_of(node_);
+  if (ne != nb + (k != 0)) return false;
+  for (size_t i = 0; i < nb; ++i)
+    if (!same_tree(et[i], bt[i])) return false;
+  return k == 0 || (et[nb]->kind == ExprKind::Const && et[nb]->value == k);
+}
+
 std::string Expr::to_string() const { return node_key(node_); }
 
 // The arithmetic below returns at once when the answer is an operand or
@@ -572,7 +634,7 @@ std::string Expr::to_string() const { return node_key(node_); }
 
 Expr operator+(const Expr& a, const Expr& b) {
   if (a.is_constant() && b.is_constant())
-    return Expr(a.node_->value + b.node_->value);
+    return Expr(add_i64(a.node_->value, b.node_->value));
   if (a.is_zero()) return b;
   if (b.is_zero()) return a;
   return Expr(canonicalize(make_nary(ExprKind::Add, {a.node_, b.node_})));
@@ -580,7 +642,7 @@ Expr operator+(const Expr& a, const Expr& b) {
 
 Expr operator-(const Expr& a, const Expr& b) {
   if (a.is_constant() && b.is_constant())
-    return Expr(a.node_->value - b.node_->value);
+    return Expr(sub_i64(a.node_->value, b.node_->value));
   if (b.is_zero()) return a;
   auto neg = make_nary(ExprKind::Mul, {make_const(-1), b.node_});
   return Expr(canonicalize(make_nary(ExprKind::Add, {a.node_, neg})));
@@ -588,7 +650,7 @@ Expr operator-(const Expr& a, const Expr& b) {
 
 Expr operator*(const Expr& a, const Expr& b) {
   if (a.is_constant() && b.is_constant())
-    return Expr(a.node_->value * b.node_->value);
+    return Expr(mul_i64(a.node_->value, b.node_->value));
   if (a.is_zero() || b.is_one()) return a;
   if (b.is_zero() || a.is_one()) return b;
   return Expr(canonicalize(make_nary(ExprKind::Mul, {a.node_, b.node_})));

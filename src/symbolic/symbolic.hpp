@@ -54,6 +54,8 @@ struct Node {
 /// atoms whose children are canonicalized recursively).  Every Expr, and
 /// every operand of one, is canonical; the arithmetic relies on it to
 /// return an operand or a folded constant without canonicalizing.
+/// Coefficient arithmetic is checked: a result outside int64 throws
+/// dace::Error.
 class Expr {
  public:
   /// Zero.
@@ -76,6 +78,9 @@ class Expr {
   /// Child expressions (empty for Const/Symbol). Children of canonical
   /// expressions are themselves canonical.
   std::vector<Expr> operands() const;
+  /// operands().size() and operands()[i], without building the vector.
+  size_t num_operands() const { return node_->args.size(); }
+  Expr operand(size_t i) const { return Expr(node_->args[i]); }
 
   /// Evaluate with all symbols bound; throws on unbound symbol.
   int64_t eval(const SymbolMap& syms) const;
@@ -102,6 +107,9 @@ class Expr {
   /// True iff canonical form is the constant 0.
   bool is_zero() const;
   bool is_one() const;
+  /// True iff this expression is `b + 1`, decided on the two canonical
+  /// trees without building the sum.
+  bool is_successor_of(const Expr& b) const;
 
   std::string to_string() const;
 

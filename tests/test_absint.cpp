@@ -132,6 +132,21 @@ TEST(AbsintProver, LinearPathAgreesWithExprPath) {
   EXPECT_TRUE(proves_nonneg(fallbacks.back().first, fallbacks.back().second));
 }
 
+TEST(AbsintProver, CoefficientOverflowIsNotProven) {
+  // Substituting i <= 2^40 * N into N - 2^40 * i multiplies 2^40 by 2^40.
+  // The affine path refuses the claim, the symbolic engine throws on the
+  // overflow, and the tree path drops that substitution.
+  Env env{{"i", Interval{Expr(0), Expr(int64_t{1} << 40) * S("N")}}};
+  Expr e = S("N") - Expr(int64_t{1} << 40) * S("i");
+  EXPECT_FALSE(detail::proves_nonneg_linear(e, env).has_value());
+  EXPECT_FALSE(detail::proves_nonneg_expr(e, env));
+  EXPECT_FALSE(proves_nonneg(e, env));
+  // The coefficient probe e(i+1) - e(i) negates -2^63: the claim is not
+  // proven, rather than an error out of the prover.
+  Expr m = Expr(INT64_MIN) * S("i") + S("N");
+  EXPECT_FALSE(proves_nonneg(m, Env{{"i", Interval{Expr(0), S("N")}}}));
+}
+
 // -- interval arithmetic -----------------------------------------------------
 
 TEST(AbsintInterval, EvalAddMul) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/diag.hpp"
+#include "frontend/lowering.hpp"
+#include "kernels/suite.hpp"
+#include "testing/fuzzgen.hpp"
+#include "transforms/auto_optimize.hpp"
 
 namespace dace::ir {
 namespace {
@@ -268,12 +274,75 @@ TEST(Serialize, WrongTokenIsE402WithLocation) {
   }
 }
 
+/// 1-based line:col of byte `at` of `text`.
+std::pair<int, int> line_col(const std::string& text, size_t at) {
+  size_t nl = text.rfind('\n', at);
+  int line = 1 + (int)std::count(text.begin(), text.begin() + at, '\n');
+  return {line, (int)(nl == std::string::npos ? at + 1 : at - nl)};
+}
+
 TEST(Serialize, OverflowingNumberIsE404) {
   std::string bad = make_scale_sdfg()->save();
   size_t at = bad.find("(c 0)");
   ASSERT_NE(at, std::string::npos);
   bad.replace(at, 5, "(c 99999999999999999999999)");
   expect_load_error(bad, "E404");
+  try {
+    load_sdfg(bad);
+  } catch (const diag::DiagError& e) {
+    auto [line, col] = line_col(bad, at + 3);  // the integer itself
+    EXPECT_EQ(e.diagnostic().line, line);
+    EXPECT_EQ(e.diagnostic().col, col);
+    EXPECT_NE(std::string(e.what()).find(
+                  "expected integer, got '99999999999999999999999'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Integers follow strtoll: an optional sign, then decimal digits.
+TEST(Serialize, IntegersAcceptASignedDecimal) {
+  std::string text = make_scale_sdfg()->save();
+  size_t at = text.find("(c 0)");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* ok : {"+0", "-0", "+7", "-7", "007"}) {
+    std::string t = text, want = text;
+    t.replace(at, 5, std::string("(c ") + ok + ")");
+    want.replace(at, 5, "(c " + std::to_string(std::stoll(ok)) + ")");
+    EXPECT_EQ(load_sdfg(t)->save(), want) << ok;
+  }
+  for (const char* bad : {"+", "-", "+-7", "-+7", "++7", "7x", "0x7", "7.0"}) {
+    std::string t = text;
+    t.replace(at, 5, std::string("(c ") + bad + ")");
+    expect_load_error(t, "E404");
+  }
+  std::string plus = text;
+  size_t start = plus.find("(start 0)");
+  ASSERT_NE(start, std::string::npos);
+  plus.replace(start, 9, "(start +0)");
+  EXPECT_EQ(load_sdfg(plus)->save(), text);
+}
+
+// Quoted strings unescape \" and \\ (and drop the backslash before any
+// other byte); save() escapes them back.
+TEST(Serialize, EscapedStringsRoundTrip) {
+  auto g = make_scale_sdfg();
+  g->state(0).set_label("say \"hi\" \\ bye");
+  std::string text = g->save();
+  EXPECT_NE(text.find("\"say \\\"hi\\\" \\\\ bye\""), std::string::npos)
+      << text;
+  auto reloaded = load_sdfg(text);
+  EXPECT_EQ(reloaded->state(0).label(), "say \"hi\" \\ bye");
+  EXPECT_EQ(reloaded->save(), text);
+  EXPECT_EQ(reloaded->dump(), g->dump());
+
+  // A backslash before any other byte is dropped.
+  std::string t = text;
+  ASSERT_EQ(t.find("(sdfg \"scale\""), 0u);
+  t.replace(0, 13, "(sdfg \"sc\\ale\\\\\"");
+  EXPECT_EQ(load_sdfg(t)->name(), "scale\\");
+  // An escaped quote does not close the string.
+  expect_load_error("(sdfg \"scale\\\"", "E401");
 }
 
 TEST(Serialize, RunawayNestingIsE404) {
@@ -339,6 +408,33 @@ TEST(Serialize, LoaderCanonicalizesExpressions) {
   at = text.find("(shape (s \"N\"))");
   text.replace(at, 15, "(shape (mul (c 2) (mul) (s \"N\") (s \"N\")))");
   EXPECT_EQ(load_sdfg(text)->array("a").shape[0].to_string(), "2*N*N");
+}
+
+// The commit gate checks a graph by comparing the dump of
+// load_sdfg(save()) with its own.  On the suite and the fuzz corpus the
+// round trip must reproduce both texts exactly.
+TEST(Serialize, CorpusRoundTripIsByteStable) {
+  auto check = [](const SDFG& g, const std::string& what) {
+    std::string text = g.save();
+    auto reloaded = load_sdfg(text);
+    EXPECT_EQ(reloaded->save(), text) << what;
+    EXPECT_EQ(reloaded->dump(), g.dump()) << what;
+  };
+  for (const auto& k : kernels::suite()) {
+    auto g = fe::compile_to_sdfg(k.source);
+    check(*g, k.name + " lowered");
+    for (auto dev : {DeviceType::CPU, DeviceType::GPU, DeviceType::FPGA}) {
+      auto h = g->clone();
+      xf::auto_optimize(*h, dev);
+      check(*h, k.name + " " + device_name(dev));
+    }
+  }
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    auto g = fe::compile_to_sdfg(fuzz::generate_program(seed));
+    check(*g, "seed " + std::to_string(seed) + " lowered");
+    xf::auto_optimize(*g, DeviceType::CPU);
+    check(*g, "seed " + std::to_string(seed) + " CPU");
+  }
 }
 
 TEST(Serialize, GoodGraphStillRoundTrips) {

@@ -7,9 +7,11 @@
 
 #include "frontend/lowering.hpp"
 #include "frontend/parser.hpp"
+#include "kernels/reference.hpp"
 #include "kernels/suite.hpp"
 #include "runtime/eager_interpreter.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/tensor_ops.hpp"
 #include "transforms/auto_optimize.hpp"
 
 namespace dace {
@@ -99,6 +101,15 @@ std::vector<std::string> kernel_names() {
 
 INSTANTIATE_TEST_SUITE_P(All, KernelSuite, ::testing::ValuesIn(kernel_names()),
                          [](const auto& info) { return info.param; });
+
+// The library kernels and the C++ references are compiled with
+// -falign-functions=64 (src/CMakeLists.txt), so a layout shift elsewhere
+// in the library cannot move their hot loops relative to a cache line.
+TEST(KernelLayout, HotLibraryCodeIs64ByteAligned) {
+  auto addr = [](auto* fn) { return reinterpret_cast<std::uintptr_t>(fn); };
+  EXPECT_EQ(addr(&rt::ops::matmul) % 64, 0u);
+  EXPECT_EQ(addr(&kernels::ref::gemm) % 64, 0u);
+}
 
 }  // namespace
 }  // namespace dace

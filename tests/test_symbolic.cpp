@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "symbolic/subset.hpp"
+
 namespace dace::sym {
 namespace {
 
@@ -125,6 +127,17 @@ TEST(Symbolic, OperandsExposeCanonicalChildren) {
   ASSERT_EQ(e.kind(), ExprKind::Add);
   auto ops = e.operands();
   EXPECT_EQ(ops.size(), 2u);
+}
+
+TEST(Symbolic, CoefficientOverflowThrows) {
+  const int64_t big = int64_t{1} << 62;
+  EXPECT_THROW(Expr(big) * Expr(4), Error);
+  EXPECT_THROW(Expr(INT64_MAX) + Expr(1), Error);
+  EXPECT_THROW(Expr(INT64_MIN) - Expr(1), Error);
+  EXPECT_THROW(Expr(big) * S("N") * Expr(4), Error);           // poly_mul
+  EXPECT_THROW(Expr(big) * S("N") + Expr(big) * S("N"), Error);  // a sum
+  EXPECT_EQ((Expr(big) * Expr(-2)).constant(), INT64_MIN);
+  EXPECT_EQ((Expr(big) * S("N") - Expr(big) * S("N")).to_string(), "0");
 }
 
 // Property-style sweep: canonicalization must preserve evaluation.
@@ -256,6 +269,51 @@ TEST(SymbolicRandom, SubstitutionCommutesWithEvaluation) {
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + e.to_string());
     EXPECT_EQ(e.subs(m).eval(v), e.eval(applied));
   }
+}
+
+// is_index() decides end == begin + 1 on the canonical trees; it must
+// agree with the subtraction it replaced.  The begins cover constants
+// (-1 among them), symbols, sums with and without a constant term
+// (constant -1 among them), products and every atom kind.
+TEST(SymbolicRandom, IsIndexAgreesWithSubtraction) {
+  int index_pairs = 0, pairs = 0;
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    RandomExpr gen(seed);
+    Expr x = gen.expr(2), y = gen.expr(2);
+    const Expr begins[] = {
+        Expr(gen.pick(-3, 3)),
+        Expr(-1),
+        gen.leaf(),
+        x + y,
+        x + S("K"),
+        S("N") + Expr(gen.pick(-3, 3)),
+        S("N") * S("M") - Expr(1),
+        x * y,
+        Expr(gen.pick(2, 4)) * S("M"),
+        floordiv(x, gen.divisor(2)),
+        mod(x, gen.divisor(2)) + Expr(gen.pick(-2, 2)),
+        min(x, y),
+        max(x, y) - Expr(1),
+        gen.expr(3),
+    };
+    for (const Expr& b : begins) {
+      const Expr ends[] = {b + Expr(1), b, b + Expr(2), b - Expr(1),
+                           gen.expr(3)};
+      for (const Expr& e : ends) {
+        bool want = (e - b).is_one();
+        ASSERT_EQ(Range(b, e).is_index(), want)
+            << "seed " << seed << ": [" << b.to_string() << ", "
+            << e.to_string() << ")";
+        EXPECT_FALSE(Range(b, e, Expr(2)).is_index());
+        index_pairs += want;
+        ++pairs;
+      }
+    }
+  }
+  // Every begin is paired with its successor, and only with it (a random
+  // end is its successor rarely).
+  EXPECT_GE(index_pairs, pairs / 5);
+  EXPECT_LT(index_pairs, pairs / 4);
 }
 
 }  // namespace
