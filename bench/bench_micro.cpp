@@ -3,6 +3,9 @@
 // symbolic engine, interval prover, and simMPI primitives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "analysis/absint.hpp"
 #include "bench_common.hpp"
 #include "common/env.hpp"
@@ -172,6 +175,33 @@ static void BM_TensorAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TensorAdd)->Arg(1024)->Arg(65536)->Arg(1 << 20);
+
+// ops::matmul, the library MatMul of both tiers and the eager baseline,
+// at the pool's default width.  Args are {m, k, n}; m = 0 makes the left
+// operand a k-vector, n = 0 the right one.  The cases are gemm's matrix x
+// matrix, gesummv's matrix x vector and doitgen's vector x matrix at the
+// paper preset.  A quarter second per repetition keeps the three cases
+// to about 7 s under ctest's 5 repetitions.
+static void BM_MatMul(benchmark::State& state) {
+  int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  auto filled = [](std::vector<int64_t> shape) {
+    rt::Tensor t(ir::DType::f64, std::move(shape));
+    for (int64_t i = 0; i < t.size(); ++i) t.data()[i] = std::sin(0.37 * i);
+    return t;
+  };
+  rt::Tensor a = m > 0 ? filled({m, k}) : filled({k});
+  rt::Tensor b = n > 0 ? filled({k, n}) : filled({k});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt::ops::matmul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * std::max<int64_t>(m, 1) * k *
+                          std::max<int64_t>(n, 1));
+}
+BENCHMARK(BM_MatMul)
+    ->Args({384, 384, 384})
+    ->Args({1120, 1120, 0})
+    ->Args({0, 64, 64})
+    ->MinTime(0.25);
 
 static void BM_VmFusedAxpy(benchmark::State& state) {
   auto sdfg = fe::compile_to_sdfg(R"(

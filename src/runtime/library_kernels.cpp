@@ -1,7 +1,7 @@
 // Built-in library node implementations (Section 3.2).
 //
 // These are the "fast library call" expansions of the specialization
-// priority list: MatMul dispatches to the blocked native GEMM of
+// priority list: MatMul dispatches to the register-tiled products of
 // tensor_ops (standing in for MKL), Reduce to the native reductions.
 // Additional expansions (PBLAS, comm::*, device-specific) are registered
 // by their modules.

@@ -35,7 +35,9 @@ Tensor cos(const Tensor& a);
 Tensor tanh(const Tensor& a);
 
 // -- linear algebra ----------------------------------------------------------
-/// Matrix product: 2Dx2D, 2Dx1D, 1Dx2D or 1Dx1D (dot).
+/// Matrix product: 2Dx2D, 2Dx1D, 1Dx2D or 1Dx1D (dot).  Every output adds
+/// its products for l ascending, starting from +0.0, so results do not
+/// depend on the form, the operand layout or the pool width.
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// Outer product of two vectors.
 Tensor outer(const Tensor& a, const Tensor& b);

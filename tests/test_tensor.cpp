@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -221,87 +222,188 @@ TEST(TensorOps, MatMulMatchesNaive) {
   }
 }
 
+// Operands for the products' order tests: views in each layout the
+// library meets, filled with values whose sums depend on their order
+// (mixed signs, magnitudes 2^-4..2^4, every 11th element -0.0).  `seed`
+// picks the values.
+enum class Layout { Contiguous, Transposed, Stepped, RowStepped };
+
+Tensor product_operand(DType dt, const std::vector<int64_t>& shape,
+                       Layout lay, int seed) {
+  Tensor base;
+  std::vector<int64_t> begin, end, step;
+  if (shape.size() == 1) {
+    int64_t n = shape[0];
+    bool contiguous = lay == Layout::Contiguous;
+    base = Tensor(dt, {contiguous ? n : 2 * n + 1});
+    begin = {contiguous ? 0 : 1}, end = {base.shape()[0]};
+    step = {contiguous ? 1 : 2};
+  } else {
+    int64_t r = shape[0], c = shape[1];
+    switch (lay) {
+      case Layout::Contiguous:
+        base = Tensor(dt, {r, c}), begin = {0, 0}, step = {1, 1};
+        break;
+      case Layout::Transposed:
+        base = Tensor(dt, {c, r}), begin = {0, 0}, step = {1, 1};
+        break;
+      case Layout::Stepped:  // both dims step 2, at a nonzero offset
+        base = Tensor(dt, {2 * r + 1, 2 * c + 1}), begin = {1, 1};
+        step = {2, 2};
+        break;
+      case Layout::RowStepped:  // rows step 2, columns at unit stride
+        base = Tensor(dt, {2 * r + 1, c}), begin = {1, 0}, step = {2, 1};
+        break;
+    }
+    end = base.shape();
+  }
+  for (int64_t i = 0; i < base.size(); ++i) {
+    // A multiplicative hash of (seed, i): [-1, 1) times 2^-4..2^4.
+    uint64_t h = (uint64_t)(seed * 1000003 + i) * 0x9E3779B97F4A7C15ull;
+    double v =
+        (double)(int64_t)h * 0x1p-63 * std::ldexp(1.0, (int)(h % 9) - 4);
+    base.data()[i] = cast_to(dt, i % 11 == 3 ? -0.0 : v);
+  }
+  Tensor t = base.slice(begin, end, step);
+  if (lay == Layout::Transposed) t = t.transpose();
+  EXPECT_EQ(t.shape(), shape);
+  return t;
+}
+
+// Outputs of ops::matmul(a, b) whose bits differ from the sum over l
+// ascending of a[i,l] * b[l,j], started from +0.0 and rounded to the
+// result dtype.  A vector is one row as the left operand, one column as
+// the right.
+int64_t ordered_sum_mismatches(const Tensor& a, const Tensor& b) {
+  Tensor c = ops::matmul(a, b);
+  int64_t m = a.rank() == 2 ? a.shape()[0] : 1;
+  int64_t k = b.shape()[0];
+  int64_t n = b.rank() == 2 ? b.shape()[1] : 1;
+  EXPECT_EQ(c.size(), m * n);
+  Tensor ac = a.copy(), bc = b.copy();
+  const double* av = ac.data();
+  const double* bv = bc.data();
+  DType dt = ops::promote(a.dtype(), b.dtype());
+  int64_t bad = 0;
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      double acc = 0;
+      for (int64_t l = 0; l < k; ++l) acc += av[i * k + l] * bv[l * n + j];
+      bad += std::bit_cast<uint64_t>(c.get_flat(i * n + j)) !=
+             std::bit_cast<uint64_t>(cast_to(dt, acc));
+    }
+  }
+  return bad;
+}
+
+const char* layout_name(Layout lay) {
+  switch (lay) {
+    case Layout::Contiguous: return "contiguous";
+    case Layout::Transposed: return "transposed";
+    case Layout::Stepped: return "stepped";
+    case Layout::RowStepped: return "row-stepped";
+  }
+  return "?";
+}
+
+// Vector x matrix streams the matrix's rows through its strides, never
+// copying it; matrix x vector on the transpose copies it into a contiguous
+// one first.  Both sum each output over l ascending (which
+// MatmulIsBitIdenticalToOrderedSum pins for each), so they must agree bit
+// for bit, with the matrix's width and the promoted dtype.
 TEST(TensorOps, VecMatIsBitIdenticalToOrderedSum) {
-  const int64_t k = 37, n = 29;
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {37, 29}, {1, 1}, {16, 8}, {17, 3}, {5, 17}, {33, 97}};
   for (DType dt : {DType::f64, DType::f32}) {
-    auto filled = [&](std::vector<int64_t> shape, double phase) {
-      Tensor t(dt, std::move(shape));
-      for (int64_t i = 0; i < t.size(); ++i)
-        t.set_flat(i, std::sin(phase + 0.37 * (double)i));
-      return t;
-    };
-    Tensor v = filled({k}, 1.0);
-    Tensor contiguous = filled({k, n}, 2.0);
-    Tensor transposed = filled({n, k}, 3.0).transpose();
-    Tensor stepped =
-        filled({2 * k + 1, 2 * n}, 4.0).slice({1, 0}, {2 * k + 1, 2 * n},
-                                              {2, 2});
-    for (const Tensor& a : {contiguous, transposed, stepped}) {
-      ASSERT_EQ(a.shape(), (std::vector<int64_t>{k, n}));
-      Tensor got = ops::matmul(v, a);
-      Tensor mv = ops::matmul(a.transpose(), v);
-      ASSERT_EQ(got.shape(), (std::vector<int64_t>{n}));
-      EXPECT_EQ(got.dtype(), dt);
-      for (int64_t j = 0; j < n; ++j) {
-        double acc = 0;
-        for (int64_t l = 0; l < k; ++l) acc += a.at({l, j}) * v.at({l});
-        double want = cast_to(dt, acc);
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
-                  std::bit_cast<uint64_t>(want))
-            << "column " << j;
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
-                  std::bit_cast<uint64_t>(mv.at({j})))
-            << "column " << j;
+    for (auto [k, n] : shapes) {
+      for (Layout vl : {Layout::Contiguous, Layout::Stepped}) {
+        Tensor v = product_operand(dt, {k}, vl, 1);
+        for (Layout al : {Layout::Contiguous, Layout::Transposed,
+                          Layout::Stepped, Layout::RowStepped}) {
+          Tensor a = product_operand(dt, {k, n}, al, 2);
+          SCOPED_TRACE(testing::Message()
+                       << (dt == DType::f64 ? "f64 " : "f32 ") << k << "x"
+                       << n << " vector " << layout_name(vl) << ", matrix "
+                       << layout_name(al));
+          Tensor got = ops::matmul(v, a);
+          Tensor mv = ops::matmul(a.transpose(), v);
+          ASSERT_EQ(got.shape(), (std::vector<int64_t>{n}));
+          EXPECT_EQ(got.dtype(), dt);
+          for (int64_t j = 0; j < n; ++j) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
+                      std::bit_cast<uint64_t>(mv.at({j})))
+                << "column " << j;
+          }
+        }
       }
     }
   }
 }
 
-// The products split their output over the pool once their work passes
-// the cost rule's inline threshold.  Below it (s = 16) and above it
-// (s = 96) every output must equal the sum over l ascending, bit for bit,
-// at any pool width: kernels_threads_{2,4} re-run this at widths 2 and 4.
+// The products keep tiles of the output in registers and split their
+// output over the pool once their work passes the cost rule's inline
+// threshold.  Every output must still equal the sum over l ascending, bit
+// for bit: at sizes that are and are not tile multiples (4x4 for matrix x
+// matrix, 4 rows for matrix x vector, 8 columns for vector x matrix), for
+// every operand layout (row-stepped keeps vector x matrix on its tiled
+// path with a row stride other than the width), and at any pool width.
+// The shapes with 97 rows (or columns) end in a partial tile and split
+// three ways at 3 or more workers; kernels_threads_{2,4} re-run this at
+// widths 2 and 4.
 TEST(TensorOps, MatmulIsBitIdenticalToOrderedSum) {
+  const std::vector<Layout> mats = {Layout::Contiguous, Layout::Transposed,
+                                    Layout::Stepped, Layout::RowStepped};
+  const std::vector<Layout> vecs = {Layout::Contiguous, Layout::Stepped};
+  auto check = [](const Tensor& a, const Tensor& b, const char* form,
+                  Layout la, Layout lb) {
+    EXPECT_EQ(ordered_sum_mismatches(a, b), 0)
+        << (a.dtype() == DType::f64 ? "f64 " : "f32 ") << form << " "
+        << testing::PrintToString(a.shape()) << " x "
+        << testing::PrintToString(b.shape()) << ", " << layout_name(la)
+        << " x " << layout_name(lb);
+  };
   for (DType dt : {DType::f64, DType::f32}) {
-    auto filled = [&](std::vector<int64_t> shape, double phase) {
-      Tensor t(dt, std::move(shape));
-      for (int64_t i = 0; i < t.size(); ++i)
-        t.set_flat(i, std::sin(phase + 0.37 * (double)i));
-      return t;
-    };
-    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
-    const char* name = dt == DType::f64 ? "f64" : "f32";
-    for (int64_t s : {16, 96}) {
-      // Matrix x vector (and its vector x matrix transpose) over s rows of
-      // 16 s: 147,456 multiply-adds at s = 96, more than one chunk's worth.
-      const int64_t k = 16 * s;
-      Tensor a = filled({s, k}, 1.0), x = filled({k}, 2.0);
-      Tensor mv = ops::matmul(a, x);
-      Tensor vm = ops::matmul(x, a.transpose());
-      ASSERT_EQ(mv.shape(), (std::vector<int64_t>{s}));
-      ASSERT_EQ(vm.shape(), (std::vector<int64_t>{s}));
-      int bad = 0;
-      for (int64_t i = 0; i < s; ++i) {
-        double acc = 0;
-        for (int64_t l = 0; l < k; ++l) acc += a.at({i, l}) * x.at({l});
-        bad += bits(mv.at({i})) != bits(cast_to(dt, acc));
-        bad += bits(vm.at({i})) != bits(cast_to(dt, acc));
-      }
-      EXPECT_EQ(bad, 0) << name << " matrix x vector, s=" << s;
-      // Matrix x matrix: s^3 multiply-adds.
-      Tensor b = filled({s, s}, 3.0), c = filled({s, s}, 4.0);
-      Tensor mm = ops::matmul(b, c);
-      ASSERT_EQ(mm.shape(), (std::vector<int64_t>{s, s}));
-      bad = 0;
-      for (int64_t i = 0; i < s; ++i) {
-        for (int64_t j = 0; j < s; ++j) {
-          double acc = 0;
-          for (int64_t l = 0; l < s; ++l) acc += b.at({i, l}) * c.at({l, j});
-          bad += bits(mm.at({i, j})) != bits(cast_to(dt, acc));
+    // Matrix x matrix, {m, k, n}: 97 * 100 * 100 multiply-adds is between
+    // two and three chunks' worth.
+    const std::vector<std::array<int64_t, 3>> mm = {
+        {16, 16, 16}, {96, 96, 96}, {1, 1, 1},     {3, 5, 7},
+        {5, 3, 1},    {17, 17, 17}, {61, 67, 73}, {97, 100, 100}};
+    for (auto [m, k, n] : mm) {
+      for (Layout la : mats) {
+        for (Layout lb : mats) {
+          check(product_operand(dt, {m, k}, la, 1),
+                product_operand(dt, {k, n}, lb, 2), "matrix x matrix", la,
+                lb);
         }
       }
-      EXPECT_EQ(bad, 0) << name << " matrix x matrix, s=" << s;
     }
+    // Matrix x vector {m, k} and vector x matrix {k, m}.
+    const std::vector<std::array<int64_t, 2>> mv = {
+        {16, 256}, {96, 1536}, {1, 1},   {3, 5},    {5, 17},
+        {8, 16},   {17, 3},    {29, 37}, {61, 67},  {97, 33},
+        {97, 5000}};
+    for (auto [m, k] : mv) {
+      for (Layout la : mats) {
+        for (Layout lx : vecs) {
+          check(product_operand(dt, {m, k}, la, 1),
+                product_operand(dt, {k}, lx, 2), "matrix x vector", la,
+                lx);
+          check(product_operand(dt, {k}, lx, 2),
+                product_operand(dt, {k, m}, la, 1), "vector x matrix", lx,
+                la);
+        }
+      }
+    }
+    // Products that are all -0.0 sum to +0.0: the sum starts from +0.0.
+    auto filled = [&](std::vector<int64_t> shape, double v) {
+      Tensor t(dt, std::move(shape));
+      for (int64_t i = 0; i < t.size(); ++i) t.set_flat(i, v);
+      return t;
+    };
+    const Layout c = Layout::Contiguous;
+    check(filled({5, 7}, -0.0), filled({7, 6}, 1.5), "matrix x matrix", c, c);
+    check(filled({5, 7}, -0.0), filled({7}, 1.5), "matrix x vector", c, c);
+    check(filled({7}, -0.0), filled({7, 9}, 1.5), "vector x matrix", c, c);
   }
 }
 
@@ -323,6 +425,38 @@ TEST(TensorOps, Reductions) {
   EXPECT_EQ(s0.get_flat(0), 5.0);
   Tensor s1 = ops::sum_axis(a, 1);
   EXPECT_EQ(s1.get_flat(1), 15.0);
+
+  // A row slice at a nonzero offset is contiguous (the pointer path); a
+  // stepped view is not.  Both reduce over the view's elements only.
+  Tensor b = Tensor::from_values({3, 4}, {9, -8, 7, 6,     //
+                                          -5, 4, 12, -3,   //
+                                          2, -11, 1, 10});
+  Tensor row = b.slice({1, 0}, {2, 4}, {1, 1});
+  ASSERT_TRUE(row.contiguous());
+  EXPECT_EQ(ops::sum_all(row), 8.0);
+  EXPECT_EQ(ops::max_all(row), 12.0);
+  EXPECT_EQ(ops::min_all(row), -5.0);
+  Tensor stepped = b.slice({0, 1}, {3, 4}, {2, 2});  // -8, 6, -11, 10
+  ASSERT_FALSE(stepped.contiguous());
+  EXPECT_EQ(ops::sum_all(stepped), -3.0);
+  EXPECT_EQ(ops::max_all(stepped), 10.0);
+  EXPECT_EQ(ops::min_all(stepped), -11.0);
+
+  // Equal elements keep the first one, as std::max and std::min do, so
+  // signed zeros pick the same zero on either path.
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  Tensor z = Tensor::from_values({2, 3}, {-0.0, 0.0, 0.0,  //
+                                          0.0, -0.0, -0.0});
+  for (const Tensor& t : {z.slice({0, 0}, {1, 3}, {1, 1}),
+                          z.slice({0, 0}, {2, 1}, {1, 1})}) {
+    EXPECT_EQ(bits(ops::max_all(t)), bits(-0.0));
+    EXPECT_EQ(bits(ops::min_all(t)), bits(-0.0));
+  }
+  for (const Tensor& t : {z.slice({1, 0}, {2, 3}, {1, 1}),
+                          z.slice({1, 0}, {2, 3}, {1, 2})}) {
+    EXPECT_EQ(bits(ops::max_all(t)), bits(0.0));
+    EXPECT_EQ(bits(ops::min_all(t)), bits(0.0));
+  }
 }
 
 TEST(TensorOps, PromotionRules) {
