@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "analysis/absint.hpp"
 #include "bench_common.hpp"
@@ -202,6 +203,36 @@ BENCHMARK(BM_MatMul)
     ->Args({1120, 1120, 0})
     ->Args({0, 64, 64})
     ->MinTime(0.25);
+
+// Executor launch overhead: one run() of doitgen with 4-element rows
+// (NR = NQ = 32, NP = 4), so its 1,024 library MatMul calls and 3,072
+// native map launches are nearly all dispatch.  Every map runs on Tier 1
+// from its first launch, as in perfbench's kernels workload; the warm-up
+// run builds the state plans and the native code.  Each iteration first
+// restores A (4,096 doubles), so repeated products never reach
+// denormals.
+static void BM_ExecutorDispatch(benchmark::State& state) {
+  const kernels::Kernel& k = kernels::kernel("doitgen");
+  const sym::SymbolMap sizes{{"NR", 32}, {"NQ", 32}, {"NP", 4}};
+  auto sdfg = fe::compile_to_sdfg(k.source);
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  rt::Bindings args = k.init(sizes);
+  rt::Tensor& A = args.at("A");
+  const rt::Tensor A0 = A.copy();
+  std::unique_ptr<rt::Executor> ex;
+  {
+    env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+    ex = std::make_unique<rt::Executor>(*sdfg);
+  }
+  ex->run(args, sizes);
+  for (auto _ : state) {
+    A.assign_from(A0);
+    ex->run(args, sizes);
+    benchmark::DoNotOptimize(A.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ExecutorDispatch);
 
 static void BM_VmFusedAxpy(benchmark::State& state) {
   auto sdfg = fe::compile_to_sdfg(R"(

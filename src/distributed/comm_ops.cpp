@@ -15,22 +15,6 @@ RankCtx& ctx_of(rt::Executor& ex) {
   return *static_cast<RankCtx*>(ex.comm_context);
 }
 
-const ir::Edge* in_edge(const ir::State& st, int node,
-                        const std::string& conn) {
-  for (const auto* e : st.in_edges(node)) {
-    if (e->dst_conn == conn) return e;
-  }
-  throw err("comm: missing input connector ", conn);
-}
-
-const ir::Edge* out_edge(const ir::State& st, int node,
-                         const std::string& conn) {
-  for (const auto* e : st.out_edges(node)) {
-    if (e->src_conn == conn) return e;
-  }
-  throw err("comm: missing output connector ", conn);
-}
-
 int64_t sym_attr(rt::Executor& ex, const ir::LibraryNode& l,
                  const std::string& key) {
   auto it = l.sym_attrs.find(key);
@@ -43,8 +27,8 @@ void isend_handler(rt::Executor& ex, const ir::State& st, int node) {
   const auto* l = st.node_as<const ir::LibraryNode>(node);
   int64_t peer = sym_attr(ex, *l, "peer");
   int64_t tag = sym_attr(ex, *l, "tag");
-  rt::Tensor buf = ex.view(in_edge(st, node, "_buf")->memlet);
-  rt::Tensor req = ex.view(out_edge(st, node, "_req_out")->memlet);
+  rt::Tensor buf = ex.input("_buf");
+  rt::Tensor req = ex.output("_req_out");
   if (peer < 0) {  // boundary neighbor: no-op
     req.set_flat(0, -1);
     return;
@@ -65,8 +49,8 @@ void irecv_handler(rt::Executor& ex, const ir::State& st, int node) {
   const auto* l = st.node_as<const ir::LibraryNode>(node);
   int64_t peer = sym_attr(ex, *l, "peer");
   int64_t tag = sym_attr(ex, *l, "tag");
-  rt::Tensor buf = ex.view(out_edge(st, node, "_buf")->memlet);
-  rt::Tensor req = ex.view(out_edge(st, node, "_req_out")->memlet);
+  rt::Tensor buf = ex.output("_buf");
+  rt::Tensor req = ex.output("_req_out");
   if (peer < 0) {
     req.set_flat(0, -1);
     return;
@@ -82,10 +66,10 @@ void irecv_handler(rt::Executor& ex, const ir::State& st, int node) {
   req.set_flat(0, (double)(ctx.requests.size() - 1));
 }
 
-void waitall_handler(rt::Executor& ex, const ir::State& st, int node) {
+void waitall_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
   OpContext oc(*ctx.comm, "comm::Waitall");
-  rt::Tensor req = ex.view(in_edge(st, node, "_req_in")->memlet);
+  rt::Tensor req = ex.input("_req_in");
   for (int64_t i = 0; i < req.size(); ++i) {
     int64_t h = (int64_t)req.get_flat(i);
     if (h < 0 || h >= (int64_t)ctx.requests.size()) continue;
@@ -116,10 +100,10 @@ std::pair<int64_t, int64_t> block_offsets(rt::Executor& ex,
   return {ctx.comm->rank() * local.shape()[0], 0};
 }
 
-void block_scatter_handler(rt::Executor& ex, const ir::State& st, int node) {
+void block_scatter_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
-  rt::Tensor global = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor local = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor global = ex.input("_in");
+  rt::Tensor local = ex.output("_out");
   auto [ox, oy] = block_offsets(ex, local);
   if (local.rank() == 2) {
     for (int64_t i = 0; i < local.shape()[0]; ++i) {
@@ -137,10 +121,10 @@ void block_scatter_handler(rt::Executor& ex, const ir::State& st, int node) {
   ctx.comm->charge_sync(cost);
 }
 
-void block_gather_handler(rt::Executor& ex, const ir::State& st, int node) {
+void block_gather_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
-  rt::Tensor local = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor global = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor local = ex.input("_in");
+  rt::Tensor global = ex.output("_out");
   auto [ox, oy] = block_offsets(ex, local);
   if (local.rank() == 2) {
     for (int64_t i = 0; i < local.shape()[0]; ++i) {
@@ -158,32 +142,32 @@ void block_gather_handler(rt::Executor& ex, const ir::State& st, int node) {
   ctx.comm->charge_sync(cost);
 }
 
-void allreduce_handler(rt::Executor& ex, const ir::State& st, int node) {
+void allreduce_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
   OpContext oc(*ctx.comm, "comm::Allreduce");
-  rt::Tensor in = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor out = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor in = ex.input("_in");
+  rt::Tensor out = ex.output("_out");
   std::vector<double> buf((size_t)in.size());
   for (int64_t i = 0; i < in.size(); ++i) buf[(size_t)i] = in.get_flat(i);
   ctx.comm->allreduce_sum(buf.data(), (int64_t)buf.size());
   for (int64_t i = 0; i < out.size(); ++i) out.set_flat(i, buf[(size_t)i]);
 }
 
-void bcast_handler(rt::Executor& ex, const ir::State& st, int node) {
+void bcast_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
   OpContext oc(*ctx.comm, "comm::Bcast");
-  rt::Tensor in = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor out = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor in = ex.input("_in");
+  rt::Tensor out = ex.output("_out");
   std::vector<double> buf((size_t)in.size());
   for (int64_t i = 0; i < in.size(); ++i) buf[(size_t)i] = in.get_flat(i);
   ctx.comm->bcast(buf.data(), (int64_t)buf.size(), 0);
   for (int64_t i = 0; i < out.size(); ++i) out.set_flat(i, buf[(size_t)i]);
 }
 
-void scatter1d_handler(rt::Executor& ex, const ir::State& st, int node) {
+void scatter1d_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
-  rt::Tensor global = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor local = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor global = ex.input("_in");
+  rt::Tensor local = ex.output("_out");
   int64_t lsz = local.size();
   int64_t g = global.size();
   int64_t o = ctx.comm->rank() * lsz;
@@ -197,10 +181,10 @@ void scatter1d_handler(rt::Executor& ex, const ir::State& st, int node) {
   ctx.comm->charge_sync(cost);
 }
 
-void gather1d_handler(rt::Executor& ex, const ir::State& st, int node) {
+void gather1d_handler(rt::Executor& ex, const ir::State&, int) {
   RankCtx& ctx = ctx_of(ex);
-  rt::Tensor local = ex.view(in_edge(st, node, "_in")->memlet);
-  rt::Tensor global = ex.view(out_edge(st, node, "_out")->memlet);
+  rt::Tensor local = ex.input("_in");
+  rt::Tensor global = ex.output("_out");
   int64_t lsz = local.size();
   int64_t g = global.size();
   int64_t o = ctx.comm->rank() * lsz;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -76,26 +77,49 @@ Tensor Executor::view(const ir::Memlet& m) {
   return t.slice(b, e, s);
 }
 
-Tensor Executor::view(const ir::Memlet& m, const std::string& viewdims) {
-  Tensor& t = tensor(m.data);
-  if (m.subset.dims() == 0) return t;
-  std::set<int> keep;
-  size_t pos = 0;
-  while (pos < viewdims.size()) {
-    size_t comma = viewdims.find(',', pos);
-    if (comma == std::string::npos) comma = viewdims.size();
-    keep.insert(std::stoi(viewdims.substr(pos, comma - pos)));
-    pos = comma + 1;
+Tensor& Executor::operand(std::string_view conn, bool input) {
+  DACE_CHECK(cur_library_ != nullptr, "executor: operand '", conn,
+             "' requested outside a library call");
+  for (Operand& o : cur_library_->operands) {
+    if (o.is_input != input || *o.conn != conn) continue;
+    if (o.run != run_id_) {
+      o.tensor = tensor(o.memlet->data);
+      o.run = run_id_;
+    }
+    size_t dims = o.memlet->subset.dims();
+    if (dims == 0) return o.tensor;
+    for (size_t d = 0; d < dims; ++d) {
+      o.b[d] = o.bounds[3 * d].eval(cells_);
+      o.e[d] = o.bounds[3 * d + 1].eval(cells_);
+      o.s[d] = o.bounds[3 * d + 2].eval(cells_);
+    }
+    o.tensor.slice_into(o.view, o.b, o.e, o.s, o.drop);
+    return o.view;
   }
-  std::vector<int64_t> b, e, s;
-  std::vector<bool> drop;
-  for (size_t d = 0; d < m.subset.dims(); ++d) {
-    b.push_back(eval(m.subset.range(d).begin));
-    e.push_back(eval(m.subset.range(d).end));
-    s.push_back(eval(m.subset.range(d).step));
-    drop.push_back(!keep.count((int)d));
+  throw err("library: missing ", input ? "input" : "output", " connector '",
+            conn, "'");
+}
+
+const Tensor& Executor::input(std::string_view conn) {
+  return operand(conn, true);
+}
+
+Tensor& Executor::output(std::string_view conn) {
+  return operand(conn, false);
+}
+
+int Executor::slot(const std::string& name) {
+  auto [it, fresh] = slot_of_.emplace(name, (int)cells_.size());
+  if (fresh) {
+    slot_names_.push_back(&it->first);
+    auto sit = syms_.find(name);
+    cells_.push_back(sit == syms_.end() ? nullptr : &sit->second);
   }
-  return t.slice(b, e, s, drop);
+  return it->second;
+}
+
+sym::SlotExpr Executor::slot_expr(const sym::Expr& e) {
+  return sym::SlotExpr(e, [this](const std::string& n) { return slot(n); });
 }
 
 void Executor::allocate_transients() {
@@ -135,7 +159,14 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
     free_symbols_ = sdfg_.free_symbols();
     validated_ = true;
   }
+  // A new run: every per-run binding lapses, and the symbol cells point
+  // into the new syms_.
+  ++run_id_;
   syms_ = symbols;
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    auto it = syms_.find(*slot_names_[i]);
+    cells_[i] = it == syms_.end() ? nullptr : &it->second;
+  }
   // Check all free symbols are provided.
   for (const auto& s : free_symbols_) {
     DACE_CHECK(syms_.count(s), "executor: missing symbol '", s, "'");
@@ -155,33 +186,34 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
     if (opts_.cancel_check && opts_.cancel_check()) {
       throw err("cancelled: run aborted at state boundary");
     }
-    const ir::State& st = sdfg_.state(cur);
+    StatePlan& sp = plan(cur);
+    const ir::State& st = *sp.st;
     // States are instrumented only via their explicit attribute; the
     // DACE_INSTRUMENT default applies at launch granularity.
     if (st.instrument != ir::Instrument::Off) {
       VMStats before = stats_;
       int64_t t0 = obs::now_ns();
-      execute_state(cur, st);
+      execute_state(sp);
       VMStats d = stats_delta(before);
       inst_->record("state", cur, -1, st.label(), st.instrument, t0,
                     obs::now_ns() - t0, 0, 1, &d);
     } else {
-      execute_state(cur, st);
+      execute_state(sp);
     }
     if (opts_.post_state_hook) opts_.post_state_hook(st, syms_);
     DACE_CHECK(++steps < kMaxSteps, "executor: state machine did not halt");
     int next = -1;
-    for (size_t ei : sdfg_.out_interstate(cur)) {
-      const ir::InterstateEdge& e = sdfg_.interstate_edges()[ei];
-      bool taken = true;
-      if (e.condition.valid()) {
-        taken = e.condition.eval({}, syms_) != 0;
-      }
-      if (!taken) continue;
+    for (const EdgePlan& ep : sp.out) {
+      const ir::InterstateEdge& e = *ep.edge;
+      if (e.condition.valid() && e.condition.eval({}, syms_) == 0) continue;
       // Evaluate all assignments against the pre-transition symbol values.
-      std::vector<std::pair<std::string, int64_t>> vals;
-      for (const auto& [k, v] : e.assignments) vals.emplace_back(k, eval(v));
-      for (const auto& [k, v] : vals) syms_[k] = v;
+      for (size_t i = 0; i < ep.assigns.size(); ++i)
+        edge_vals_[i] = ep.assigns[i].second.eval(cells_);
+      for (size_t i = 0; i < ep.assigns.size(); ++i) {
+        size_t s = (size_t)ep.assigns[i].first;
+        if (!cells_[s]) cells_[s] = &syms_[*slot_names_[s]];
+        *cells_[s] = edge_vals_[i];
+      }
       next = e.dst;
       break;
     }
@@ -189,7 +221,7 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
   }
 }
 
-void Executor::notify_launch(const std::string& kind, const VMStats& before) {
+void Executor::notify_launch(const char* kind, const VMStats& before) {
   if (!opts_.launch_hook) return;
   opts_.launch_hook(kind, stats_delta(before));
 }
@@ -204,9 +236,13 @@ VMStats Executor::stats_delta(const VMStats& before) const {
   return d;
 }
 
-const std::vector<int>& Executor::schedule(int sid, const ir::State& st) {
-  auto it = schedules_.find(sid);
-  if (it != schedules_.end()) return it->second;
+Executor::StatePlan& Executor::plan(int sid) {
+  if ((size_t)sid < plans_.size() && plans_[(size_t)sid])
+    return *plans_[(size_t)sid];
+  const ir::State& st = sdfg_.state(sid);
+  auto sp = std::make_unique<StatePlan>();
+  sp->sid = sid;
+  sp->st = &st;
   // Top-level nodes only; nodes inside map scopes execute via the VM.
   std::set<int> inner;
   for (int id : st.node_ids()) {
@@ -215,28 +251,117 @@ const std::vector<int>& Executor::schedule(int sid, const ir::State& st) {
       for (int s : st.scope_nodes(id)) inner.insert(s);
     }
   }
-  std::vector<int> order;
-  for (int id : st.topological_order())
-    if (!inner.count(id)) order.push_back(id);
-  return schedules_.emplace(sid, std::move(order)).first->second;
+  for (int id : st.topological_order()) {
+    const ir::Node* n = st.node(id);
+    if (inner.count(id) || n->kind == ir::NodeKind::Access ||
+        n->kind == ir::NodeKind::MapExit)
+      continue;
+    NodePlan np;
+    np.id = id;
+    np.node = n;
+    if (n->kind == ir::NodeKind::Library) plan_library(*sp, np);
+    sp->nodes.push_back(std::move(np));
+  }
+  for (size_t ei : sdfg_.out_interstate(sid)) {
+    EdgePlan ep;
+    ep.edge = &sdfg_.interstate_edges()[ei];
+    for (const auto& [k, v] : ep.edge->assignments)
+      ep.assigns.emplace_back(slot(k), slot_expr(v));
+    edge_vals_.resize(std::max(edge_vals_.size(), ep.assigns.size()));
+    sp->out.push_back(std::move(ep));
+  }
+  if ((size_t)sid >= plans_.size()) plans_.resize((size_t)sid + 1);
+  plans_[(size_t)sid] = std::move(sp);
+  return *plans_[(size_t)sid];
 }
 
-void Executor::execute_state(int sid, const ir::State& st) {
-  for (int id : schedule(sid, st)) {
-    const ir::Node* n = st.node(id);
+namespace {
+
+/// The dims a `viewdims` attribute drops from a rank-`rank` memlet: all
+/// but the comma-separated ones it lists (the empty string lists none).
+/// Returns false on malformed text or a dim outside the rank.
+bool parse_viewdims(const std::string& text, size_t rank,
+                    std::vector<bool>& drop) {
+  drop.assign(rank, true);
+  if (text.empty()) return true;
+  const char* p = text.data();
+  const char* end = p + text.size();
+  while (true) {
+    size_t d = 0;
+    auto [q, ec] = std::from_chars(p, end, d);
+    if (ec != std::errc() || q == p || d >= rank) return false;
+    drop[d] = false;
+    if (q == end) return true;
+    if (*q != ',') return false;
+    p = q + 1;
+  }
+}
+
+}  // namespace
+
+void Executor::plan_library(const StatePlan& sp, NodePlan& np) {
+  const auto* l = static_cast<const ir::LibraryNode*>(np.node);
+  np.handler = LibraryRegistry::global().find(l->op);
+  for (const ir::Edge& e : sp.st->edges()) {
+    bool in = e.dst == np.id;
+    if (!in && e.src != np.id) continue;
+    Operand o;
+    o.conn = in ? &e.dst_conn : &e.src_conn;
+    if (o.conn->empty()) continue;
+    o.is_input = in;
+    o.memlet = &e.memlet;
+    size_t dims = e.memlet.subset.dims();
+    for (size_t d = 0; d < dims; ++d) {
+      const sym::Range& r = e.memlet.subset.range(d);
+      o.bounds.push_back(slot_expr(r.begin));
+      o.bounds.push_back(slot_expr(r.end));
+      o.bounds.push_back(slot_expr(r.step));
+    }
+    o.b.resize(dims);
+    o.e.resize(dims);
+    o.s.resize(dims);
+    np.operands.push_back(std::move(o));
+  }
+  // `viewdims<conn>` names the container dims an input's view keeps.
+  constexpr std::string_view kViewdims = "viewdims";
+  for (const auto& [key, text] : l->attrs) {
+    if (key.compare(0, kViewdims.size(), kViewdims) != 0) continue;
+    const std::string conn = key.substr(kViewdims.size());
+    auto bad = [&](auto&&... why) {
+      return err("executor: library node '", l->op, "' (state ", sp.sid,
+                 ", node ", np.id, "): attribute ", key, " = \"", text,
+                 "\" ", why...);
+    };
+    auto o = std::find_if(np.operands.begin(), np.operands.end(),
+                          [&](const Operand& x) {
+                            return x.is_input && *x.conn == conn;
+                          });
+    if (o == np.operands.end()) throw bad("names no input connector");
+    size_t rank = o->memlet->subset.dims();
+    if (!parse_viewdims(text, rank, o->drop))
+      throw bad("is not a list of dims of the rank-", rank, " memlet on '",
+                conn, "'");
+  }
+}
+
+void Executor::execute_state(StatePlan& sp) {
+  const ir::State& st = *sp.st;
+  for (NodePlan& np : sp.nodes) {
+    const ir::Node* n = np.node;
     switch (n->kind) {
       case ir::NodeKind::Access:
+      case ir::NodeKind::MapExit:
         break;
       case ir::NodeKind::Tasklet: {
         VMStats before = stats_;
         ir::Instrument im =
             inst_->active() ? inst_->effective(*n) : ir::Instrument::Off;
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
-        execute_tasklet(st, id);
+        execute_tasklet(st, np.id);
         notify_launch("tasklet", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("tasklet", sid, id,
+          inst_->record("tasklet", sp.sid, np.id,
                         static_cast<const ir::Tasklet*>(n)->name, im, t0,
                         obs::now_ns() - t0, 0, 1, &d);
         }
@@ -249,37 +374,35 @@ void Executor::execute_state(int sid, const ir::State& st) {
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
         int tier = 0;
         int64_t iters = 0;
-        execute_map(st, id, &tier, &iters);
+        execute_map(sp, np, &tier, &iters);
         notify_launch("map", before);
         if (im != ir::Instrument::Off) {
           // Tier-1 runs produce no VMStats; only attach the delta when the
           // VM interpreted the map, so instrs/iter stays meaningful.
           VMStats d = stats_delta(before);
-          inst_->record("map", sid, id,
+          inst_->record("map", sp.sid, np.id,
                         static_cast<const ir::MapEntry*>(n)->name, im, t0,
                         obs::now_ns() - t0, tier, iters,
                         tier == 0 ? &d : nullptr);
         }
         break;
       }
-      case ir::NodeKind::MapExit:
-        break;
       case ir::NodeKind::Library: {
         VMStats before = stats_;
         ir::Instrument im =
             inst_->active() ? inst_->effective(*n) : ir::Instrument::Off;
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
-        execute_library(st, id);
+        execute_library(sp, np);
         notify_launch("library", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("library", sid, id, n->label(), im,
-                        t0, obs::now_ns() - t0, 0, 1, &d);
+          inst_->record("library", sp.sid, np.id, n->label(), im, t0,
+                        obs::now_ns() - t0, 0, 1, &d);
         }
         break;
       }
       case ir::NodeKind::NestedSDFG:
-        execute_nested(st, id);
+        execute_nested(sp, np);
         break;
     }
   }
@@ -325,56 +448,86 @@ void Executor::update_cost(TieredProgram& tp, int tier, int64_t iters,
   ema = ema <= 0.0 ? nspi : 0.5 * ema + 0.5 * nspi;
 }
 
-void Executor::execute_map(const ir::State& st, int node, int* tier_used,
-                           int64_t* iters_out) {
-  *tier_used = 0;
-  *iters_out = 0;
-  const auto* me = st.node_as<const ir::MapEntry>(node);
-  int sid = sdfg_.state_id(&st);
-  auto key = std::make_pair(sid, node);
-  auto it = programs_.find(key);
-  if (it == programs_.end()) {
-    int64_t c0 = obs::enabled() ? obs::now_ns() : 0;
-    if (!symbol_ranges_)
-      symbol_ranges_ = analysis::absint::SymbolRanges::compute(sdfg_);
-    TieredProgram tp;
-    tp.prog = compile_map_scope(sdfg_, st, node, &symbol_ranges_->at(sid));
-    if (bc_opt_) optimize_program(tp.prog);
-    it = programs_.emplace(key, std::move(tp)).first;
-    if (obs::enabled()) {
-      std::ostringstream a;
-      a << "{\"map\":\"" << diag::json_escape(me->name)
-        << "\",\"instructions\":" << it->second.prog.code.size() << "}";
-      obs::complete("executor", "compile-map", c0, obs::now_ns() - c0,
-                    a.str());
-    }
+void Executor::compile_map(const StatePlan& sp, NodePlan& np) {
+  const auto* me = static_cast<const ir::MapEntry*>(np.node);
+  int64_t c0 = obs::enabled() ? obs::now_ns() : 0;
+  if (!symbol_ranges_)
+    symbol_ranges_ = analysis::absint::SymbolRanges::compute(sdfg_);
+  auto tp = std::make_unique<TieredProgram>();
+  tp->prog =
+      compile_map_scope(sdfg_, *sp.st, np.id, &symbol_ranges_->at(sp.sid));
+  if (bc_opt_) optimize_program(tp->prog);
+  for (const std::string& s : tp->prog.symbols)
+    tp->sym_slots.push_back(slot(s));
+  tp->symvals.resize(tp->sym_slots.size());
+  const sym::Range& r0 = me->range.range(0);
+  tp->begin = slot_expr(r0.begin);
+  tp->end = slot_expr(r0.end);
+  tp->step = slot_expr(r0.step);
+  np.map = std::move(tp);
+  if (obs::enabled()) {
+    std::ostringstream a;
+    a << "{\"map\":\"" << diag::json_escape(me->name)
+      << "\",\"instructions\":" << np.map->prog.code.size() << "}";
+    obs::complete("executor", "compile-map", c0, obs::now_ns() - c0,
+                  a.str());
   }
-  TieredProgram& tp = it->second;
-  const Program& prog = tp.prog;
+}
 
-  // Bind array slots and symbol slots.
-  std::vector<ArrayRef> arrays(prog.arrays.size());
-  for (size_t i = 0; i < prog.arrays.size(); ++i) {
+void Executor::bind_map(TieredProgram& tp) {
+  const Program& prog = tp.prog;
+  size_t n = prog.arrays.size();
+  tp.arrays.resize(n);
+  tp.bases.resize(n);
+  std::vector<std::pair<uintptr_t, uintptr_t>> spans(n);
+  for (size_t i = 0; i < n; ++i) {
     Tensor& t = tensor(prog.arrays[i]);
     DACE_CHECK(t.contiguous(),
                "executor: map operand '", prog.arrays[i],
                "' must be contiguous");
-    arrays[i] = ArrayRef{t.data(), t.dtype()};
+    tp.arrays[i] = ArrayRef{t.data(), t.dtype()};
+    tp.bases[i] = t.data();
+    uintptr_t b = reinterpret_cast<uintptr_t>(t.data());
+    spans[i] = {b, b + sizeof(double) * (size_t)t.size()};
   }
-  std::vector<int64_t> symvals(prog.symbols.size());
-  for (size_t i = 0; i < prog.symbols.size(); ++i) {
-    auto sit = syms_.find(prog.symbols[i]);
-    DACE_CHECK(sit != syms_.end(), "executor: unbound symbol '",
+  // Generated Tier-1 code declares its array pointers __restrict__ when
+  // interval analysis proved the scope contiguous; that assertion only
+  // holds if the bound buffers really are disjoint (a caller may alias
+  // two arguments, or pass overlapping views).  Check once per run and
+  // run the map on the VM on overlap.
+  tp.restrict_ok = true;
+  if (prog.use_restrict) {
+    for (size_t i = 0; i < n && tp.restrict_ok; ++i)
+      for (size_t j = i + 1; j < n && tp.restrict_ok; ++j)
+        if (spans[i].first < spans[j].second &&
+            spans[j].first < spans[i].second)
+          tp.restrict_ok = false;
+  }
+  tp.run = run_id_;
+}
+
+void Executor::execute_map(const StatePlan& sp, NodePlan& np, int* tier_used,
+                           int64_t* iters_out) {
+  *tier_used = 0;
+  *iters_out = 0;
+  const auto* me = static_cast<const ir::MapEntry*>(np.node);
+  if (!np.map) compile_map(sp, np);
+  TieredProgram& tp = *np.map;
+  const Program& prog = tp.prog;
+  if (tp.run != run_id_) bind_map(tp);
+  for (size_t i = 0; i < tp.sym_slots.size(); ++i) {
+    const int64_t* cell = cells_[(size_t)tp.sym_slots[i]];
+    DACE_CHECK(cell != nullptr, "executor: unbound symbol '",
                prog.symbols[i], "' in map");
-    symvals[i] = sit->second;
+    tp.symvals[i] = *cell;
   }
 
   ++map_launches_;
   if (opts_.cancel_check && opts_.cancel_check()) {
     throw err("cancelled: map '", me->name, "' not dispatched");
   }
-  const sym::Range& r0 = me->range.range(0);
-  int64_t begin = eval(r0.begin), end = eval(r0.end), step = eval(r0.step);
+  int64_t begin = tp.begin.eval(cells_), end = tp.end.eval(cells_),
+          step = tp.step.eval(cells_);
   int64_t iters = step > 0 ? (end - begin + step - 1) / step : 0;
   if (iters <= 0) return;
   *iters_out = iters;
@@ -392,8 +545,9 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   if (tier_cfg_.enabled && !opts_.launch_hook && !tp.promoted) {
     tp.iterations += iters;
     if (tp.iterations >= tier_cfg_.threshold) {
-      std::vector<ir::DType> dtypes(arrays.size());
-      for (size_t i = 0; i < arrays.size(); ++i) dtypes[i] = arrays[i].dtype;
+      std::vector<ir::DType> dtypes(tp.arrays.size());
+      for (size_t i = 0; i < tp.arrays.size(); ++i)
+        dtypes[i] = tp.arrays[i].dtype;
       tp.native = request_native(prog, dtypes, tier_cfg_);
       tp.promoted = true;
       ++native_promotions_;
@@ -406,30 +560,9 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       }
     }
   }
-  // Generated Tier-1 code declares its array pointers __restrict__ when
-  // interval analysis proved the scope contiguous; that assertion only
-  // holds if the bound buffers really are disjoint (a caller may alias
-  // two arguments, or pass overlapping views).  Re-check per launch and
-  // fall back to the VM on overlap.
-  bool restrict_ok = true;
-  if (tp.native && prog.use_restrict) {
-    std::vector<std::pair<uintptr_t, uintptr_t>> spans(arrays.size());
-    for (size_t i = 0; i < arrays.size(); ++i) {
-      uintptr_t b = reinterpret_cast<uintptr_t>(arrays[i].base);
-      spans[i] = {b, b + sizeof(double) *
-                          (size_t)tensor(prog.arrays[i]).size()};
-    }
-    for (size_t i = 0; i < spans.size() && restrict_ok; ++i)
-      for (size_t j = i + 1; j < spans.size() && restrict_ok; ++j)
-        if (spans[i].first < spans[j].second &&
-            spans[j].first < spans[i].second)
-          restrict_ok = false;
-  }
 
   // Set when this launch runs on Tier 1.
-  cg::MapNativeFn fn = restrict_ok ? tp.native : nullptr;
-  std::vector<double*> bases(fn ? arrays.size() : 0);
-  for (size_t i = 0; i < bases.size(); ++i) bases[i] = arrays[i].base;
+  cg::MapNativeFn fn = tp.restrict_ok ? tp.native : nullptr;
   if (fn) {
     ++native_launches_;
     *tier_used = 1;
@@ -463,7 +596,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
         try {
           if (fn) {
             int64_t g = 0;
-            fn(bases.data(), symvals.data(), b, e, &g);
+            fn(tp.bases.data(), tp.symvals.data(), b, e, &g);
             if (g) {
               throw err("map guard: out-of-range access on array '",
                         prog.arrays[(size_t)(g - 1)], "' in map '",
@@ -471,7 +604,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
             }
           } else {
             VMStats local;
-            vm_run(prog, arrays, symvals, b, e, &local);
+            vm_run(prog, tp.arrays, tp.symvals, b, e, &local);
             std::lock_guard<std::mutex> lk(mu);
             stats_ += local;
           }
@@ -499,41 +632,45 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   }
 }
 
-void Executor::execute_library(const ir::State& st, int node) {
-  const auto* l = st.node_as<const ir::LibraryNode>(node);
-  const LibraryHandler* h = LibraryRegistry::global().find(l->op);
-  DACE_CHECK(h != nullptr, "executor: no implementation for library node '",
-             l->op, "'");
-  (*h)(*this, st, node);
+void Executor::execute_library(const StatePlan& sp, NodePlan& np) {
+  if (!np.handler) {
+    const auto* l = static_cast<const ir::LibraryNode*>(np.node);
+    np.handler = LibraryRegistry::global().find(l->op);
+    DACE_CHECK(np.handler != nullptr,
+               "executor: no implementation for library node '", l->op, "'");
+  }
+  cur_library_ = &np;
+  try {
+    (*np.handler)(*this, *sp.st, np.id);
+  } catch (...) {
+    cur_library_ = nullptr;
+    throw;
+  }
+  cur_library_ = nullptr;
 }
 
-void Executor::execute_nested(const ir::State& st, int node) {
-  const auto* nn = st.node_as<const ir::NestedSDFGNode>(node);
-  int sid = sdfg_.state_id(&st);
-  auto key = std::make_pair(sid, node);
-  auto it = children_.find(key);
-  if (it == children_.end()) {
-    auto child = std::make_unique<Executor>(*nn->sdfg, opts_);
-    child->comm_context = comm_context;
-    it = children_.emplace(key, std::move(child)).first;
-  }
-  Executor& child = *it->second;
+void Executor::execute_nested(const StatePlan& sp, NodePlan& np) {
+  const ir::State& st = *sp.st;
+  const auto* nn = static_cast<const ir::NestedSDFGNode*>(np.node);
+  if (!np.child) np.child = std::make_unique<Executor>(*nn->sdfg, opts_);
+  Executor& child = *np.child;
   child.comm_context = comm_context;
 
   Bindings child_args;
-  for (const auto* e : st.in_edges(node)) {
+  for (const auto* e : st.in_edges(np.id)) {
     if (e->memlet.empty()) continue;
     child_args.emplace(e->dst_conn, view(e->memlet));
   }
-  for (const auto* e : st.out_edges(node)) {
+  for (const auto* e : st.out_edges(np.id)) {
     if (e->memlet.empty()) continue;
     if (!child_args.count(e->src_conn))
       child_args.emplace(e->src_conn, view(e->memlet));
   }
   sym::SymbolMap child_syms = syms_;
   for (const auto& [k, v] : nn->symbol_mapping) child_syms[k] = eval(v);
+  VMStats before = child.stats_;
   child.run(child_args, child_syms);
-  stats_ += child.stats();
+  stats_ += child.stats_delta(before);
 }
 
 void execute(const ir::SDFG& sdfg, Bindings& args,

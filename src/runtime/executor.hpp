@@ -1,7 +1,9 @@
 // SDFG executor (CPU backend).
 //
 // Interprets an SDFG as a state machine over interstate edges; inside each
-// state, dataflow executes in topological order.  Map scopes are compiled
+// state, dataflow executes in topological order, from a dispatch plan the
+// executor builds on the state's first run (docs/RUNTIME.md, "The non-map
+// path").  Map scopes are compiled
 // once to bytecode (runtime/bytecode.hpp) and run through the VM --
 // CPU-parallel schedules split the outermost dimension across the global
 // thread pool.  Library nodes dispatch through an extensible registry
@@ -13,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/absint.hpp"
@@ -83,14 +86,19 @@ class Executor {
 
   // -- services for library handlers ----------------------------------------
   const ir::SDFG& sdfg() const { return sdfg_; }
-  sym::SymbolMap& symbols() { return syms_; }
   /// Tensor bound to a container (argument or transient).
   Tensor& tensor(const std::string& container);
   /// Tensor view selected by a memlet (all dims kept).
   Tensor view(const ir::Memlet& m);
-  /// View with dims outside `viewdims` (comma-separated container dims)
-  /// dropped; those dims must have unit extent.
-  Tensor view(const ir::Memlet& m, const std::string& viewdims);
+  /// Operands of the library node being dispatched: the view of the memlet
+  /// on its input connector `conn` (an edge's dst_conn) or output
+  /// connector (src_conn).  An input keeps only the container dims that
+  /// the node's `viewdims<conn>` attribute lists (`viewdims_a` for `_a`),
+  /// when it has one; the dims it drops must have unit extent.  The node's
+  /// plan finds the edges and parses the attribute once.  The view is
+  /// rebuilt in place by the next call for the same connector.
+  const Tensor& input(std::string_view conn);
+  Tensor& output(std::string_view conn);
   int64_t eval(const sym::Expr& e) const;
 
   VMStats& stats() { return stats_; }
@@ -113,22 +121,6 @@ class Executor {
   void* comm_context = nullptr;
 
  private:
-  void allocate_transients();
-  void notify_launch(const std::string& kind, const VMStats& before);
-  VMStats stats_delta(const VMStats& before) const;
-  /// Top-level nodes of state `sid` in execution order: its topological
-  /// order minus the interiors of top-level map scopes.  Built on first
-  /// use and kept, like programs_, for the executor's lifetime.
-  const std::vector<int>& schedule(int sid, const ir::State& st);
-  void execute_state(int sid, const ir::State& st);
-  void execute_tasklet(const ir::State& st, int node);
-  /// `tier_used`/`iters_out` report which tier dispatched the map and how
-  /// many outer iterations it ran (instrumentation bookkeeping).
-  void execute_map(const ir::State& st, int node, int* tier_used,
-                   int64_t* iters_out);
-  void execute_library(const ir::State& st, int node);
-  void execute_nested(const ir::State& st, int node);
-
   /// Per-map tiered execution state: the (optimized) Tier-0 bytecode plus
   /// promotion bookkeeping and, once hot, the native entry point.
   struct TieredProgram {
@@ -141,7 +133,86 @@ class Executor {
     // cost-driven chunk scheduler.
     double ns_per_iter[2] = {0.0, 0.0};
     bool plan_reported = false;  // kernel-plan obs instant emitted once
+
+    // Resolved once: the symbol slot of each program symbol, and the
+    // outer range of the map.
+    std::vector<int> sym_slots;
+    sym::SlotExpr begin, end, step;
+    // Bound once per run (`run` is the run they were bound for): the
+    // operand table, its base pointers and the restrict verdict.  Each
+    // launch only fills `symvals` from the symbol cells.
+    uint64_t run = 0;
+    std::vector<ArrayRef> arrays;
+    std::vector<double*> bases;
+    std::vector<int64_t> symvals;
+    bool restrict_ok = true;
   };
+
+  /// One connector of a library node.  Resolved once: its edge's memlet,
+  /// the container dims an input's view drops, and the bounds; bound once
+  /// per run: the container's tensor (a view sharing its buffer).
+  struct Operand {
+    const std::string* conn = nullptr;
+    bool is_input = true;
+    const ir::Memlet* memlet = nullptr;
+    std::vector<bool> drop;  // empty: keep every dim
+    std::vector<sym::SlotExpr> bounds;  // begin, end, step per dim
+    uint64_t run = 0;
+    Tensor tensor;
+    // Per call: the bounds and the view, rebuilt in place.
+    std::vector<int64_t> b, e, s;
+    Tensor view;
+  };
+
+  /// One top-level node of a state, in execution order.
+  struct NodePlan {
+    int id = -1;
+    const ir::Node* node = nullptr;
+    std::unique_ptr<TieredProgram> map;  // MapEntry, from its first launch
+    const LibraryHandler* handler = nullptr;  // Library
+    std::vector<Operand> operands;            // Library
+    std::unique_ptr<Executor> child;          // NestedSDFG
+  };
+
+  /// An outgoing interstate edge with its assignments resolved to slots.
+  struct EdgePlan {
+    const ir::InterstateEdge* edge = nullptr;
+    std::vector<std::pair<int, sym::SlotExpr>> assigns;
+  };
+
+  /// What running state `sid` needs, built the first time it runs and
+  /// kept, like the programs it holds, for the executor's lifetime: so
+  /// the SDFG must not change while this executor lives.  Its top-level
+  /// nodes are the state's topological order minus the interiors of
+  /// top-level map scopes, without access nodes and map exits.
+  struct StatePlan {
+    int sid = -1;
+    const ir::State* st = nullptr;
+    std::vector<NodePlan> nodes;
+    std::vector<EdgePlan> out;
+  };
+
+  StatePlan& plan(int sid);
+  void plan_library(const StatePlan& sp, NodePlan& np);
+  /// Slot of a symbol, interned for the executor's lifetime; its cell
+  /// points into syms_ for the current run (null while unbound).
+  int slot(const std::string& name);
+  sym::SlotExpr slot_expr(const sym::Expr& e);
+  Tensor& operand(std::string_view conn, bool input);
+
+  void allocate_transients();
+  void notify_launch(const char* kind, const VMStats& before);
+  VMStats stats_delta(const VMStats& before) const;
+  void execute_state(StatePlan& sp);
+  void execute_tasklet(const ir::State& st, int node);
+  /// `tier_used`/`iters_out` report which tier dispatched the map and how
+  /// many outer iterations it ran (instrumentation bookkeeping).
+  void execute_map(const StatePlan& sp, NodePlan& np, int* tier_used,
+                   int64_t* iters_out);
+  void compile_map(const StatePlan& sp, NodePlan& np);
+  void bind_map(TieredProgram& tp);
+  void execute_library(const StatePlan& sp, NodePlan& np);
+  void execute_nested(const StatePlan& sp, NodePlan& np);
 
   /// Chunk count for a parallel dispatch at `tier`: the map's measured
   /// (or, before the first launch, estimated) work, split by the pool's
@@ -157,18 +228,24 @@ class Executor {
   sym::SymbolMap syms_;
   Bindings env_;
   Bindings persistent_;  // persistent transients survive across run()
-  // Compiled map programs, keyed by (state id, entry node id).  Like the
-  // state schedules below, they assume the SDFG does not change while
-  // this executor lives.
-  std::map<std::pair<int, int>, TieredProgram> programs_;
-  std::map<int, std::vector<int>> schedules_;  // keyed by state id
+  // State plans, indexed by state id (null: not run yet).
+  std::vector<std::unique_ptr<StatePlan>> plans_;
+  // Symbol slots: names and the slot map live as long as the executor;
+  // cells_ is re-pointed into syms_ at the start of every run.
+  std::map<std::string, int> slot_of_;
+  std::vector<const std::string*> slot_names_;
+  std::vector<int64_t*> cells_;
+  // Interstate assignment scratch, sized for the widest planned edge.
+  std::vector<int64_t> edge_vals_;
+  // Counts run() calls; per-run bindings record the run they belong to,
+  // so none outlives it (run() rebuilds env_ and syms_).
+  uint64_t run_id_ = 0;
+  NodePlan* cur_library_ = nullptr;  // library node being dispatched
   // Symbol ranges of the SDFG's states, computed on the first map compile.
   std::optional<analysis::absint::SymbolRanges> symbol_ranges_;
   // The SDFG's free symbols, computed on the first run, so that checking
   // a run's symbol bindings does not walk the whole graph every time.
   std::set<std::string> free_symbols_;
-  // Child executors for nested SDFG nodes.
-  std::map<std::pair<int, int>, std::unique_ptr<Executor>> children_;
   VMStats stats_;
   std::unique_ptr<Instrumenter> inst_;
   TierConfig tier_cfg_;

@@ -1,6 +1,6 @@
 #include "runtime/instrumentation.hpp"
 
-#include <sstream>
+#include <charconv>
 
 #include "common/diag.hpp"
 #include "common/env.hpp"
@@ -17,7 +17,9 @@ ir::Instrument Instrumenter::env_default() {
 }
 
 Instrumenter::Instrumenter(const ir::SDFG& sdfg)
-    : sdfg_name_(sdfg.name()), default_(env_default()) {
+    : args_prefix_("{\"sdfg\":\"" + diag::json_escape(sdfg.name()) +
+                   "\",\"kind\":\""),
+      default_(env_default()) {
   if (default_ != ir::Instrument::Off) {
     active_ = true;
     return;
@@ -62,16 +64,28 @@ void Instrumenter::record(const char* kind, int state_id, int node_id,
     obs::counter("node", label, (double)p.iterations);
     return;
   }
-  std::ostringstream a;
-  a << "{\"sdfg\":\"" << diag::json_escape(sdfg_name_) << "\",\"kind\":\""
-    << kind << "\",\"state\":" << state_id << ",\"node\":" << node_id
-    << ",\"tier\":" << tier << ",\"iters\":" << iters;
+  // Appended into one string; sdfg-prof parses these keys in this order.
+  std::string a;
+  a.reserve(args_prefix_.size() + 192);
+  a += args_prefix_;
+  a += kind;
+  auto field = [&a](const char* key, auto v) {
+    char buf[24];
+    a += key;
+    a.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  field("\",\"state\":", state_id);
+  field(",\"node\":", node_id);
+  field(",\"tier\":", tier);
+  field(",\"iters\":", iters);
   if (delta) {
-    a << ",\"instrs\":" << delta->instrs << ",\"flops\":" << delta->flops
-      << ",\"loads\":" << delta->loads << ",\"stores\":" << delta->stores;
+    field(",\"instrs\":", delta->instrs);
+    field(",\"flops\":", delta->flops);
+    field(",\"loads\":", delta->loads);
+    field(",\"stores\":", delta->stores);
   }
-  a << "}";
-  obs::complete("node", label, t0_ns, dur_ns, a.str());
+  a += '}';
+  obs::complete("node", label, t0_ns, dur_ns, std::move(a));
 }
 
 }  // namespace dace::rt

@@ -72,7 +72,9 @@ class Instrumenter {
   }
 
  private:
-  std::string sdfg_name_;
+  // `{"sdfg":"<escaped name>","kind":"`, the fixed start of every event's
+  // args, escaped once.
+  std::string args_prefix_;
   ir::Instrument default_ = ir::Instrument::Off;
   bool active_ = false;
   std::map<std::pair<int, int>, NodeProfile> profiles_;

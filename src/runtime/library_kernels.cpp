@@ -12,38 +12,16 @@ namespace dace::rt {
 
 namespace {
 
-const ir::Edge* edge_by_dst_conn(const ir::State& st, int node,
-                                 const std::string& conn) {
-  for (const auto* e : st.in_edges(node)) {
-    if (e->dst_conn == conn) return e;
-  }
-  throw err("library: missing input connector '", conn, "'");
-}
-
-const ir::Edge* edge_by_src_conn(const ir::State& st, int node,
-                                 const std::string& conn) {
-  for (const auto* e : st.out_edges(node)) {
-    if (e->src_conn == conn) return e;
-  }
-  throw err("library: missing output connector '", conn, "'");
-}
-
-std::string attr_or(const ir::LibraryNode& l, const std::string& key,
-                    const std::string& fallback) {
+const std::string& attr_or(const ir::LibraryNode& l, const std::string& key,
+                           const std::string& fallback) {
   auto it = l.attrs.find(key);
   return it == l.attrs.end() ? fallback : it->second;
 }
 
-void matmul_handler(Executor& ex, const ir::State& st, int node) {
-  const auto* l = st.node_as<const ir::LibraryNode>(node);
-  const ir::Edge* ea = edge_by_dst_conn(st, node, "_a");
-  const ir::Edge* eb = edge_by_dst_conn(st, node, "_b");
-  const ir::Edge* ec = edge_by_src_conn(st, node, "_c");
-  Tensor a = ex.view(ea->memlet, attr_or(*l, "viewdims_a", ""));
-  Tensor b = ex.view(eb->memlet, attr_or(*l, "viewdims_b", ""));
-  Tensor out = ex.view(ec->memlet);
-  Tensor res = ops::matmul(a, b);
-  out.assign_from(res);
+void matmul_handler(Executor& ex, const ir::State&, int) {
+  const Tensor& a = ex.input("_a");
+  const Tensor& b = ex.input("_b");
+  ex.output("_c").assign_from(ops::matmul(a, b));
   // Account FLOPs in the executor statistics (2mnk).
   int64_t m = a.rank() == 2 ? a.shape()[0] : 1;
   int64_t k = a.rank() == 2 ? a.shape()[1] : a.shape()[0];
@@ -54,12 +32,11 @@ void matmul_handler(Executor& ex, const ir::State& st, int node) {
 }
 
 void reduce_handler(Executor& ex, const ir::State& st, int node) {
+  static const std::string kSum = "sum";
   const auto* l = st.node_as<const ir::LibraryNode>(node);
-  const ir::Edge* ein = edge_by_dst_conn(st, node, "_in");
-  const ir::Edge* eout = edge_by_src_conn(st, node, "_out");
-  Tensor in = ex.view(ein->memlet, attr_or(*l, "viewdims_in", ""));
-  Tensor out = ex.view(eout->memlet);
-  std::string op = attr_or(*l, "op", "sum");
+  const Tensor& in = ex.input("_in");
+  Tensor& out = ex.output("_out");
+  const std::string& op = attr_or(*l, "op", kSum);
   auto axis_it = l->attrs.find("axis");
   if (axis_it != l->attrs.end()) {
     int axis = std::stoi(axis_it->second);

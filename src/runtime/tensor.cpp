@@ -130,10 +130,20 @@ Tensor Tensor::slice(const std::vector<int64_t>& begin,
                      const std::vector<int64_t>& end,
                      const std::vector<int64_t>& step,
                      const std::vector<bool>& drop) const {
+  Tensor out = *this;
+  slice_into(out, begin, end, step, drop);
+  return out;
+}
+
+void Tensor::slice_into(Tensor& out, const std::vector<int64_t>& begin,
+                        const std::vector<int64_t>& end,
+                        const std::vector<int64_t>& step,
+                        const std::vector<bool>& drop) const {
   DACE_CHECK(begin.size() == rank() && end.size() == rank() &&
                  step.size() == rank(),
              "tensor: slice rank mismatch");
-  Tensor out = *this;
+  out.dtype_ = dtype_;
+  out.buffer_ = buffer_;
   out.shape_.clear();
   out.strides_.clear();
   out.offset_ = offset_;
@@ -153,7 +163,6 @@ Tensor Tensor::slice(const std::vector<int64_t>& begin,
       DACE_CHECK(end[d] - begin[d] == 1, "tensor: dropping non-unit dim");
     }
   }
-  return out;
 }
 
 Tensor Tensor::transpose() const {

@@ -82,6 +82,12 @@ class Tensor {
                const std::vector<int64_t>& end,
                const std::vector<int64_t>& step,
                const std::vector<bool>& drop = {}) const;
+  /// slice() into `out` (another tensor), reusing its shape and stride
+  /// storage, so a view rebuilt on every call allocates nothing.
+  void slice_into(Tensor& out, const std::vector<int64_t>& begin,
+                  const std::vector<int64_t>& end,
+                  const std::vector<int64_t>& step,
+                  const std::vector<bool>& drop = {}) const;
 
   /// Zero-copy transpose (reverses dims, or applies permutation).
   Tensor transpose() const;

@@ -522,6 +522,54 @@ std::optional<int64_t> Expr::try_eval(const SymbolMap& syms) const {
   return node_eval(node_, syms);
 }
 
+SlotExpr::SlotExpr(const Expr& e,
+                   const std::function<int(const std::string&)>& slot_of)
+    : expr_(e) {
+  std::function<void(const NodePtr&)> flatten = [&](const NodePtr& n) {
+    int64_t v = n->value;
+    if (n->kind == ExprKind::Symbol) v = slot_of(n->name);
+    terms_.push_back(Term{n->kind, (uint32_t)n->args.size(), v});
+    for (const auto& a : n->args) flatten(a);
+  };
+  flatten(ExprNodes::node(e));
+}
+
+// Mirrors node_eval, term for term.
+int64_t SlotExpr::eval_at(const Term*& t,
+                          const std::vector<int64_t*>& cells) const {
+  const Term& n = *t++;
+  switch (n.kind) {
+    case ExprKind::Const:
+      return n.value;
+    case ExprKind::Symbol: {
+      const int64_t* c = cells[(size_t)n.value];
+      DACE_CHECK(c != nullptr, "symbolic: unbound symbol in ",
+                 expr_.to_string());
+      return *c;
+    }
+    case ExprKind::Add: {
+      int64_t acc = 0;
+      for (uint32_t i = 0; i < n.nargs; ++i) acc += eval_at(t, cells);
+      return acc;
+    }
+    case ExprKind::Mul: {
+      int64_t acc = 1;
+      for (uint32_t i = 0; i < n.nargs; ++i) acc *= eval_at(t, cells);
+      return acc;
+    }
+    default: {
+      int64_t a = eval_at(t, cells);
+      int64_t b = eval_at(t, cells);
+      switch (n.kind) {
+        case ExprKind::FloorDiv: return floordiv_i64(a, b);
+        case ExprKind::Mod: return mod_i64(a, b);
+        case ExprKind::Min: return std::min(a, b);
+        default: return std::max(a, b);
+      }
+    }
+  }
+}
+
 namespace {
 // `n` with the symbols bound in `map` replaced by their expressions, not
 // yet canonical; null when no symbol of `n` is bound.

@@ -162,4 +162,36 @@ Expr product(const std::vector<Expr>& factors);
 /// Convenience: symbol literal.
 inline Expr S(const std::string& name) { return Expr::symbol(name); }
 
+/// An expression flattened for repeated evaluation.  Each symbol becomes
+/// the slot `slot_of` gives its name, and eval() reads the value through
+/// `cells[slot]` instead of looking the name up; a null cell is an
+/// unbound symbol.  The result equals Expr::eval on the same values.
+class SlotExpr {
+ public:
+  /// The constant 0.
+  SlotExpr() : SlotExpr(Expr(), {}) {}
+  SlotExpr(const Expr& e,
+           const std::function<int(const std::string&)>& slot_of);
+
+  int64_t eval(const std::vector<int64_t*>& cells) const {
+    const Term* t = terms_.data();
+    // Most bounds are one constant or one bound symbol.
+    if (t->kind == ExprKind::Const) return t->value;
+    if (t->kind == ExprKind::Symbol && cells[(size_t)t->value])
+      return *cells[(size_t)t->value];
+    return eval_at(t, cells);
+  }
+
+ private:
+  struct Term {
+    ExprKind kind;
+    uint32_t nargs;  // operands that follow in prefix order
+    int64_t value;   // Const: the value; Symbol: the slot
+  };
+  int64_t eval_at(const Term*& t, const std::vector<int64_t*>& cells) const;
+
+  std::vector<Term> terms_;
+  Expr expr_;  // for the unbound-symbol error
+};
+
 }  // namespace dace::sym

@@ -10,6 +10,9 @@
 #include "common/common.hpp"
 #include "common/env.hpp"
 #include "frontend/lowering.hpp"
+#include "frontend/parser.hpp"
+#include "kernels/suite.hpp"
+#include "runtime/eager_interpreter.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/tensor_ops.hpp"
 #include "transforms/auto_optimize.hpp"
@@ -219,6 +222,46 @@ def f(A: dace.float64[NR, NQ, NP], C4: dace.float64[NP, NP]):
   }
 }
 
+TEST(Executor, MalformedViewdimsIsRejectedWhenThePlanIsBuilt) {
+  // A library node's viewdims attribute is parsed once, when its state's
+  // plan is built.  Malformed text or a dim outside the memlet's rank is
+  // a dace::Error naming the node, the attribute and its text.
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def mv(A: dace.float64[N, M], x: dace.float64[M], y: dace.float64[N]):
+    y[:] = A @ x
+)");
+  const std::string saved = sdfg->save();
+  const std::string attr = "(attr \"viewdims_a\" \"0,1\")";
+  ASSERT_NE(saved.find(attr), std::string::npos) << saved;
+  const int64_t n = 5, m = 4;
+  auto run = [&](const std::string& text) {
+    auto g = ir::load_sdfg(text);
+    Tensor A = random_tensor({n, m}, 31);
+    Tensor x = random_tensor({m}, 32);
+    Tensor y(ir::DType::f64, {n});
+    Bindings args{{"A", A}, {"x", x}, {"y", y}};
+    rt::execute(*g, args, {{"N", n}, {"M", m}});
+    return rt::allclose(y, rt::ops::matmul(A, x));
+  };
+  EXPECT_TRUE(run(saved));
+  for (const std::string bad : {"x", "0,1,9", "7"}) {
+    SCOPED_TRACE(bad);
+    std::string text = saved;
+    text.replace(text.find(attr), attr.size(),
+                 "(attr \"viewdims_a\" \"" + bad + "\")");
+    try {
+      run(text);
+      ADD_FAILURE() << "viewdims_a = \"" << bad << "\" was accepted";
+    } catch (const Error& e) {
+      std::string what = e.what();
+      EXPECT_NE(what.find("library node 'MatMul'"), std::string::npos) << what;
+      EXPECT_NE(what.find("viewdims_a = \"" + bad + "\""), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(Executor, OuterProductGemver) {
   auto sdfg = compile_to_sdfg(R"(
 @dace.program
@@ -247,6 +290,32 @@ def f(A: dace.float64[N]):
   Bindings args{{"A", A}};
   rt::execute(*sdfg, args, {{"N", n}});
   for (int64_t i = 0; i < n; ++i) EXPECT_EQ(A.get_flat(i), 2.0 * i + 1.0);
+}
+
+TEST(Executor, NestedCallsAddTheirStatsOnce) {
+  // A nested SDFG keeps one executor across calls; each call adds what it
+  // did to the caller's statistics, not the callee's running total.
+  env::Override jit("DACEPP_JIT", "0");
+  const std::string inner = R"(
+@dace.program
+def inner(A: dace.float64[N]):
+    A[:] = A + 1.0
+)";
+  auto outer = compile_to_sdfg(inner + R"(
+@dace.program
+def outer(A: dace.float64[N]):
+    for t in range(4):
+        inner(A)
+)");
+  auto once = compile_to_sdfg(inner);
+  Tensor A(ir::DType::f64, {16}), B(ir::DType::f64, {16});
+  Bindings a{{"A", A}}, b{{"A", B}};
+  rt::Executor ex(*outer), ex1(*once);
+  ex.run(a, {{"N", 16}});
+  ex1.run(b, {{"N", 16}});
+  EXPECT_EQ(A.get_flat(0), 4.0);
+  EXPECT_GT(ex1.stats().flops, 0u);
+  EXPECT_EQ(ex.stats().flops, 4 * ex1.stats().flops);
 }
 
 TEST(Executor, MissingSymbolIsAnError) {
@@ -366,6 +435,97 @@ def f(A: dace.float64[N], B: dace.float64[N]):
   fs::remove_all(root);
   EXPECT_TRUE(files.empty()) << files.size() << " file(s), first "
                              << (files.empty() ? "" : files.front());
+}
+
+/// The top-level map of a single-map SDFG, compiled as the executor
+/// compiles it.
+rt::Program top_map_program(const ir::SDFG& sdfg) {
+  for (int s : sdfg.state_ids()) {
+    const ir::State& st = sdfg.state(s);
+    for (int id : st.node_ids())
+      if (st.node(id)->kind == ir::NodeKind::MapEntry &&
+          st.scope_of(id) == -1)
+        return rt::compile_map_scope(sdfg, st, id);
+  }
+  return {};
+}
+
+TEST(Executor, MapBindingsAreRebuiltOnEveryRun) {
+  // A map's operands, symbol cells and restrict verdict are bound once per
+  // run.  Each run on one executor must bind its own arguments: aliased
+  // ones fall back to Tier 0, resized ones are written in full.
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  const char* src = R"(
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[0:N]:
+        B[i] = 2.0 * A[i] + 1.0
+)";
+  auto sdfg = compile_to_sdfg(src);
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  ASSERT_TRUE(top_map_program(*sdfg).use_restrict);
+  rt::Executor ex(*sdfg);
+
+  // Run 1: disjoint arguments run natively.
+  const int64_t n = 64;
+  Tensor A = random_tensor({n}, 21);
+  Tensor B(ir::DType::f64, {n});
+  Bindings args{{"A", A}, {"B", B}};
+  ex.run(args, {{"N", n}});
+  const int64_t native = ex.native_launches();
+  EXPECT_GT(native, 0);
+  for (int64_t i = 0; i < n; ++i)
+    EXPECT_EQ(B.get_flat(i), 2.0 * A.get_flat(i) + 1.0);
+
+  // Run 2: A and B are one buffer, so __restrict__ does not hold and the
+  // launch runs on the VM, with the eager interpreter's result.
+  Tensor C = random_tensor({n}, 22);
+  Tensor C_eager = C.copy();
+  Bindings aliased{{"A", C}, {"B", C}};
+  ex.run(aliased, {{"N", n}});
+  EXPECT_EQ(ex.native_launches(), native);
+  fe::Module mod = fe::parse(src);
+  rt::EagerInterpreter interp(mod.functions[0]);
+  Bindings eager{{"A", C_eager}, {"B", C_eager}};
+  interp.run(eager, {{"N", n}});
+  for (int64_t i = 0; i < n; ++i)
+    EXPECT_EQ(C.get_flat(i), C_eager.get_flat(i)) << "element " << i;
+
+  // Run 3: fresh tensors of another size and a new N, as a fresh
+  // executor runs them.
+  const int64_t m = 100;
+  Tensor A3 = random_tensor({m}, 23);
+  Tensor B3(ir::DType::f64, {m}), B3_fresh(ir::DType::f64, {m});
+  Bindings args3{{"A", A3}, {"B", B3}};
+  ex.run(args3, {{"N", m}});
+  EXPECT_GT(ex.native_launches(), native);
+  Bindings fresh_args{{"A", A3}, {"B", B3_fresh}};
+  rt::Executor fresh(*sdfg);
+  fresh.run(fresh_args, {{"N", m}});
+  for (int64_t i = 0; i < m; ++i)
+    EXPECT_EQ(B3.get_flat(i), B3_fresh.get_flat(i)) << "element " << i;
+}
+
+TEST(Executor, DoitgenRunsTwiceOnOneExecutor) {
+  // doitgen reassigns its loop symbols on interstate edges and calls
+  // MatMul inside the loop: a second run on new inputs must rebind the
+  // library operands and symbol cells, not reuse the first run's.
+  const kernels::Kernel& k = kernels::kernel("doitgen");
+  const sym::SymbolMap& sizes = k.presets.at("test");
+  auto sdfg = compile_to_sdfg(k.source);
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  rt::Executor ex(*sdfg);
+  for (unsigned seed : {101u, 202u}) {
+    SCOPED_TRACE(seed);
+    Bindings b = k.init(sizes);
+    kernels::fill_pattern(b.at("A"), seed);
+    kernels::fill_pattern(b.at("C4"), seed + 1);
+    Bindings ref{{"A", b.at("A").copy()}, {"C4", b.at("C4").copy()}};
+    k.reference(ref, sizes);
+    ex.run(b, sizes);
+    EXPECT_TRUE(rt::allclose(b.at("A"), ref.at("A"), 1e-9, 1e-11))
+        << "max diff " << rt::max_abs_diff(b.at("A"), ref.at("A"));
+  }
 }
 
 // Parameterized sweep: the same program over many sizes (symbolic shape

@@ -150,6 +150,52 @@ TEST_F(ObsTest, EnvTimerProfilesEveryLaunchNode) {
   }
 }
 
+TEST_F(ObsTest, NodeEventArgsAreByteStable) {
+  // sdfg-prof parses the args of "node" spans: their keys, values and
+  // order are pinned for a Tier-0 map event, which carries the launch's
+  // VMStats, and a Tier-1 one, which has none.
+  env::Override inst("DACE_INSTRUMENT", "timer");
+  env::Override thr("DACEPP_JIT_THRESHOLD", "1");
+  for (int tier : {0, 1}) {
+    SCOPED_TRACE(tier);
+    env::Override jit("DACEPP_JIT", tier == 1 ? "1" : "0");
+    obs::clear();
+    auto sdfg = fe::compile_to_sdfg(R"(
+@dace.program
+def scale(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[0:N]:
+        B[i] = 2.0 * A[i]
+)");
+    xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+    int sid = -1;
+    int map = find_top_map(*sdfg, &sid);
+    ASSERT_GE(map, 0);
+    Bindings b{{"A", rt::Tensor(ir::DType::f64, {64})},
+               {"B", rt::Tensor(ir::DType::f64, {64})}};
+    rt::Executor ex(*sdfg);
+    ex.run(b, {{"N", 64}});
+    const rt::NodeProfile& p = ex.instrumentation().profiles().at({sid, map});
+    ASSERT_EQ(p.tier, tier);
+    std::string want = "{\"sdfg\":\"scale\",\"kind\":\"map\",\"state\":" +
+                       std::to_string(sid) +
+                       ",\"node\":" + std::to_string(map) +
+                       ",\"tier\":" + std::to_string(tier) + ",\"iters\":64";
+    if (tier == 0) {
+      EXPECT_GT(p.vm.instrs, 0u);
+      want += ",\"instrs\":" + std::to_string(p.vm.instrs) +
+              ",\"flops\":" + std::to_string(p.vm.flops) +
+              ",\"loads\":" + std::to_string(p.vm.loads) +
+              ",\"stores\":" + std::to_string(p.vm.stores);
+    }
+    want += "}";
+    std::vector<std::string> maps;
+    for (auto& e : events_in("node"))
+      if (e.name == p.label) maps.push_back(e.args);
+    ASSERT_EQ(maps.size(), 1u);
+    EXPECT_EQ(maps[0], want);
+  }
+}
+
 TEST_F(ObsTest, AttributeCounterInstrumentsOnlyThatNode) {
   // No DACE_INSTRUMENT: only the explicitly tagged map is measured.
   env::Override inst("DACE_INSTRUMENT", "");
