@@ -578,7 +578,8 @@ void Executor::execute_map(const StatePlan& sp, NodePlan& np, int* tier_used,
   std::mutex mu;  // guards first_error and stats_
   std::exception_ptr first_error;
   std::atomic<bool> cancelled{false};
-  int64_t work_ns = ThreadPool::global().parallel_for(
+  int64_t work_ns = 0;
+  ThreadPool::global().parallel_for(
       iters, chunks, [&](int64_t lo, int64_t hi) {
         // Cooperative cancellation between chunks: skip remaining work,
         // leave buffers intact, report after the barrier.
@@ -612,7 +613,8 @@ void Executor::execute_map(const StatePlan& sp, NodePlan& np, int* tier_used,
           std::lock_guard<std::mutex> lk(mu);
           if (!first_error) first_error = std::current_exception();
         }
-      });
+      },
+      &work_ns);
   update_cost(tp, tier, iters, work_ns);
   if (fn && !tp.plan_reported && obs::enabled()) {
     tp.plan_reported = true;

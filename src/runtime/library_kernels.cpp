@@ -21,7 +21,14 @@ const std::string& attr_or(const ir::LibraryNode& l, const std::string& key,
 void matmul_handler(Executor& ex, const ir::State&, int) {
   const Tensor& a = ex.input("_a");
   const Tensor& b = ex.input("_b");
-  ex.output("_c").assign_from(ops::matmul(a, b));
+  Tensor& c = ex.output("_c");
+  // Straight into the output view when it can take the product; a view
+  // that is strided, of another dtype or aliases an operand gets a copy.
+  if (ops::can_matmul_into(c, a, b)) {
+    ops::matmul_into(c, a, b);
+  } else {
+    c.assign_from(ops::matmul(a, b));
+  }
   // Account FLOPs in the executor statistics (2mnk).
   int64_t m = a.rank() == 2 ? a.shape()[0] : 1;
   int64_t k = a.rank() == 2 ? a.shape()[1] : a.shape()[0];

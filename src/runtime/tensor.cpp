@@ -224,6 +224,22 @@ void Tensor::assign_from(const Tensor& src) {
   strided_copy(shape_, data(), strides_, src.data(), src.strides_, dtype_);
 }
 
+bool Tensor::overlaps(const Tensor& other) const {
+  if (!same_buffer(other) || size() == 0 || other.size() == 0) return false;
+  // [lowest, highest] element offset of a view in its buffer.
+  auto span = [](const Tensor& t) {
+    int64_t lo = t.offset_, hi = t.offset_;
+    for (size_t d = 0; d < t.rank(); ++d) {
+      int64_t extent = (t.shape_[d] - 1) * t.strides_[d];
+      (extent < 0 ? lo : hi) += extent;
+    }
+    return std::pair<int64_t, int64_t>{lo, hi};
+  };
+  auto [lo, hi] = span(*this);
+  auto [olo, ohi] = span(other);
+  return lo <= ohi && olo <= hi;
+}
+
 void Tensor::fill(double v) {
   v = cast_to(dtype_, v);
   int64_t n = size();

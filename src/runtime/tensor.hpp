@@ -110,6 +110,9 @@ class Tensor {
   bool same_buffer(const Tensor& other) const {
     return buffer_ == other.buffer_;
   }
+  /// True if the address ranges of this view's elements and `other`'s
+  /// intersect (the lowest to the highest element of each).
+  bool overlaps(const Tensor& other) const;
 
   std::string to_string(int64_t max_elems = 32) const;
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
+#include "common/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace dace::rt::ops {
@@ -38,17 +40,261 @@ std::vector<int64_t> broadcast_shapes(const std::vector<int64_t>& a,
 
 namespace {
 
+// The product loops keep parts of the output in registers, in GCC
+// `vector_size` vectors of W doubles.  W = 2 is built at the library's
+// baseline flags (SSE2); on x86-64, W = 4 and W = 8 are the same
+// templates inlined into target("avx2") and target("avx512f") wrappers,
+// and the widest the CPU runs is picked once per process.  No
+// intrinsics: a vector multiply and add round each lane exactly as the
+// scalar ones do, and this file is built with -ffp-contract=off, so no
+// width fuses a multiply-add.  So every output still adds its products
+// for l ascending, from +0.0, one rounding per multiply and one per add,
+// at every width.
+//
+// Each width is spelled as its own type (GCC drops `vector_size` on a
+// dependent alias template), and vectors stay out of signatures: the
+// helpers take them by reference and are always inlined, so no wide
+// vector crosses a call compiled without its instruction set.
+using f64x2 = double __attribute__((vector_size(16)));
+using f64x4 = double __attribute__((vector_size(32)));
+using f64x8 = double __attribute__((vector_size(64)));
+
+template <int W>
+using Vec = std::conditional_t<W == 2, f64x2,
+                               std::conditional_t<W == 4, f64x4, f64x8>>;
+
+#define DACE_INLINE inline __attribute__((always_inline))
+
+template <typename V>
+DACE_INLINE void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+template <typename V>
+DACE_INLINE void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// C[0:4, 0:2W] += A[0:4, l0:l1] * B[l0:l1, 0:2W] in eight accumulators.
+template <int W>
+DACE_INLINE void tile_4x(const double* a, int64_t lda, const double* b,
+                         int64_t ldb, double* c, int64_t ldc, int64_t l0,
+                         int64_t l1) {
+  using V = Vec<W>;
+  const double* a1 = a + lda;
+  const double* a2 = a1 + lda;
+  const double* a3 = a2 + lda;
+  double* c1 = c + ldc;
+  double* c2 = c1 + ldc;
+  double* c3 = c2 + ldc;
+  V c00, c01, c10, c11, c20, c21, c30, c31, b0, b1;
+  load(c00, c), load(c01, c + W), load(c10, c1), load(c11, c1 + W);
+  load(c20, c2), load(c21, c2 + W), load(c30, c3), load(c31, c3 + W);
+  const double* bl = b + l0 * ldb;
+  for (int64_t l = l0; l < l1; ++l, bl += ldb) {
+    load(b0, bl), load(b1, bl + W);
+    c00 += a[l] * b0;
+    c01 += a[l] * b1;
+    c10 += a1[l] * b0;
+    c11 += a1[l] * b1;
+    c20 += a2[l] * b0;
+    c21 += a2[l] * b1;
+    c30 += a3[l] * b0;
+    c31 += a3[l] * b1;
+  }
+  store(c, c00), store(c + W, c01), store(c1, c10), store(c1 + W, c11);
+  store(c2, c20), store(c2 + W, c21), store(c3, c30), store(c3 + W, c31);
+}
+
+// One row of tile_4x, for the rows past the last whole tile.
+template <int W>
+DACE_INLINE void tile_1x(const double* a, const double* b, int64_t ldb,
+                         double* c, int64_t l0, int64_t l1) {
+  using V = Vec<W>;
+  V c0, c1, b0, b1;
+  load(c0, c), load(c1, c + W);
+  const double* bl = b + l0 * ldb;
+  for (int64_t l = l0; l < l1; ++l, bl += ldb) {
+    load(b0, bl), load(b1, bl + W);
+    c0 += a[l] * b0;
+    c1 += a[l] * b1;
+  }
+  store(c, c0), store(c + W, c1);
+}
+
+// Columns [j, n) of `rows` rows of C (at most 4) over the k-block
+// [l0, l1): tiles 2W wide, the rest at half the width, and a scalar
+// chain per element past the last 4-wide tile.
+template <int W>
+DACE_INLINE void row_block(const double* a, int64_t k, const double* b,
+                           int64_t n, double* c, int64_t rows, int64_t j,
+                           int64_t l0, int64_t l1) {
+  for (; j + 2 * W <= n; j += 2 * W) {
+    if (rows == 4) {
+      tile_4x<W>(a, k, b + j, n, c + j, n, l0, l1);
+    } else {
+      for (int64_t r = 0; r < rows; ++r)
+        tile_1x<W>(a + r * k, b + j, n, c + r * n + j, l0, l1);
+    }
+  }
+  if constexpr (W > 2) {
+    row_block<W / 2>(a, k, b, n, c, rows, j, l0, l1);
+  } else {
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t jj = j; jj < n; ++jj) {
+        double acc = c[r * n + jj];
+        for (int64_t l = l0; l < l1; ++l) acc += a[r * k + l] * b[l * n + jj];
+        c[r * n + jj] = acc;
+      }
+    }
+  }
+}
+
+// C += A * B, all row-major: A is m x k, B is k x n.
+struct MatMat {
+  const double* a;
+  const double* b;
+  double* c;
+  int64_t k, n;
+};
+
+// Rows [lo, hi) of C: k-blocks outermost, tiles of 4 rows reloaded from
+// C between blocks.
+template <int W>
+DACE_INLINE void matmul_rows(const MatMat& p, int64_t lo, int64_t hi) {
+  constexpr int64_t BK = 64;
+  for (int64_t kk = 0; kk < p.k; kk += BK) {
+    int64_t kend = std::min(p.k, kk + BK);
+    for (int64_t i = lo; i < hi; i += 4) {
+      row_block<W>(p.a + i * p.k, p.k, p.b, p.n, p.c + i * p.n,
+                   std::min<int64_t>(4, hi - i), 0, kk, kend);
+    }
+  }
+}
+
+// y += x * B: x is a k-vector at stride sx, B's rows are at stride sr
+// and its columns at stride sc, y is contiguous.
+struct VecMat {
+  const double* x;
+  int64_t sx;
+  const double* b;
+  int64_t sr, sc;
+  double* y;
+  int64_t k;
+};
+
+// Columns [j, hi) of y over the rows [l0, l1) of B, at sc = 1: 4W
+// outputs in four accumulators per block, the rest at half the width.
+// Returns the first column past the last 8-wide block.
+template <int W>
+DACE_INLINE int64_t vecmat_blocks(const VecMat& p, int64_t j, int64_t hi,
+                                  int64_t l0, int64_t l1) {
+  using V = Vec<W>;
+  for (; j + 4 * W <= hi; j += 4 * W) {
+    double* yj = p.y + j;
+    V s0, s1, s2, s3, b0, b1, b2, b3;
+    load(s0, yj), load(s1, yj + W), load(s2, yj + 2 * W);
+    load(s3, yj + 3 * W);
+    for (int64_t l = l0; l < l1; ++l) {
+      double xv = p.x[l * p.sx];
+      const double* bl = p.b + l * p.sr + j;
+      load(b0, bl), load(b1, bl + W), load(b2, bl + 2 * W);
+      load(b3, bl + 3 * W);
+      s0 += b0 * xv;
+      s1 += b1 * xv;
+      s2 += b2 * xv;
+      s3 += b3 * xv;
+    }
+    store(yj, s0), store(yj + W, s1), store(yj + 2 * W, s2);
+    store(yj + 3 * W, s3);
+  }
+  if constexpr (W > 2) {
+    return vecmat_blocks<W / 2>(p, j, hi, l0, l1);
+  } else {
+    return j;
+  }
+}
+
+// Columns [lo, hi) of y: l-blocks outermost; at unit column stride the
+// outputs are held in registers and reloaded between blocks, and every
+// other column (the last few, or all of them at sc != 1) runs a scalar
+// chain.
+template <int W>
+DACE_INLINE void vecmat_cols(const VecMat& p, int64_t lo, int64_t hi) {
+  constexpr int64_t BL = 16;
+  for (int64_t l0 = 0; l0 < p.k; l0 += BL) {
+    int64_t l1 = std::min(p.k, l0 + BL);
+    int64_t j = p.sc == 1 ? vecmat_blocks<W>(p, lo, hi, l0, l1) : lo;
+    for (; j < hi; ++j) {
+      double acc = p.y[j];
+      for (int64_t l = l0; l < l1; ++l)
+        acc += p.b[l * p.sr + j * p.sc] * p.x[l * p.sx];
+      p.y[j] = acc;
+    }
+  }
+}
+
+#undef DACE_INLINE
+
+// The loops at each width, compiled for the instruction set it needs.
+void matmul_rows_2(const MatMat& p, int64_t lo, int64_t hi) {
+  matmul_rows<2>(p, lo, hi);
+}
+void vecmat_cols_2(const VecMat& p, int64_t lo, int64_t hi) {
+  vecmat_cols<2>(p, lo, hi);
+}
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void matmul_rows_4(const MatMat& p,
+                                                   int64_t lo, int64_t hi) {
+  matmul_rows<4>(p, lo, hi);
+}
+__attribute__((target("avx2"))) void vecmat_cols_4(const VecMat& p,
+                                                   int64_t lo, int64_t hi) {
+  vecmat_cols<4>(p, lo, hi);
+}
+__attribute__((target("avx512f"))) void matmul_rows_8(const MatMat& p,
+                                                      int64_t lo,
+                                                      int64_t hi) {
+  matmul_rows<8>(p, lo, hi);
+}
+__attribute__((target("avx512f"))) void vecmat_cols_8(const VecMat& p,
+                                                      int64_t lo,
+                                                      int64_t hi) {
+  vecmat_cols<8>(p, lo, hi);
+}
+#endif
+
 // Threading follows NumPy's profile: element-wise ops run on the calling
 // thread, as ufuncs do, and the three matrix products split their output
 // by the pool's cost rule, as MKL threads its BLAS.  Each product form
 // charges what one multiply-add of its loop costs, measured serially on
-// a 4-vCPU Xeon (GCC 12.2, -O2) over the suite's shapes, as medians:
-// 0.26-0.31 ns for matrix x matrix, 0.39-0.62 ns for matrix x vector and
-// 0.30-0.68 ns for vector x matrix.  So a 64x64 vector x matrix (4,096
-// multiply-adds) and a 64^3 product (about 65 us) run inline.
-constexpr double kMatMatNs = 0.25;
+// a 4-vCPU Xeon (GCC 12.2, -O2) over the suite's shapes, as medians of
+// three runs: matrix x matrix 0.17-0.18 ns at width 2, 0.07-0.08 ns at
+// width 4 and 0.05 ns at width 8.  The vector forms are memory-bound at
+// the suite's large shapes and cost the same at every width: 0.30-0.33
+// ns for vector x matrix, 0.39-0.62 ns for matrix x vector (which keeps
+// its scalar chains).  So a 64^3 product (13-47 us) and a 64x64 vector
+// x matrix (about 1 us) run inline.
+struct Products {
+  int width;
+  void (*matmul_rows)(const MatMat&, int64_t, int64_t);
+  void (*vecmat_cols)(const VecMat&, int64_t, int64_t);
+  double mat_mat_ns;
+};
+constexpr Products kProducts[] = {
+    {2, matmul_rows_2, vecmat_cols_2, 0.18},
+#if defined(__x86_64__)
+    {4, matmul_rows_4, vecmat_cols_4, 0.07},
+    {8, matmul_rows_8, vecmat_cols_8, 0.05},
+#endif
+};
 constexpr double kMatVecNs = 0.5;
-constexpr double kVecMatNs = 0.5;
+constexpr double kVecMatNs = 0.3;
+
+const Products& products_at(int width) {
+  for (const Products& p : kProducts)
+    if (p.width == width) return p;
+  throw err("matmul: no vector width ", width);
+}
 
 // Run body over [0, n) in chunks sized by the pool's cost rule.  Chunks
 // hold whole tiles of `tile` items, so no chunk ends mid-tile.
@@ -60,106 +306,6 @@ void split_product(int64_t n, int64_t tile, double cost_ns,
                     [&](int64_t lo, int64_t hi) {
                       body(lo * tile, std::min(n, hi * tile));
                     });
-}
-
-// The product loops keep parts of the output in registers, two doubles
-// to a GCC vector.  No intrinsics and no -march: baseline SSE2, where a
-// vector multiply and add round each lane exactly as the scalar ones do
-// and nothing is fused.  So every output still adds its products for l
-// ascending, from +0.0, one rounding per multiply and one per add.
-using f64x2 = double __attribute__((vector_size(16)));
-
-inline f64x2 load2(const double* p) {
-  f64x2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store2(double* p, f64x2 v) { std::memcpy(p, &v, sizeof v); }
-inline f64x2 splat(double x) { return f64x2{x, x}; }
-
-// C[0:4, 0:4] += A[0:4, l0:l1] * B[l0:l1, 0:4] in eight accumulators.
-void tile_4x4(const double* a, int64_t lda, const double* b, int64_t ldb,
-              double* c, int64_t ldc, int64_t l0, int64_t l1) {
-  const double* a1 = a + lda;
-  const double* a2 = a1 + lda;
-  const double* a3 = a2 + lda;
-  double* c1 = c + ldc;
-  double* c2 = c1 + ldc;
-  double* c3 = c2 + ldc;
-  f64x2 c00 = load2(c), c01 = load2(c + 2), c10 = load2(c1),
-        c11 = load2(c1 + 2), c20 = load2(c2), c21 = load2(c2 + 2),
-        c30 = load2(c3), c31 = load2(c3 + 2);
-  const double* bl = b + l0 * ldb;
-  for (int64_t l = l0; l < l1; ++l, bl += ldb) {
-    f64x2 b0 = load2(bl), b1 = load2(bl + 2);
-    f64x2 av = splat(a[l]);
-    c00 += av * b0;
-    c01 += av * b1;
-    av = splat(a1[l]);
-    c10 += av * b0;
-    c11 += av * b1;
-    av = splat(a2[l]);
-    c20 += av * b0;
-    c21 += av * b1;
-    av = splat(a3[l]);
-    c30 += av * b0;
-    c31 += av * b1;
-  }
-  store2(c, c00);
-  store2(c + 2, c01);
-  store2(c1, c10);
-  store2(c1 + 2, c11);
-  store2(c2, c20);
-  store2(c2 + 2, c21);
-  store2(c3, c30);
-  store2(c3 + 2, c31);
-}
-
-// One row of tile_4x4, for the rows past the last whole tile.
-void tile_1x4(const double* a, const double* b, int64_t ldb, double* c,
-              int64_t l0, int64_t l1) {
-  f64x2 c0 = load2(c), c1 = load2(c + 2);
-  const double* bl = b + l0 * ldb;
-  for (int64_t l = l0; l < l1; ++l, bl += ldb) {
-    f64x2 av = splat(a[l]);
-    c0 += av * load2(bl);
-    c1 += av * load2(bl + 2);
-  }
-  store2(c, c0);
-  store2(c + 2, c1);
-}
-
-// Rows [lo, hi) of C = A * B, row-major: k-blocks outermost, 4x4 tiles
-// reloaded from C between blocks, a scalar chain per element for the
-// columns past the last whole tile.
-void matmul_rows(const double* pa, const double* pb, double* po, int64_t k,
-                 int64_t n, int64_t lo, int64_t hi) {
-  constexpr int64_t BK = 64;
-  int64_t n4 = n - n % 4;
-  for (int64_t kk = 0; kk < k; kk += BK) {
-    int64_t kend = std::min(k, kk + BK);
-    for (int64_t i = lo; i < hi; i += 4) {
-      int64_t rows = std::min<int64_t>(4, hi - i);
-      const double* ai = pa + i * k;
-      double* ci = po + i * n;
-      for (int64_t j = 0; j < n4; j += 4) {
-        if (rows == 4) {
-          tile_4x4(ai, k, pb + j, n, ci + j, n, kk, kend);
-        } else {
-          for (int64_t r = 0; r < rows; ++r)
-            tile_1x4(ai + r * k, pb + j, n, ci + r * n + j, kk, kend);
-        }
-      }
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = n4; j < n; ++j) {
-          double acc = ci[r * n + j];
-          for (int64_t l = kk; l < kend; ++l)
-            acc += ai[r * k + l] * pb[l * n + j];
-          ci[r * n + j] = acc;
-        }
-      }
-    }
-  }
 }
 
 // Rows [lo, hi) of y = A * x, A row-major: four rows' chains at once.
@@ -192,40 +338,73 @@ void matvec_rows(const double* pa, const double* px, double* po, DType dt,
   }
 }
 
-// Columns [lo, hi) of y = x * B, B's rows at stride sr and columns at
-// stride sc: l-blocks outermost; at unit column stride eight outputs are
-// held in registers and reloaded between blocks, and every other column
-// (the last few, or all of them at sc != 1) runs a scalar chain.
-void vecmat_cols(const double* px, int64_t sx, const double* pb, int64_t sr,
-                 int64_t sc, double* po, int64_t k, int64_t lo, int64_t hi) {
-  constexpr int64_t BL = 16;
-  for (int64_t l0 = 0; l0 < k; l0 += BL) {
-    int64_t l1 = std::min(k, l0 + BL);
-    int64_t j = lo;
-    for (; sc == 1 && j + 8 <= hi; j += 8) {
-      double* oj = po + j;
-      f64x2 s0 = load2(oj), s1 = load2(oj + 2), s2 = load2(oj + 4),
-            s3 = load2(oj + 6);
-      for (int64_t l = l0; l < l1; ++l) {
-        f64x2 xv = splat(px[l * sx]);
-        const double* bl = pb + l * sr + j;
-        s0 += load2(bl) * xv;
-        s1 += load2(bl + 2) * xv;
-        s2 += load2(bl + 4) * xv;
-        s3 += load2(bl + 6) * xv;
-      }
-      store2(oj, s0);
-      store2(oj + 2, s1);
-      store2(oj + 4, s2);
-      store2(oj + 6, s3);
-    }
-    for (; j < hi; ++j) {
-      double acc = po[j];
-      for (int64_t l = l0; l < l1; ++l)
-        acc += pb[l * sr + j * sc] * px[l * sx];
-      po[j] = acc;
-    }
+// out = a * b, out zero-filled, contiguous, of the product's shape and
+// the promoted dtype, and sharing no element with a or b.
+void product_into(Tensor& out, const Tensor& a, const Tensor& b,
+                  int width) {
+  const Products& pr = products_at(width);
+  DType dt = out.dtype();
+  double* po = out.data();
+  if (a.rank() == 1 && b.rank() == 1) {
+    po[0] = cast_to(dt, dot(a, b));
+    return;
   }
+  if (a.rank() == 2 && b.rank() == 1) {
+    int64_t m = a.shape()[0], k = a.shape()[1];
+    Tensor ac = a.contiguous() ? a : a.copy();
+    Tensor bc = b.contiguous() ? b : b.copy();
+    const double* pa = ac.data();
+    const double* pb = bc.data();
+    split_product(m, 4, (double)m * (double)k * kMatVecNs,
+                  [&](int64_t lo, int64_t hi) {
+                    matvec_rows(pa, pb, po, dt, k, lo, hi);
+                  });
+    return;
+  }
+  if (a.rank() == 1) {
+    // out[j] = sum over l ascending of b[l,j] * a[l]: the rows of b are
+    // streamed through their strides, never copied.  Each output sums the
+    // same products in the same order as the matrix-vector path on b^T,
+    // so the two agree bit for bit whatever the pool width.
+    int64_t k = b.shape()[0], n = b.shape()[1];
+    VecMat p{a.data(), a.strides()[0], b.data(), b.strides()[0],
+             b.strides()[1], po, k};
+    split_product(n, 4 * width, (double)k * (double)n * kVecMatNs,
+                  [&](int64_t lo, int64_t hi) {
+                    pr.vecmat_cols(p, lo, hi);
+                    for (int64_t j = lo; j < hi; ++j)
+                      po[j] = cast_to(dt, po[j]);
+                  });
+    return;
+  }
+  int64_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
+  Tensor ac = a.contiguous() ? a : a.copy();
+  Tensor bc = b.contiguous() ? b : b.copy();
+  MatMat p{ac.data(), bc.data(), po, k, n};
+  split_product(m, 4, (double)m * (double)k * (double)n * pr.mat_mat_ns,
+                [&](int64_t lo, int64_t hi) {
+                  pr.matmul_rows(p, lo, hi);
+                  if (dt == DType::f64) return;
+                  for (int64_t i = lo * n; i < hi * n; ++i)
+                    po[i] = cast_to(dt, po[i]);
+                });
+}
+
+// Throws unless a * b is defined: ranks 1 or 2 and equal inner dims.
+void check_product(const Tensor& a, const Tensor& b) {
+  DACE_CHECK(a.rank() >= 1 && a.rank() <= 2 && b.rank() >= 1 &&
+                 b.rank() <= 2,
+             "matmul: unsupported ranks ", a.rank(), "x", b.rank());
+  DACE_CHECK(a.shape().back() == b.shape()[0], "matmul: inner dim mismatch ",
+             a.shape().back(), " vs ", b.shape()[0]);
+}
+
+// True when `out` has the shape of a * b: a's rows if a is a matrix,
+// then b's columns if b is one.
+bool has_product_shape(const Tensor& out, const Tensor& a, const Tensor& b) {
+  return out.rank() == (size_t)(a.rank() == 2) + (b.rank() == 2) &&
+         (a.rank() != 2 || out.shape().front() == a.shape()[0]) &&
+         (b.rank() != 2 || out.shape().back() == b.shape()[1]);
 }
 
 // Iterate a broadcast binary op. Fast path when both operands are
@@ -361,64 +540,54 @@ Tensor tanh(const Tensor& a) {
   return apply_unary(a, [](double x) { return std::tanh(x); });
 }
 
+int vector_width() {
+  static const int width = [] {
+    int w = 2;
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+      w = 8;
+    } else if (__builtin_cpu_supports("avx2")) {
+      w = 4;
+    }
+#endif
+    METRIC_GAUGE_SET("dacepp_library_vector_width", w);
+    return w;
+  }();
+  return width;
+}
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  DType dt = promote(a.dtype(), b.dtype());
-  if (a.rank() == 1 && b.rank() == 1) return Tensor::scalar(dot(a, b), dt);
-  if (a.rank() == 2 && b.rank() == 1) {
-    DACE_CHECK(a.shape()[1] == b.shape()[0], "matmul: shape mismatch");
-    int64_t m = a.shape()[0], k = a.shape()[1];
-    Tensor out(dt, {m});
-    Tensor ac = a.contiguous() ? a : a.copy();
-    Tensor bc = b.contiguous() ? b : b.copy();
-    const double* pa = ac.data();
-    const double* pb = bc.data();
-    double* po = out.data();
-    split_product(m, 4, (double)m * (double)k * kMatVecNs,
-                  [&](int64_t lo, int64_t hi) {
-                    matvec_rows(pa, pb, po, dt, k, lo, hi);
-                  });
-    return out;
-  }
-  if (a.rank() == 1 && b.rank() == 2) {
-    DACE_CHECK(a.shape()[0] == b.shape()[0], "matmul: shape mismatch");
-    // out[j] = sum over l ascending of b[l,j] * a[l]: the rows of b are
-    // streamed through their strides, never copied.  Each output sums the
-    // same products in the same order as the matrix-vector path on b^T,
-    // so the two agree bit for bit whatever the pool width.
-    int64_t k = b.shape()[0], n = b.shape()[1];
-    Tensor out(dt, {n});
-    const double* pa = a.data();
-    const double* pb = b.data();
-    int64_t sa = a.strides()[0], sr = b.strides()[0], sc = b.strides()[1];
-    double* po = out.data();
-    split_product(n, 8, (double)k * (double)n * kVecMatNs,
-                  [&](int64_t lo, int64_t hi) {
-                    vecmat_cols(pa, sa, pb, sr, sc, po, k, lo, hi);
-                    for (int64_t j = lo; j < hi; ++j)
-                      po[j] = cast_to(dt, po[j]);
-                  });
-    return out;
-  }
-  DACE_CHECK(a.rank() == 2 && b.rank() == 2, "matmul: unsupported ranks ",
-             a.rank(), "x", b.rank());
-  DACE_CHECK(a.shape()[1] == b.shape()[0], "matmul: inner dim mismatch ",
-             a.shape()[1], " vs ", b.shape()[0]);
-  int64_t m = a.shape()[0], k = a.shape()[1], n = b.shape()[1];
-  Tensor out(dt, {m, n});
-  Tensor ac = a.contiguous() ? a : a.copy();
-  Tensor bc = b.contiguous() ? b : b.copy();
-  const double* pa = ac.data();
-  const double* pb = bc.data();
-  double* po = out.data();
-  split_product(m, 4, (double)m * (double)k * (double)n * kMatMatNs,
-                [&](int64_t lo, int64_t hi) {
-                  matmul_rows(pa, pb, po, k, n, lo, hi);
-                  if (dt == DType::f64) return;
-                  for (int64_t i = lo * n; i < hi * n; ++i)
-                    po[i] = cast_to(dt, po[i]);
-                });
+  return detail::matmul_at_width(a, b, vector_width());
+}
+
+bool can_matmul_into(const Tensor& out, const Tensor& a, const Tensor& b) {
+  return out.contiguous() && out.dtype() == promote(a.dtype(), b.dtype()) &&
+         has_product_shape(out, a, b) && !out.overlaps(a) &&
+         !out.overlaps(b);
+}
+
+void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
+  check_product(a, b);
+  DACE_CHECK(out.contiguous() && out.dtype() == promote(a.dtype(), b.dtype()) &&
+                 has_product_shape(out, a, b),
+             "matmul_into: output is not a contiguous view of the product's "
+             "shape and dtype");
+  out.fill(0.0);
+  product_into(out, a, b, vector_width());
+}
+
+namespace detail {
+Tensor matmul_at_width(const Tensor& a, const Tensor& b, int width) {
+  check_product(a, b);
+  std::vector<int64_t> shape;
+  if (a.rank() == 2) shape.push_back(a.shape()[0]);
+  if (b.rank() == 2) shape.push_back(b.shape()[1]);
+  Tensor out(promote(a.dtype(), b.dtype()), std::move(shape));
+  product_into(out, a, b, width);
   return out;
 }
+}  // namespace detail
 
 Tensor outer(const Tensor& a, const Tensor& b) {
   DACE_CHECK(a.rank() == 1 && b.rank() == 1, "outer: vectors required");

@@ -96,28 +96,32 @@ int ThreadPool::chunks_for(int64_t n, double cost_ns) const {
   return (int)std::max(1.0, std::min(chunks, cap));
 }
 
-int64_t ThreadPool::parallel_for(int64_t n, int chunks,
-                                 function_ref<void(int64_t, int64_t)> body) {
-  if (n <= 0) return 0;
+void ThreadPool::parallel_for(int64_t n, int chunks,
+                              function_ref<void(int64_t, int64_t)> body,
+                              int64_t* work_ns) {
+  if (work_ns) *work_ns = 0;
+  if (n <= 0) return;
   chunks = (int)std::min<int64_t>(chunks, n);  // never an empty range
   chunks = std::min(chunks, num_threads_);
   if (chunks <= 1 || in_parallel_region_) {
-    int64_t t0 = obs::now_ns();
+    int64_t t0 = work_ns ? obs::now_ns() : 0;
     body(0, n);
-    return obs::now_ns() - t0;
+    if (work_ns) *work_ns = obs::now_ns() - t0;
+    return;
   }
   // Balanced split: the first n % chunks ranges get one extra iteration,
   // so range sizes differ by at most one and none is empty.
   int64_t q = n / chunks, r = n % chunks;
-  std::atomic<int64_t> work_ns{0};
+  std::atomic<int64_t> work{0};
   run_on(chunks, [&](int w) {
     int64_t b = w * q + std::min<int64_t>(w, r);
     int64_t e = b + q + (w < r ? 1 : 0);
-    int64_t t0 = obs::now_ns();
+    int64_t t0 = work_ns ? obs::now_ns() : 0;
     body(b, e);
-    work_ns.fetch_add(obs::now_ns() - t0, std::memory_order_relaxed);
+    if (work_ns)
+      work.fetch_add(obs::now_ns() - t0, std::memory_order_relaxed);
   });
-  return work_ns.load(std::memory_order_relaxed);
+  if (work_ns) *work_ns = work.load(std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::global() {

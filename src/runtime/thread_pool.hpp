@@ -4,8 +4,9 @@
 // contiguous chunks it is worth: none below 20 us of work (waking a
 // worker costs more than it hides), otherwise one per ~100 us, never
 // more than the range has items or the pool has workers.  parallel_for
-// then runs that many balanced chunks, one per worker, and reports the
-// summed run time of the chunks so a caller can refine its estimate.
+// then runs that many balanced chunks, one per worker, and on request
+// reports the summed run time of the chunks so a caller can refine its
+// estimate.
 // A process-global pool is shared by all executors; the worker count
 // defaults to the hardware concurrency and can be overridden with
 // DACEPP_NUM_THREADS.
@@ -78,11 +79,12 @@ class ThreadPool {
   /// no worker is ever woken for an empty range.  One chunk, and nested
   /// calls, run body(0, n) inline.  A call from another thread while the
   /// workers are busy runs its chunks one after another on that thread,
-  /// so any number of external threads may call at once.  Returns the
-  /// summed run time of the chunks in ns: the work done, not the wall
-  /// time it took.
-  int64_t parallel_for(int64_t n, int chunks,
-                       function_ref<void(int64_t, int64_t)> body);
+  /// so any number of external threads may call at once.  With `work_ns`
+  /// given, stores the summed run time of the chunks in ns there: the
+  /// work done, not the wall time it took.  The clock is read only then.
+  void parallel_for(int64_t n, int chunks,
+                    function_ref<void(int64_t, int64_t)> body,
+                    int64_t* work_ns = nullptr);
 
   /// Process-global pool (DACEPP_NUM_THREADS or hardware concurrency).
   static ThreadPool& global();

@@ -262,6 +262,119 @@ def mv(A: dace.float64[N, M], x: dace.float64[M], y: dace.float64[N]):
   }
 }
 
+// A one-state SDFG whose MatMul library node reads `a` and `b` and writes
+// `c`.  The containers are N x N f64 matrices, all arguments, except
+// those named in `others`.
+std::unique_ptr<ir::SDFG> matmul_program(
+    const std::map<std::string, std::pair<ir::DType, std::vector<sym::Expr>>>&
+        others,
+    const ir::Memlet& a, const ir::Memlet& b, const ir::Memlet& c) {
+  auto g = std::make_unique<ir::SDFG>("mm");
+  g->add_symbol("N");
+  for (const ir::Memlet* m : {&a, &b, &c}) {
+    if (g->has_array(m->data)) continue;
+    auto it = others.find(m->data);
+    if (it == others.end()) {
+      g->add_array(m->data, ir::DType::f64, {sym::S("N"), sym::S("N")});
+    } else {
+      g->add_array(m->data, it->second.first, it->second.second);
+    }
+    g->add_arg(m->data);
+  }
+  ir::State& st = g->add_state("main", true);
+  int lib = st.add_library("MatMul");
+  st.add_edge(st.add_access(a.data), "", lib, "_a", a);
+  st.add_edge(st.add_access(b.data), "", lib, "_b", b);
+  st.add_edge(lib, "_c", st.add_access(c.data), "", c);
+  return g;
+}
+
+// The MatMul handler writes the product straight into its output view
+// only when the view is contiguous, of the product's shape and dtype, and
+// apart from both operands; any other view gets a copy.  Either way the
+// result equals the eager interpreter's, bit for bit.
+TEST(Executor, MatMulOutputViewsMatchEager) {
+  using sym::Range;
+  using sym::S;
+  using sym::Subset;
+  const int64_t n = 19;
+  const sym::Expr N = S("N");
+  const Subset full = Subset::full({N, N});
+  struct Case {
+    const char* name;
+    std::map<std::string, std::pair<ir::DType, std::vector<sym::Expr>>>
+        others;
+    ir::Memlet a, b, c;
+    const char* source;
+  };
+  const std::vector<Case> cases = {
+      {"contiguous output, stale contents",
+       {},
+       ir::Memlet("A", full),
+       ir::Memlet("B", full),
+       ir::Memlet("C", full),
+       R"(
+@dace.program
+def f(A: dace.float64[N, N], B: dace.float64[N, N], C: dace.float64[N, N]):
+    C[:] = A @ B
+)"},
+      {"output aliases an input",
+       {},
+       ir::Memlet("A", full),
+       ir::Memlet("B", full),
+       ir::Memlet("A", full),
+       R"(
+@dace.program
+def f(A: dace.float64[N, N], B: dace.float64[N, N]):
+    A[:] = A @ B
+)"},
+      {"strided output: one column of a matrix",
+       {{"x", {ir::DType::f64, {N, sym::Expr(1)}}}},
+       ir::Memlet("A", full),
+       ir::Memlet("x", Subset::full({N, sym::Expr(1)})),
+       ir::Memlet("C", Subset({Range(sym::Expr(0), N),
+                               Range(sym::Expr(2), sym::Expr(3))})),
+       R"(
+@dace.program
+def f(A: dace.float64[N, N], x: dace.float64[N, 1], C: dace.float64[N, N]):
+    C[:, 2:3] = A @ x
+)"},
+      {"f32 output of f64 operands",
+       {{"C", {ir::DType::f32, {N, N}}}},
+       ir::Memlet("A", full),
+       ir::Memlet("B", full),
+       ir::Memlet("C", full),
+       R"(
+@dace.program
+def f(A: dace.float64[N, N], B: dace.float64[N, N], C: dace.float32[N, N]):
+    C[:] = A @ B
+)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto g = matmul_program(c.others, c.a, c.b, c.c);
+    fe::Module mod = fe::parse(c.source);
+    Bindings args, eager;
+    unsigned seed = 40;
+    for (const fe::Param& p : mod.functions[0].params) {
+      const ir::DataDesc& d = g->array(p.name);
+      std::vector<int64_t> shape;
+      for (const sym::Expr& e : d.shape) shape.push_back(e.eval({{"N", n}}));
+      Tensor t = random_tensor(shape, seed++).astype(d.dtype);
+      args.emplace(p.name, t);
+      eager.emplace(p.name, t.copy());
+    }
+    rt::execute(*g, args, {{"N", n}});
+    rt::EagerInterpreter(mod.functions[0]).run(eager, {{"N", n}});
+    for (const auto& [name, t] : args) {
+      const Tensor& want = eager.at(name);
+      ASSERT_EQ(t.shape(), want.shape()) << name;
+      for (int64_t i = 0; i < t.size(); ++i)
+        ASSERT_EQ(t.get_flat(i), want.get_flat(i)) << name << "[" << i << "]";
+    }
+  }
+}
+
 TEST(Executor, OuterProductGemver) {
   auto sdfg = compile_to_sdfg(R"(
 @dace.program

@@ -500,9 +500,13 @@ TEST(ThreadPoolChunks, ReportsSummedChunkTime) {
   // The return value is the work the chunks did, not the wall time of
   // the dispatch: four 2 ms chunks on four workers report >= 8 ms.
   rt::ThreadPool pool(4);
-  int64_t work_ns = pool.parallel_for(4, 4, [](int64_t, int64_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  });
+  int64_t work_ns = -1;
+  pool.parallel_for(
+      4, 4,
+      [](int64_t, int64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      },
+      &work_ns);
   EXPECT_GE(work_ns, 8000000);
 }
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "runtime/tensor_ops.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -124,6 +125,22 @@ void expect_assign(Tensor dst, const Tensor& src) {
   ASSERT_EQ(dst.shape(), src.shape());
   for (size_t e = 0; e < idx.size(); ++e)
     EXPECT_EQ(dst.at(idx[e]), want[e]) << "element " << e;
+}
+
+TEST(Tensor, OverlapsComparesElementSpans) {
+  // Views of one buffer overlap when their lowest-to-highest element
+  // spans meet, even if no element is shared (two columns interleave).
+  Tensor m(DType::f64, {4, 6});
+  Tensor col0 = m.slice({0, 0}, {4, 1}, {1, 1});
+  Tensor col5 = m.slice({0, 5}, {4, 6}, {1, 1});
+  Tensor rows01 = m.slice({0, 0}, {2, 6}, {1, 1});
+  Tensor row3 = m.slice({3, 0}, {4, 6}, {1, 1});
+  EXPECT_TRUE(m.overlaps(col0));
+  EXPECT_TRUE(col0.overlaps(col5));
+  EXPECT_TRUE(m.transpose().overlaps(row3));
+  EXPECT_FALSE(rows01.overlaps(row3));
+  EXPECT_FALSE(row3.overlaps(rows01));
+  EXPECT_FALSE(m.overlaps(m.copy()));
 }
 
 TEST(Tensor, AssignFromStridedViews) {
@@ -270,12 +287,21 @@ Tensor product_operand(DType dt, const std::vector<int64_t>& shape,
   return t;
 }
 
-// Outputs of ops::matmul(a, b) whose bits differ from the sum over l
-// ascending of a[i,l] * b[l,j], started from +0.0 and rounded to the
-// result dtype.  A vector is one row as the left operand, one column as
-// the right.
-int64_t ordered_sum_mismatches(const Tensor& a, const Tensor& b) {
-  Tensor c = ops::matmul(a, b);
+// The vector widths of the product loops this host runs: 2, and on
+// x86-64 with AVX2 or AVX-512F also 4 or 4 and 8.
+std::vector<int> host_widths() {
+  std::vector<int> widths;
+  for (int w : {2, 4, 8})
+    if (w <= ops::vector_width()) widths.push_back(w);
+  return widths;
+}
+
+// Outputs of matmul(a, b) at vector width `width` whose bits differ from
+// the sum over l ascending of a[i,l] * b[l,j], started from +0.0 and
+// rounded to the result dtype.  A vector is one row as the left operand,
+// one column as the right.
+int64_t ordered_sum_mismatches(const Tensor& a, const Tensor& b, int width) {
+  Tensor c = ops::detail::matmul_at_width(a, b, width);
   int64_t m = a.rank() == 2 ? a.shape()[0] : 1;
   int64_t k = b.shape()[0];
   int64_t n = b.rank() == 2 ? b.shape()[1] : 1;
@@ -306,33 +332,53 @@ const char* layout_name(Layout lay) {
   return "?";
 }
 
+// The products pick the widest vector width the CPU runs, once per
+// process, and record it in the metrics registry.
+TEST(TensorOps, VectorWidthIsTheWidestTheCpuRuns) {
+  int widest = 2;
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) {
+    widest = 8;
+  } else if (__builtin_cpu_supports("avx2")) {
+    widest = 4;
+  }
+#endif
+  EXPECT_EQ(ops::vector_width(), widest);
+  EXPECT_EQ(metrics::gauge("dacepp_library_vector_width").value(), widest);
+}
+
 // Vector x matrix streams the matrix's rows through its strides, never
 // copying it; matrix x vector on the transpose copies it into a contiguous
 // one first.  Both sum each output over l ascending (which
 // MatmulIsBitIdenticalToOrderedSum pins for each), so they must agree bit
-// for bit, with the matrix's width and the promoted dtype.
+// for bit, with the matrix's width and the promoted dtype, at every
+// vector width.  15, 17, 31 and 33 columns end mid-block at width 8.
 TEST(TensorOps, VecMatIsBitIdenticalToOrderedSum) {
   const std::vector<std::pair<int64_t, int64_t>> shapes = {
-      {37, 29}, {1, 1}, {16, 8}, {17, 3}, {5, 17}, {33, 97}};
-  for (DType dt : {DType::f64, DType::f32}) {
-    for (auto [k, n] : shapes) {
-      for (Layout vl : {Layout::Contiguous, Layout::Stepped}) {
-        Tensor v = product_operand(dt, {k}, vl, 1);
-        for (Layout al : {Layout::Contiguous, Layout::Transposed,
-                          Layout::Stepped, Layout::RowStepped}) {
-          Tensor a = product_operand(dt, {k, n}, al, 2);
-          SCOPED_TRACE(testing::Message()
-                       << (dt == DType::f64 ? "f64 " : "f32 ") << k << "x"
-                       << n << " vector " << layout_name(vl) << ", matrix "
-                       << layout_name(al));
-          Tensor got = ops::matmul(v, a);
-          Tensor mv = ops::matmul(a.transpose(), v);
-          ASSERT_EQ(got.shape(), (std::vector<int64_t>{n}));
-          EXPECT_EQ(got.dtype(), dt);
-          for (int64_t j = 0; j < n; ++j) {
-            EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
-                      std::bit_cast<uint64_t>(mv.at({j})))
-                << "column " << j;
+      {37, 29}, {1, 1},  {16, 8},  {17, 3},  {5, 17},
+      {33, 97}, {40, 15}, {20, 31}, {70, 33}};
+  for (int w : host_widths()) {
+    for (DType dt : {DType::f64, DType::f32}) {
+      for (auto [k, n] : shapes) {
+        for (Layout vl : {Layout::Contiguous, Layout::Stepped}) {
+          Tensor v = product_operand(dt, {k}, vl, 1);
+          for (Layout al : {Layout::Contiguous, Layout::Transposed,
+                            Layout::Stepped, Layout::RowStepped}) {
+            Tensor a = product_operand(dt, {k, n}, al, 2);
+            SCOPED_TRACE(testing::Message()
+                         << "width " << w << ", "
+                         << (dt == DType::f64 ? "f64 " : "f32 ") << k << "x"
+                         << n << " vector " << layout_name(vl) << ", matrix "
+                         << layout_name(al));
+            Tensor got = ops::detail::matmul_at_width(v, a, w);
+            Tensor mv = ops::detail::matmul_at_width(a.transpose(), v, w);
+            ASSERT_EQ(got.shape(), (std::vector<int64_t>{n}));
+            EXPECT_EQ(got.dtype(), dt);
+            for (int64_t j = 0; j < n; ++j) {
+              EXPECT_EQ(std::bit_cast<uint64_t>(got.at({j})),
+                        std::bit_cast<uint64_t>(mv.at({j})))
+                  << "column " << j;
+            }
           }
         }
       }
@@ -340,70 +386,76 @@ TEST(TensorOps, VecMatIsBitIdenticalToOrderedSum) {
   }
 }
 
-// The products keep tiles of the output in registers and split their
-// output over the pool once their work passes the cost rule's inline
-// threshold.  Every output must still equal the sum over l ascending, bit
-// for bit: at sizes that are and are not tile multiples (4x4 for matrix x
-// matrix, 4 rows for matrix x vector, 8 columns for vector x matrix), for
-// every operand layout (row-stepped keeps vector x matrix on its tiled
-// path with a row stride other than the width), and at any pool width.
-// The shapes with 97 rows (or columns) end in a partial tile and split
-// three ways at 3 or more workers; kernels_threads_{2,4} re-run this at
-// widths 2 and 4.
+// The products keep tiles of the output in registers, at every vector
+// width the host runs, and split their output over the pool once their
+// work passes the cost rule's inline threshold.  Every output must still
+// equal the sum over l ascending, bit for bit: at sizes that are and are
+// not tile multiples (4 rows by 2W columns for matrix x matrix, 4 rows
+// for matrix x vector, 4W columns for vector x matrix; 15, 17, 31 and 33
+// columns end mid-tile at width 8), for every operand layout
+// (row-stepped keeps vector x matrix on its tiled path with a row stride
+// other than the width), and at any pool width.  The shapes with 97 rows
+// (or columns) end in a partial tile and split over 2 or more workers at
+// every vector width; kernels_threads_{2,4} re-run this at pool widths 2
+// and 4.
 TEST(TensorOps, MatmulIsBitIdenticalToOrderedSum) {
   const std::vector<Layout> mats = {Layout::Contiguous, Layout::Transposed,
                                     Layout::Stepped, Layout::RowStepped};
   const std::vector<Layout> vecs = {Layout::Contiguous, Layout::Stepped};
-  auto check = [](const Tensor& a, const Tensor& b, const char* form,
-                  Layout la, Layout lb) {
-    EXPECT_EQ(ordered_sum_mismatches(a, b), 0)
-        << (a.dtype() == DType::f64 ? "f64 " : "f32 ") << form << " "
-        << testing::PrintToString(a.shape()) << " x "
-        << testing::PrintToString(b.shape()) << ", " << layout_name(la)
-        << " x " << layout_name(lb);
-  };
-  for (DType dt : {DType::f64, DType::f32}) {
-    // Matrix x matrix, {m, k, n}: 97 * 100 * 100 multiply-adds is between
-    // two and three chunks' worth.
-    const std::vector<std::array<int64_t, 3>> mm = {
-        {16, 16, 16}, {96, 96, 96}, {1, 1, 1},     {3, 5, 7},
-        {5, 3, 1},    {17, 17, 17}, {61, 67, 73}, {97, 100, 100}};
-    for (auto [m, k, n] : mm) {
-      for (Layout la : mats) {
-        for (Layout lb : mats) {
-          check(product_operand(dt, {m, k}, la, 1),
-                product_operand(dt, {k, n}, lb, 2), "matrix x matrix", la,
-                lb);
-        }
-      }
-    }
-    // Matrix x vector {m, k} and vector x matrix {k, m}.
-    const std::vector<std::array<int64_t, 2>> mv = {
-        {16, 256}, {96, 1536}, {1, 1},   {3, 5},    {5, 17},
-        {8, 16},   {17, 3},    {29, 37}, {61, 67},  {97, 33},
-        {97, 5000}};
-    for (auto [m, k] : mv) {
-      for (Layout la : mats) {
-        for (Layout lx : vecs) {
-          check(product_operand(dt, {m, k}, la, 1),
-                product_operand(dt, {k}, lx, 2), "matrix x vector", la,
-                lx);
-          check(product_operand(dt, {k}, lx, 2),
-                product_operand(dt, {k, m}, la, 1), "vector x matrix", lx,
-                la);
-        }
-      }
-    }
-    // Products that are all -0.0 sum to +0.0: the sum starts from +0.0.
-    auto filled = [&](std::vector<int64_t> shape, double v) {
-      Tensor t(dt, std::move(shape));
-      for (int64_t i = 0; i < t.size(); ++i) t.set_flat(i, v);
-      return t;
+  for (int w : host_widths()) {
+    auto check = [w](const Tensor& a, const Tensor& b, const char* form,
+                     Layout la, Layout lb) {
+      EXPECT_EQ(ordered_sum_mismatches(a, b, w), 0)
+          << "width " << w << ", "
+          << (a.dtype() == DType::f64 ? "f64 " : "f32 ") << form << " "
+          << testing::PrintToString(a.shape()) << " x "
+          << testing::PrintToString(b.shape()) << ", " << layout_name(la)
+          << " x " << layout_name(lb);
     };
-    const Layout c = Layout::Contiguous;
-    check(filled({5, 7}, -0.0), filled({7, 6}, 1.5), "matrix x matrix", c, c);
-    check(filled({5, 7}, -0.0), filled({7}, 1.5), "matrix x vector", c, c);
-    check(filled({7}, -0.0), filled({7, 9}, 1.5), "vector x matrix", c, c);
+    for (DType dt : {DType::f64, DType::f32}) {
+      // Matrix x matrix, {m, k, n}: 97 * 210 * 210 multiply-adds is three
+      // chunks' worth or more at every width.
+      const std::vector<std::array<int64_t, 3>> mm = {
+          {16, 16, 16}, {96, 96, 96}, {1, 1, 1},     {3, 5, 7},
+          {5, 3, 1},    {17, 17, 17}, {61, 67, 73}, {97, 210, 210},
+          {5, 9, 15},   {9, 70, 17},  {4, 13, 31},  {7, 66, 33}};
+      for (auto [m, k, n] : mm) {
+        for (Layout la : mats) {
+          for (Layout lb : mats) {
+            check(product_operand(dt, {m, k}, la, 1),
+                  product_operand(dt, {k, n}, lb, 2), "matrix x matrix", la,
+                  lb);
+          }
+        }
+      }
+      // Matrix x vector {m, k} and vector x matrix {k, m}.
+      const std::vector<std::array<int64_t, 2>> mv = {
+          {16, 256}, {96, 1536}, {1, 1},   {3, 5},    {5, 17},
+          {8, 16},   {17, 3},    {29, 37}, {61, 67},  {97, 33},
+          {97, 5000}, {15, 40},  {31, 20}, {33, 70}};
+      for (auto [m, k] : mv) {
+        for (Layout la : mats) {
+          for (Layout lx : vecs) {
+            check(product_operand(dt, {m, k}, la, 1),
+                  product_operand(dt, {k}, lx, 2), "matrix x vector", la,
+                  lx);
+            check(product_operand(dt, {k}, lx, 2),
+                  product_operand(dt, {k, m}, la, 1), "vector x matrix", lx,
+                  la);
+          }
+        }
+      }
+      // Products that are all -0.0 sum to +0.0: the sum starts from +0.0.
+      auto filled = [&](std::vector<int64_t> shape, double v) {
+        Tensor t(dt, std::move(shape));
+        for (int64_t i = 0; i < t.size(); ++i) t.set_flat(i, v);
+        return t;
+      };
+      const Layout c = Layout::Contiguous;
+      check(filled({5, 7}, -0.0), filled({7, 6}, 1.5), "matrix x matrix", c, c);
+      check(filled({5, 7}, -0.0), filled({7}, 1.5), "matrix x vector", c, c);
+      check(filled({7}, -0.0), filled({7, 9}, 1.5), "vector x matrix", c, c);
+    }
   }
 }
 
