@@ -1,7 +1,7 @@
 // bench_cache: cold- vs warm-cache JIT latency (the artifact cache's
 // reason to exist).  Every rep builds the Tier-1 source of the suite's
 // matmul map through cg::compile_map_native, as a promotion does.  Three
-// medians land in the JSON report (BENCH_8.json / $BENCH_JSON):
+// medians land in the JSON report at $BENCH_JSON:
 //
 //   cache.jit_uncached  DACE_CACHE=0 path: full host-compiler run, the
 //                       pre-cache status quo

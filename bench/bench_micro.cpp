@@ -305,7 +305,7 @@ namespace {
 
 /// Console output as usual, plus each benchmark's time captured into the
 /// shared JSON report ("micro.<name>", adjusted real ns) so bench_micro
-/// emits BENCH_5.json like the table benchmarks do.  Under
+/// writes $BENCH_JSON like the table benchmarks do.  Under
 /// --benchmark_repetitions the key holds the median repetition.
 class JsonCapturingReporter : public benchmark::ConsoleReporter {
  public:

@@ -1,6 +1,6 @@
 // bench_serve: request latency of the sdfg-serve daemon (src/serve/*).
-// Five medians land in the shared trajectory report (BENCH_10.json /
-// $BENCH_JSON; writes merge, so this coexists with bench_fig7's keys):
+// Five medians land in the report at $BENCH_JSON (writes merge, so this
+// coexists with bench_fig7's keys):
 //
 //   serve.ping          frame round-trip over the unix socket: protocol
 //                       + scheduling floor, no compile or execution

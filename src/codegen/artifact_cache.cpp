@@ -15,6 +15,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -34,7 +35,6 @@ namespace {
 /// instead of misreading them.
 constexpr int kFormatVersion = 1;
 constexpr const char* kMetaMagic = "daceppcache";
-constexpr const char* kNegMagic = "daceppneg";
 
 std::string hex64(uint64_t v) {
   char buf[17];
@@ -395,7 +395,6 @@ ArtifactCache::ArtifactCache(CacheConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.enabled) return;
   std::error_code ec;
   fs::create_directories(cfg_.dir + "/objects", ec);
-  if (!ec) fs::create_directories(cfg_.dir + "/negative", ec);
   if (!ec) fs::create_directories(cfg_.dir + "/build", ec);
   if (ec) {
     // An unusable cache root disables the cache; execution falls back to
@@ -437,39 +436,6 @@ void ArtifactCache::reset_for_testing() {
                std::memory_order_release);
 }
 
-CacheStats ArtifactCache::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
-void ArtifactCache::count(uint64_t CacheStats::*field) const {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++(stats_.*field);
-  }
-  // Mirror into the process-wide metrics registry (common/metrics.hpp):
-  // this is the single choke point every CacheStats bump flows through,
-  // so `sdfg-cache stat --json` and the serve Metrics verb see live
-  // cache health without a trace file.
-  if (field == &CacheStats::hits) {
-    METRIC_INC("dacepp_cache_hits_total");
-  } else if (field == &CacheStats::misses) {
-    METRIC_INC("dacepp_cache_misses_total");
-  } else if (field == &CacheStats::commits) {
-    METRIC_INC("dacepp_cache_commits_total");
-  } else if (field == &CacheStats::corrupt_rejected) {
-    METRIC_INC("dacepp_cache_corrupt_total");
-  } else if (field == &CacheStats::evictions) {
-    METRIC_INC("dacepp_cache_evictions_total");
-  } else if (field == &CacheStats::neg_hits) {
-    METRIC_INC("dacepp_cache_negative_hits_total");
-  } else if (field == &CacheStats::neg_stores) {
-    METRIC_INC("dacepp_cache_negative_stores_total");
-  } else if (field == &CacheStats::fallbacks) {
-    METRIC_INC("dacepp_cache_fallbacks_total");
-  }
-}
-
 std::string ArtifactCache::key_for(const std::string& source,
                                    const KeyInfo& ki) {
   uint64_t h = fnv1a(kMetaMagic, std::strlen(kMetaMagic));
@@ -490,12 +456,6 @@ std::string ArtifactCache::meta_path(const std::string& key) const {
 }
 std::string ArtifactCache::lock_path(const std::string& key) const {
   return cfg_.dir + "/objects/" + key + ".lock";
-}
-std::string ArtifactCache::negative_path(uint64_t program_hash,
-                                         const std::string& compiler) const {
-  uint64_t h = fnv1a(&program_hash, sizeof(program_hash));
-  h = fnv1a(compiler.data(), compiler.size(), h);
-  return cfg_.dir + "/negative/" + hex64(mix64(h)) + ".neg";
 }
 
 bool ArtifactCache::verify_entry(const std::string& key,
@@ -527,7 +487,7 @@ std::string ArtifactCache::lookup(const std::string& key) {
   OBS_SPAN("cache", "lookup");
   std::error_code ec;
   if (!fs::exists(meta_path(key), ec)) {
-    count(&CacheStats::misses);
+    METRIC_INC("dacepp_cache_misses_total");
     OBS_INSTANT("cache", "miss", "{\"key\":\"" + key + "\"}");
     return "";
   }
@@ -537,14 +497,14 @@ std::string ArtifactCache::lookup(const std::string& key) {
     // deleted on sight, so one bad sector can't poison every run.
     fs::remove(object_path(key), ec);
     fs::remove(meta_path(key), ec);
-    count(&CacheStats::corrupt_rejected);
+    METRIC_INC("dacepp_cache_corrupt_total");
     OBS_INSTANT("cache", "corrupt-reject",
                 "{\"key\":\"" + key + "\",\"why\":\"" + why + "\"}");
     return "";
   }
   // Touch the metadata mtime: it is the LRU clock.
   ::utimensat(AT_FDCWD, meta_path(key).c_str(), nullptr, 0);
-  count(&CacheStats::hits);
+  METRIC_INC("dacepp_cache_hits_total");
   OBS_INSTANT("cache", "hit", "{\"key\":\"" + key + "\"}");
   return object_path(key);
 }
@@ -559,7 +519,7 @@ std::string ArtifactCache::commit(const std::string& key,
 
   KeyLock lock;
   if (!lock.acquire(lock_path(key), cfg_.lock_timeout_ms)) {
-    count(&CacheStats::fallbacks);
+    METRIC_INC("dacepp_cache_fallbacks_total");
     OBS_INSTANT("cache", "lock-timeout", "{\"key\":\"" + key + "\"}");
     return "";
   }
@@ -577,14 +537,14 @@ std::string ArtifactCache::commit(const std::string& key,
   std::error_code ec;
   if (!fi_write_file(tmp, data, &why)) {
     fs::remove(tmp, ec);
-    count(&CacheStats::fallbacks);
+    METRIC_INC("dacepp_cache_fallbacks_total");
     OBS_INSTANT("cache", "write-error",
                 "{\"key\":\"" + key + "\",\"why\":\"" + why + "\"}");
     return "";
   }
   if (!fi_rename(tmp, object_path(key), &why)) {
     fs::remove(tmp, ec);
-    count(&CacheStats::fallbacks);
+    METRIC_INC("dacepp_cache_fallbacks_total");
     OBS_INSTANT("cache", "write-error",
                 "{\"key\":\"" + key + "\",\"why\":\"" + why + "\"}");
     return "";
@@ -595,7 +555,7 @@ std::string ArtifactCache::commit(const std::string& key,
   // that purge/evict collect.
   FsFault publish = next_fault();
   if (publish == FsFault::CrashCommit) {
-    count(&CacheStats::fallbacks);
+    METRIC_INC("dacepp_cache_fallbacks_total");
     return "";
   }
 
@@ -613,12 +573,12 @@ std::string ArtifactCache::commit(const std::string& key,
       !fi_rename(mtmp, meta_path(key), &why)) {
     fs::remove(mtmp, ec);
     fs::remove(object_path(key), ec);
-    count(&CacheStats::fallbacks);
+    METRIC_INC("dacepp_cache_fallbacks_total");
     OBS_INSTANT("cache", "write-error",
                 "{\"key\":\"" + key + "\",\"why\":\"" + why + "\"}");
     return "";
   }
-  count(&CacheStats::commits);
+  METRIC_INC("dacepp_cache_commits_total");
   OBS_INSTANT("cache", "commit",
               "{\"key\":\"" + key + "\",\"bytes\":" +
                   std::to_string(data.size()) + "}");
@@ -650,65 +610,6 @@ bool ArtifactCache::invalidate(const std::string& key) {
   any = fs::remove(meta_path(key), ec) || any;
   fs::remove(lock_path(key), ec);
   return any;
-}
-
-// ---------------------------------------------------------------------------
-// Negative cache
-// ---------------------------------------------------------------------------
-
-bool ArtifactCache::negative_lookup(uint64_t program_hash,
-                                    const std::string& compiler) {
-  if (!enabled()) return false;
-  std::string text;
-  std::string path = negative_path(program_hash, compiler);
-  if (!read_file(path, &text)) return false;
-  std::istringstream is(text);
-  std::string v;
-  std::error_code ec;
-  uint64_t ph = 0;
-  int64_t created = 0;
-  bool ok = take_line(is, kNegMagic, &v) &&
-            v == std::to_string(kFormatVersion) &&
-            take_line(is, "program", &v) && parse_hex64(v, &ph) &&
-            ph == program_hash && take_line(is, "compiler", &v) &&
-            v == compiler && take_line(is, "created", &v) &&
-            (created = std::atoll(v.c_str())) > 0;
-  if (!ok) {
-    fs::remove(path, ec);
-    return false;
-  }
-  if (unix_now() - created > cfg_.negative_ttl_s) {
-    // Expired: the toolchain gets another probe.
-    fs::remove(path, ec);
-    return false;
-  }
-  count(&CacheStats::neg_hits);
-  OBS_INSTANT("cache", "negative-hit",
-              "{\"program\":\"" + hex64(program_hash) + "\"}");
-  return true;
-}
-
-void ArtifactCache::negative_store(uint64_t program_hash,
-                                   const std::string& compiler,
-                                   const std::string& detail) {
-  if (!enabled()) return;
-  std::ostringstream os;
-  os << kNegMagic << ' ' << kFormatVersion << '\n'
-     << "program " << hex64(program_hash) << '\n'
-     << "compiler " << compiler << '\n'
-     << "created " << unix_now() << '\n'
-     << "detail " << (detail.empty() ? "-" : detail) << '\n';
-  std::string path = negative_path(program_hash, compiler);
-  std::string tmp = path + ".tmp." + std::to_string((long)getpid());
-  std::string why;
-  std::error_code ec;
-  if (!fi_write_file(tmp, os.str(), &why) || !fi_rename(tmp, path, &why)) {
-    fs::remove(tmp, ec);  // best-effort: losing a negative entry is harmless
-    return;
-  }
-  count(&CacheStats::neg_stores);
-  OBS_INSTANT("cache", "negative-store",
-              "{\"program\":\"" + hex64(program_hash) + "\"}");
 }
 
 // ---------------------------------------------------------------------------
@@ -802,31 +703,6 @@ std::vector<EntryInfo> ArtifactCache::list(bool verify) {
   return out;
 }
 
-std::vector<ArtifactCache::NegativeInfo> ArtifactCache::list_negative() {
-  std::vector<NegativeInfo> out;
-  if (cfg_.dir.empty()) return out;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(cfg_.dir + "/negative", ec)) {
-    if (e.path().extension() != ".neg") continue;
-    std::string text;
-    if (!read_file(e.path().string(), &text)) continue;
-    std::istringstream is(text);
-    NegativeInfo ni;
-    ni.key = e.path().stem().string();
-    std::string v;
-    if (!take_line(is, kNegMagic, &v)) continue;
-    take_line(is, "program", &v);
-    take_line(is, "compiler", &ni.compiler);
-    if (take_line(is, "created", &v)) {
-      ni.age_s = unix_now() - std::atoll(v.c_str());
-      ni.expired = ni.age_s > cfg_.negative_ttl_s;
-    }
-    take_line(is, "detail", &ni.detail);
-    out.push_back(std::move(ni));
-  }
-  return out;
-}
-
 int64_t ArtifactCache::total_bytes() {
   int64_t total = 0;
   std::error_code ec;
@@ -913,7 +789,7 @@ int64_t ArtifactCache::evict(int64_t target_bytes) {
     fs::remove(object_path(c.key), ec);
     fs::remove(lock_path(c.key), ec);
     freed += c.bytes;
-    count(&CacheStats::evictions);
+    METRIC_INC("dacepp_cache_evictions_total");
     OBS_INSTANT("cache", "evict",
                 "{\"key\":\"" + c.key + "\",\"bytes\":" +
                     std::to_string(c.bytes) + "}");
@@ -924,7 +800,7 @@ int64_t ArtifactCache::evict(int64_t target_bytes) {
 void ArtifactCache::purge() {
   if (cfg_.dir.empty()) return;
   std::error_code ec;
-  for (const char* sub : {"/objects", "/negative", "/build"}) {
+  for (const char* sub : {"/objects", "/build"}) {
     fs::remove_all(cfg_.dir + sub, ec);
     fs::create_directories(cfg_.dir + sub, ec);
   }

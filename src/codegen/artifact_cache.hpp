@@ -25,9 +25,10 @@
 //     caller falls back to the freshly built in-memory object, so a
 //     broken cache only ever costs speed, never correctness
 //
-// The negative cache (a known-bad compiler, tiering.cpp) persists here
-// too, with a TTL, so a broken toolchain is probed once per machine
-// rather than once per process.
+// Only successful builds are stored.  A failed build is remembered in
+// memory, once per process (tiering.cpp).  Cache events count only in
+// the metrics registry's dacepp_cache_*_total counters
+// (common/metrics.hpp).
 //
 // The fault-injection shim at the bottom mirrors distributed/faults.*:
 // a seeded, deterministic schedule of filesystem faults (torn writes,
@@ -40,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -103,23 +103,9 @@ struct CacheConfig {
   bool enabled = true;
   std::string dir;                         // resolved cache root
   int64_t size_limit_bytes = 512ll << 20;  // LRU budget for objects/
-  int64_t negative_ttl_s = 86400;          // negative-entry lifetime
   int lock_timeout_ms = 5000;              // writer-lock wait bound
 
   static CacheConfig from_env();
-};
-
-/// Process-local cache activity counters (obs:: mirrors these as trace
-/// instants under cat "cache" for sdfg-prof).
-struct CacheStats {
-  uint64_t hits = 0;            // verified artifact loads
-  uint64_t misses = 0;          // key not present
-  uint64_t commits = 0;         // artifacts published
-  uint64_t corrupt_rejected = 0;  // checksum/header mismatches deleted
-  uint64_t evictions = 0;       // LRU entries removed
-  uint64_t neg_hits = 0;        // persistent negative-cache hits
-  uint64_t neg_stores = 0;      // negative entries written
-  uint64_t fallbacks = 0;       // cache errors degraded to in-memory path
 };
 
 /// One on-disk entry, as reported by list()/the sdfg-cache CLI.
@@ -154,7 +140,6 @@ class ArtifactCache {
   bool enabled() const { return cfg_.enabled && !dir_failed_; }
   const CacheConfig& config() const { return cfg_; }
   const std::string& dir() const { return cfg_.dir; }
-  CacheStats stats() const;
 
   /// Everything that distinguishes one build product from another.
   /// dtypes/kernel-plan/absint decisions are already baked into `source`
@@ -187,13 +172,6 @@ class ArtifactCache {
   /// Drop one entry (artifact + metadata).  True if anything was removed.
   bool invalidate(const std::string& key);
 
-  // -- persistent negative cache -------------------------------------------
-  /// True if (program_hash, compiler) failed to build within the TTL.
-  bool negative_lookup(uint64_t program_hash, const std::string& compiler);
-  /// Record a failed build; `detail` is kept for sdfg-cache ls --json.
-  void negative_store(uint64_t program_hash, const std::string& compiler,
-                      const std::string& detail);
-
   // -- build scratch space ---------------------------------------------------
   /// Fresh scratch dir under <dir>/build (falls back to /tmp when the
   /// cache is disabled).  Every dir is tracked and removed at process
@@ -208,20 +186,11 @@ class ArtifactCache {
 
   // -- maintenance (sdfg-cache CLI) ----------------------------------------
   std::vector<EntryInfo> list(bool verify = false);
-  /// Negative entries: (key-hex, compiler, age seconds, expired).
-  struct NegativeInfo {
-    std::string key;
-    std::string compiler;
-    std::string detail;
-    int64_t age_s = 0;
-    bool expired = false;
-  };
-  std::vector<NegativeInfo> list_negative();
   int64_t total_bytes();
   /// Evict least-recently-used artifacts until the store fits in
   /// `target_bytes` (<0: the configured budget).  Returns bytes freed.
   int64_t evict(int64_t target_bytes = -1);
-  /// Remove all artifacts, negative entries and build debris.
+  /// Remove all artifacts and build debris.
   void purge();
 
   /// Parsed sidecar metadata record (implementation + CLI use).
@@ -233,14 +202,9 @@ class ArtifactCache {
   std::string object_path(const std::string& key) const;
   std::string meta_path(const std::string& key) const;
   std::string lock_path(const std::string& key) const;
-  std::string negative_path(uint64_t program_hash,
-                            const std::string& compiler) const;
-  void count(uint64_t CacheStats::*field) const;
 
   CacheConfig cfg_;
   bool dir_failed_ = false;  // cache root could not be created: disabled
-  mutable std::mutex mu_;    // guards stats_
-  mutable CacheStats stats_;
 };
 
 /// FNV-1a 64 (common/common.hpp), kept reachable as cg::cache::fnv1a.

@@ -588,8 +588,13 @@ class Emitter {
       std::string op = attr_or(*l, "op", "sum");
       auto axis_it = l->attrs.find("axis");
       if (axis_it == l->attrs.end()) {
-        std::string init = op == "sum" ? "0.0"
-                           : op == "max" ? "-1e300" : "1e300";
+        // max/min start from the first element, as ops::max_all does, so
+        // NaNs and infinities fold the same; folding that element again
+        // leaves it unchanged.
+        std::string init =
+            op == "sum" ? "0.0"
+                        : at(inn, v, std::vector<std::string>(
+                                         v.extents.size(), "0"));
         line("double " + RED + " = " + init + ";");
         std::vector<std::string> idx;
         for (size_t d2 = 0; d2 < v.extents.size(); ++d2) {

@@ -1,7 +1,7 @@
 // Live metrics registry: always-on, lock-free counters, gauges and
-// log2-bucket histograms unifying the ad-hoc counters scattered across
-// tiering (JIT compiles / cache hits), the artifact cache (CacheStats),
-// the fault shims and the serve daemon (ServeStats).
+// log2-bucket histograms.  Tiering (JIT compiles / cache hits), the
+// artifact cache and the fault shims count here and nowhere else; the
+// serve daemon also keeps per-daemon ServeStats (serve/server.hpp).
 //
 // An event is one relaxed fetch_add -- no locks, no allocation.
 // Instruments are interned by name on first use (the only mutex in the

@@ -609,23 +609,13 @@ sym::Subset parse_subset(Parser& p) {
   return sym::Subset(std::move(rs));
 }
 
+// The inverse of code_op_name, by scanning it: one spelling table, and
+// no static object for exit to destroy under a thread still loading.
 CodeOp code_op_from(Parser& p, std::string_view name, size_t at) {
-  static const std::map<std::string, CodeOp, std::less<>> table = {
-      {"num", CodeOp::Const}, {"in", CodeOp::Input},  {"sym", CodeOp::Sym},
-      {"add", CodeOp::Add},   {"sub", CodeOp::Sub},   {"mul", CodeOp::Mul},
-      {"div", CodeOp::Div},   {"pow", CodeOp::Pow},   {"mod", CodeOp::Mod},
-      {"min", CodeOp::Min},   {"max", CodeOp::Max},   {"neg", CodeOp::Neg},
-      {"abs", CodeOp::Abs},   {"exp", CodeOp::Exp},   {"log", CodeOp::Log},
-      {"sqrt", CodeOp::Sqrt}, {"sin", CodeOp::Sin},   {"cos", CodeOp::Cos},
-      {"tanh", CodeOp::Tanh}, {"floor", CodeOp::Floor}, {"lt", CodeOp::Lt},
-      {"le", CodeOp::Le},     {"gt", CodeOp::Gt},     {"ge", CodeOp::Ge},
-      {"eq", CodeOp::Eq},     {"ne", CodeOp::Ne},     {"and", CodeOp::And},
-      {"or", CodeOp::Or},     {"not", CodeOp::Not},   {"select", CodeOp::Select},
-  };
-  auto it = table.find(name);
-  if (it == table.end())
-    p.fail("E403", "unknown code op '" + std::string(name) + "'", at);
-  return it->second;
+  for (int i = (int)CodeOp::Const; i <= (int)CodeOp::Select; ++i) {
+    if (name == code_op_name((CodeOp)i)) return (CodeOp)i;
+  }
+  p.fail("E403", "unknown code op '" + std::string(name) + "'", at);
 }
 
 CodeExpr parse_code(Parser& p) {

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "codegen/artifact_cache.hpp"
 #include "common/env.hpp"
 #include "common/metrics.hpp"
 #include "common/obs.hpp"
@@ -32,10 +31,11 @@ struct Entry {
 struct Cache {
   std::mutex mu;
   std::map<CacheKey, Entry> entries;  // node-based: entries never move
-  // Negative cache on (program hash, compiler): once a build of a program
-  // fails, no dtype specialization of it probes the compiler again -- a
-  // broken toolchain is detected once and the program pinned to Tier 0,
-  // instead of a retry storm of doomed builds.
+  // Negative cache on (program hash, compiler), for the life of the
+  // process: once a build of a program fails, no dtype specialization of
+  // it probes the compiler again -- a broken toolchain is detected once
+  // and the program pinned to Tier 0, instead of a retry storm of doomed
+  // builds.
   std::set<std::pair<uint64_t, std::string>> failed;
 };
 
@@ -54,15 +54,6 @@ void build(Entry& entry, const Program& prog,
   {
     std::lock_guard<std::mutex> lock(c.mu);
     known_bad = c.failed.count(pk) > 0;
-  }
-  // The persistent negative cache fails the request without forking the
-  // toolchain when the compiler is known bad on this machine (within the
-  // TTL).
-  if (!known_bad && cg::cache::ArtifactCache::instance().negative_lookup(
-                        prog.hash(), compiler)) {
-    std::lock_guard<std::mutex> lock(c.mu);
-    c.failed.insert(pk);
-    known_bad = true;
   }
   if (known_bad) {
     OBS_INSTANT("jit", "negative-cache-hit");
@@ -88,10 +79,6 @@ void build(Entry& entry, const Program& prog,
     std::lock_guard<std::mutex> lock(c.mu);
     c.failed.insert(pk);
   }
-  // Persist the verdict so the next process skips the doomed probe too
-  // (TTL-bounded; a repaired toolchain is re-probed after expiry).
-  cg::cache::ArtifactCache::instance().negative_store(prog.hash(), compiler,
-                                                      "tier1 build failed");
   METRIC_INC("dacepp_jit_failures_total");
 }
 

@@ -38,8 +38,8 @@ struct TierConfig {
 /// Native entry point of `prog` bound to `dtypes`.  The first request for
 /// a build key runs the host compiler on the calling thread; concurrent
 /// requests for the same key wait for it, later ones hit the cache.
-/// Returns nullptr when the build failed or a negative cache (in memory or
-/// in the artifact store) says that it will.
+/// Returns nullptr when the build failed, or when a build of `prog` with
+/// this compiler already failed in this process.
 cg::MapNativeFn request_native(const Program& prog,
                                const std::vector<ir::DType>& dtypes,
                                const TierConfig& cfg);

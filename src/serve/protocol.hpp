@@ -120,7 +120,7 @@ bool parse_run_request(const std::string& payload, RunRequest* out,
 
 /// Dedup/content key of a request: everything that determines the
 /// result (source, function, symbol bindings) -- the in-flight dedup
-/// map and the persisted negative cache are both keyed on this.
+/// map is keyed on this.
 uint64_t request_key(const RunRequest& r);
 
 /// `{"code":"E6xx","message":...}` (+ `"retry_after_ms":n` when >= 0).

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "codegen/artifact_cache.hpp"
 #include "common/common.hpp"
 #include "common/diag.hpp"
 #include "common/env.hpp"
@@ -530,10 +529,10 @@ void Server::worker_loop() {
 }
 
 void Server::run_job(const std::shared_ptr<Job>& job) {
-  // The job body runs in an abandonable detached thread (the
-  // xf::Pipeline pass-timeout pattern): it owns shared state, so a
-  // wedged executor is abandoned -- it keeps running against its own
-  // references, never against freed memory -- and the daemon moves on.
+  // The job body runs in an abandonable detached thread: it owns shared
+  // state, so a wedged executor is abandoned -- it keeps running against
+  // its own references, never against freed memory -- and the daemon
+  // moves on.
   struct Shared {
     std::mutex m;
     std::condition_variable cv;
@@ -564,22 +563,11 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
         throw dace::Error("cancelled: wedged job released");
       }
 
-      auto& cache = cg::cache::ArtifactCache::instance();
-      if (cache.negative_lookup(job->key, "serve")) {
-        throw JobError{"E611",
-                       "program previously failed to compile "
-                       "(persistent negative cache)"};
-      }
-
       int64_t c0 = obs::now_ns();
       diag::DiagSink sink;
       auto sdfg =
           fe::compile_to_sdfg(job->req.source, sink, job->req.function);
-      if (!sdfg) {
-        std::string detail = sink.render();
-        cache.negative_store(job->key, "serve", detail);
-        throw JobError{"E611", "compile failed:\n" + detail};
-      }
+      if (!sdfg) throw JobError{"E611", "compile failed:\n" + sink.render()};
       xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
       double compile_ms = (obs::now_ns() - c0) / 1e6;
 

@@ -7,9 +7,8 @@
 //   readers       -- decode frames (protocol.hpp), answer Ping/Stats
 //                    inline, run admission control for Run jobs
 //   worker pool   -- drain the weighted fair queue; each job runs in an
-//                    *abandonable* detached thread (the xf::Pipeline
-//                    pass-timeout pattern) so a wedged executor can be
-//                    abandoned without killing the daemon
+//                    *abandonable* detached thread so a wedged executor
+//                    can be abandoned without killing the daemon
 //   watchdog      -- fires cooperative cancellation at each job's
 //                    deadline and abandons jobs that ignore it past the
 //                    wedge grace period
@@ -21,8 +20,8 @@
 //     connections so one chatty client cannot starve the rest
 //   - in-flight dedup: concurrent requests with one request_key share a
 //     single compile-and-run; subscribers attach to the winner, and a
-//     failed compile fans the same E611 to every waiter and lands in
-//     the persisted negative cache
+//     failed compile fans the same E611 to every waiter (a resubmission
+//     compiles again and repeats the diagnostics)
 //   - deadlines: cooperative cancel via ExecutorOptions::cancel_check;
 //     jobs that ignore it are abandoned (E608) after the wedge grace
 //   - graceful drain: stop accepting, E610 to new work, finish or
@@ -145,7 +144,10 @@ class FairQueue {
 // ---------------------------------------------------------------------------
 
 /// Monotonic serve counters (the Stats verb and obs:: "serve" instants
-/// mirror these; sdfg-prof aggregates the trace side).
+/// mirror these; sdfg-prof aggregates the trace side).  They count per
+/// daemon, not per process: a process may run several daemons (perfbench
+/// `serve_cold` starts a set-up daemon per sample beside the one whose
+/// Stats it reads), and the registry's dacepp_serve_* totals add them up.
 struct ServeStats {
   uint64_t connections = 0;
   uint64_t accepted = 0;          // jobs admitted to the queue

@@ -26,8 +26,6 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
   // fused single-map loop bodies; fusion needs the states LoopToMap and
   // state fusion produce -- iterate the passes jointly to fixpoint.
   pipe.add_fixpoint("trivial-map-elimination", trivial_map_elimination);
-  // Captures are by value: with a pass timeout the body runs on a worker
-  // thread that may outlive this frame if abandoned.
   pipe.add("fusion+loop-to-map", [fusion = opts.fusion](ir::SDFG& g) {
     bool any = false;
     bool changed = true;

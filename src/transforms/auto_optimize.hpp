@@ -33,11 +33,11 @@ struct AutoOptOptions {
 };
 
 /// Run the full heuristic pipeline for the given device.  The pipeline is
-/// transactional (Pipeline::run_transactional): a pass that throws, hangs
-/// past DACE_XF_PASS_TIMEOUT, or breaks the graph's structure -- or, in
-/// verify mode, its semantics -- is rolled back and recorded, and the
-/// graph left in `sdfg` is the best verified one -- auto_optimize never
-/// fails because one transformation does.
+/// transactional (Pipeline::run_transactional): a pass that throws or
+/// breaks the graph's structure -- or, in verify mode, its semantics --
+/// is rolled back and recorded, and the graph left in `sdfg` is the best
+/// verified one -- auto_optimize never fails because one transformation
+/// does.
 void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
                    const AutoOptOptions& opts = {});
 

@@ -1,15 +1,10 @@
 #include "transforms/pass.hpp"
 
 #include <chrono>
-#include <cstdint>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/diag.hpp"
-#include "common/env.hpp"
 #include "common/obs.hpp"
 
 namespace dace::xf {
@@ -44,7 +39,6 @@ namespace {
 /// Result of executing one pass body (no commit decision yet).
 struct PassRun {
   bool applied = false;
-  bool timed_out = false;
   std::string error;  // empty = completed without throwing
 };
 
@@ -59,39 +53,6 @@ PassRun run_body(const Transformation& body, ir::SDFG& g) {
     r.error = "non-standard exception";
   }
   return r;
-}
-
-/// Executes a pass against `graph`, bounded by `timeout_ms` when > 0.
-/// With a timeout the body runs in a detached worker thread that owns a
-/// shared reference to the graph: abandoning it on timeout is safe
-/// because the orphaned worker keeps mutating only its own (discarded)
-/// copy, never the committed graph.
-PassRun execute_pass(const Pass& p, std::shared_ptr<ir::SDFG> graph,
-                     int timeout_ms) {
-  if (timeout_ms <= 0) return run_body(p.apply, *graph);
-  struct Shared {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    PassRun result;
-  };
-  auto shared = std::make_shared<Shared>();
-  std::thread([shared, body = p.apply, graph]() {
-    PassRun r = run_body(body, *graph);
-    std::lock_guard<std::mutex> lk(shared->m);
-    shared->result = std::move(r);
-    shared->done = true;
-    shared->cv.notify_all();
-  }).detach();
-  std::unique_lock<std::mutex> lk(shared->m);
-  if (!shared->cv.wait_for(lk, std::chrono::milliseconds(timeout_ms),
-                           [&] { return shared->done; })) {
-    PassRun r;
-    r.timed_out = true;
-    r.error = "timed out after " + std::to_string(timeout_ms) + " ms";
-    return r;
-  }
-  return shared->result;
 }
 
 /// Commit gate: structural validation, serializer round-trip (the
@@ -134,8 +95,7 @@ std::string PassReport::summary() const {
     os << "; first broken pass: '" << first_broken_pass << "'";
   os << "\n";
   for (const auto& o : outcomes) {
-    const char* tag = o.rolled_back ? (o.timed_out ? "TIMEOUT" : "ROLLBACK")
-                                    : (o.applied ? "ok" : "noop");
+    const char* tag = o.rolled_back ? "ROLLBACK" : (o.applied ? "ok" : "noop");
     os << "  [" << tag << "] " << o.name;
     if (o.ms > 0.0) {
       os.setf(std::ios::fixed);
@@ -148,13 +108,8 @@ std::string PassReport::summary() const {
   return os.str();
 }
 
-int Pipeline::pass_timeout_ms() {
-  return (int)env::integer("DACE_XF_PASS_TIMEOUT", 0, 0, INT32_MAX);
-}
-
 PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
   const bool verifying = verify();
-  const int timeout_ms = pass_timeout_ms();
   PassReport report;
   report.pipeline = name_;
 
@@ -181,13 +136,12 @@ PassReport Pipeline::run_transactional(ir::SDFG& sdfg) const {
     int64_t obs_t0 = obs::enabled() ? obs::now_ns() : 0;
     // The pass mutates a snapshot; the committed graph is untouched until
     // the snapshot passes the commit gate, so "rollback" is O(1) discard.
-    std::shared_ptr<ir::SDFG> work(sdfg.clone().release());
-    PassRun r = execute_pass(p, work, timeout_ms);
+    std::unique_ptr<ir::SDFG> work = sdfg.clone();
+    PassRun r = run_body(p.apply, *work);
     o.ms = std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
                .count();
     o.applied = r.applied;
-    o.timed_out = r.timed_out;
     std::string why = r.error;
     if (why.empty() && r.applied)
       why = integrity_error(*work, verifying, baseline);

@@ -47,7 +47,6 @@ struct PassOutcome {
   bool applied = false;      // the pass reported a change
   bool committed = false;    // the change was kept
   bool rolled_back = false;  // graph restored to the pre-pass snapshot
-  bool timed_out = false;    // exceeded DACE_XF_PASS_TIMEOUT
   double ms = 0.0;           // wall-clock time of the pass body
   std::string error;         // why the pass was rolled back (empty if ok)
 };
@@ -87,15 +86,11 @@ class Pipeline {
   /// structural validation and a serializer round-trip (plus, in verify
   /// mode, the semantic analyzer: findings present *before* the pipeline
   /// are the baseline, taken only in verify mode, and a new error-severity
-  /// finding fails the gate).  A pass that throws, fails the gate, or
-  /// exceeds the per-pass timeout (DACE_XF_PASS_TIMEOUT, milliseconds) is
+  /// finding fails the gate).  A pass that throws or fails the gate is
   /// rolled back and recorded in the report; the pipeline continues
   /// degraded with the remaining passes.  Never throws on pass failure --
   /// the graph left in `sdfg` is always the best verified one.
   PassReport run_transactional(ir::SDFG& sdfg) const;
-
-  /// Per-pass timeout in milliseconds from DACE_XF_PASS_TIMEOUT (0 = off).
-  static int pass_timeout_ms();
 
  private:
   std::string name_;

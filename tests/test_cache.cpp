@@ -3,8 +3,7 @@
 // Three layers:
 //   Cache*       -- protocol unit tests against a private store: key
 //                   derivation, commit/lookup round-trip, corrupt-reject,
-//                   LRU eviction, negative TTL, scratch lifecycle,
-//                   writer-lock fallback
+//                   LRU eviction, scratch lifecycle, writer-lock fallback
 //   CacheRace*   -- concurrency: two threads and two forked processes
 //                   racing on one key must produce exactly one committed
 //                   artifact that both sides load; a crashed writer's
@@ -32,6 +31,7 @@
 #include "codegen/artifact_cache.hpp"
 #include "codegen/jit.hpp"
 #include "common/env.hpp"
+#include "common/metrics.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
 #include "runtime/executor.hpp"
@@ -60,6 +60,20 @@ std::string write_blob(const fs::path& p, const std::string& bytes) {
   return p.string();
 }
 
+/// Growth of the registry counter dacepp_cache_<what>_total since
+/// construction.  The registry is process-wide, so tests read deltas.
+class CacheCount {
+ public:
+  explicit CacheCount(const std::string& what)
+      : c_(metrics::counter("dacepp_cache_" + what + "_total")),
+        base_(c_.value()) {}
+  uint64_t delta() const { return c_.value() - base_; }
+
+ private:
+  metrics::Counter& c_;
+  uint64_t base_;
+};
+
 /// A private store with small, deterministic limits.
 class CacheTest : public ::testing::Test {
  protected:
@@ -68,7 +82,6 @@ class CacheTest : public ::testing::Test {
     cfg_.enabled = true;
     cfg_.dir = root_ + "/store";
     cfg_.size_limit_bytes = 1 << 20;
-    cfg_.negative_ttl_s = 3600;
     cfg_.lock_timeout_ms = 500;
     cache_ = std::make_unique<ArtifactCache>(cfg_);
   }
@@ -130,8 +143,9 @@ TEST_F(CacheTest, KeyDependsOnEveryInput) {
 TEST_F(CacheTest, CommitLookupRoundTrip) {
   auto ki = key_info();
   std::string key = ArtifactCache::key_for("src", ki);
+  CacheCount misses("misses"), hits("hits");
   EXPECT_TRUE(cache_->lookup(key).empty());
-  EXPECT_EQ(cache_->stats().misses, 1u);
+  EXPECT_EQ(misses.delta(), 1u);
 
   std::string so = write_blob(root_ + "/a.so", std::string(2048, 'x'));
   std::string committed = cache_->commit(key, so, ki);
@@ -139,7 +153,7 @@ TEST_F(CacheTest, CommitLookupRoundTrip) {
   EXPECT_NE(committed, so);  // lives in the store, not the scratch file
 
   EXPECT_EQ(cache_->lookup(key), committed);
-  EXPECT_EQ(cache_->stats().hits, 1u);
+  EXPECT_EQ(hits.delta(), 1u);
   auto entries = cache_->list(true);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(entries[0].valid);
@@ -161,8 +175,9 @@ TEST_F(CacheTest, CorruptArtifactRejectedAndDeleted) {
     f.put('!');
   }
   // The read-side defense: checksum mismatch -> delete-on-sight -> miss.
+  CacheCount corrupt("corrupt");
   EXPECT_TRUE(cache_->lookup(key).empty());
-  EXPECT_GE(cache_->stats().corrupt_rejected, 1u);
+  EXPECT_GE(corrupt.delta(), 1u);
   EXPECT_TRUE(cache_->list().empty());
 }
 
@@ -202,11 +217,12 @@ TEST_F(CacheTest, LruEvictionKeepsRecentlyUsed) {
   }
   // Touch entry 0 so it becomes most-recently-used.
   ASSERT_FALSE(cache_->lookup(keys[0]).empty());
+  CacheCount evictions("evictions");
   int64_t freed = cache_->evict(2 * 4096 + 512);
   EXPECT_GT(freed, 0);
   EXPECT_LE(cache_->total_bytes(), 2 * 4096 + 512);
   EXPECT_FALSE(cache_->lookup(keys[0]).empty()) << "MRU entry was evicted";
-  EXPECT_GE(cache_->stats().evictions, 2u);
+  EXPECT_GE(evictions.delta(), 2u);
 }
 
 TEST_F(CacheTest, StaleOrphanMetaIsSwept) {
@@ -239,23 +255,6 @@ TEST_F(CacheTest, CommitEnforcesSizeBudget) {
   EXPECT_LE(cache_->total_bytes(), 3 * 4096);
 }
 
-TEST_F(CacheTest, NegativeCacheStoresAndExpires) {
-  EXPECT_FALSE(cache_->negative_lookup(0xdead, "cc"));
-  cache_->negative_store(0xdead, "cc", "exit 1");
-  EXPECT_TRUE(cache_->negative_lookup(0xdead, "cc"));
-  EXPECT_FALSE(cache_->negative_lookup(0xdead, "other-cc"));
-  EXPECT_FALSE(cache_->negative_lookup(0xbeef, "cc"));
-  ASSERT_EQ(cache_->list_negative().size(), 1u);
-  EXPECT_EQ(cache_->list_negative()[0].compiler, "cc");
-
-  // TTL < 0 makes every entry instantly stale: the next probe must
-  // expire it (and remove the file, so the one after misses cheaply).
-  cfg_.negative_ttl_s = -1;
-  cache_ = std::make_unique<ArtifactCache>(cfg_);
-  EXPECT_FALSE(cache_->negative_lookup(0xdead, "cc"));
-  EXPECT_TRUE(cache_->list_negative().empty());
-}
-
 TEST_F(CacheTest, BuildScratchLifecycle) {
   std::string bd = cache_->make_build_dir();
   ASSERT_FALSE(bd.empty());
@@ -276,11 +275,9 @@ TEST_F(CacheTest, BuildScratchLifecycle) {
 
 TEST_F(CacheTest, PurgeLeavesWorkingStore) {
   commit_blob("src", 0x5, "bytes");
-  cache_->negative_store(0x6, "cc", "x");
   fs::create_directories(cfg_.dir + "/build/999999.1");
   cache_->purge();
   EXPECT_TRUE(cache_->list().empty());
-  EXPECT_TRUE(cache_->list_negative().empty());
   EXPECT_EQ(cache_->total_bytes(), 0);
   // And the store still accepts commits afterwards.
   EXPECT_FALSE(commit_blob("src2", 0x7, "bytes2").empty());
@@ -297,8 +294,9 @@ TEST_F(CacheTest, HeldWriterLockTimesOutGracefully) {
   // Another writer holds the key: commit must give up within the bound
   // and return "" -- the caller keeps its scratch object, nothing hangs.
   std::string so = write_blob(root_ + "/h.so", "bytes");
+  CacheCount fallbacks("fallbacks");
   EXPECT_TRUE(cache_->commit(key, so, ki).empty());
-  EXPECT_GE(cache_->stats().fallbacks, 1u);
+  EXPECT_GE(fallbacks.delta(), 1u);
   flock(fd, LOCK_UN);
   close(fd);
   // Lock released: the same commit now succeeds.
@@ -314,8 +312,6 @@ TEST_F(CacheTest, DisabledCacheIsInert) {
   std::string so = write_blob(root_ + "/d.so", "bytes");
   EXPECT_TRUE(cache_->commit(key, so, ki).empty());
   EXPECT_TRUE(cache_->lookup(key).empty());
-  cache_->negative_store(0x9, "cc", "x");
-  EXPECT_FALSE(cache_->negative_lookup(0x9, "cc"));
   // Scratch dirs still work (the JIT always needs somewhere to build).
   std::string bd = cache_->make_build_dir();
   ASSERT_FALSE(bd.empty());
@@ -394,20 +390,6 @@ TEST_F(CacheTest, TwoProcessesRaceToOneArtifact) {
   EXPECT_TRUE(cache_->list(true)[0].valid);
 }
 
-TEST_F(CacheTest, NegativeEntryPersistsAcrossProcesses) {
-  pid_t pid = fork();
-  if (pid == 0) {
-    ArtifactCache c(cfg_);
-    c.negative_store(0x12, "broken-cc", "probe failed");
-    _exit(c.negative_lookup(0x12, "broken-cc") ? 0 : 1);
-  }
-  int st = -1;
-  ASSERT_EQ(waitpid(pid, &st, 0), pid);
-  ASSERT_EQ(st, 0);
-  // A different process (us) sees the verdict without re-probing.
-  EXPECT_TRUE(cache_->negative_lookup(0x12, "broken-cc"));
-}
-
 TEST_F(CacheTest, StaleLockFromCrashedWriterIsRecovered) {
   auto ki = key_info(0x13);
   std::string key = ArtifactCache::key_for("src", ki);
@@ -457,17 +439,18 @@ class CacheJitTest : public ::testing::Test {
 TEST_F(CacheJitTest, BuildAndLoadCommitsThenHits) {
   const std::string src =
       "extern \"C\" double dacepp_cache_fn(double x) { return x * 3.0; }\n";
+  CacheCount commits("commits");
   auto cold = cg::detail::build_and_load(src, "t", "dacepp_cache_fn", "c++");
   if (!cold.sym) GTEST_SKIP() << "no host compiler available";
   EXPECT_FALSE(cold.cache_hit);
   auto& cache = ArtifactCache::instance();
-  EXPECT_EQ(cache.stats().commits, 1u);
+  EXPECT_EQ(commits.delta(), 1u);
   EXPECT_EQ(cache.list(true).size(), 1u);
 
   auto warm = cg::detail::build_and_load(src, "t", "dacepp_cache_fn", "c++");
   ASSERT_NE(warm.sym, nullptr);
   EXPECT_TRUE(warm.cache_hit);
-  EXPECT_EQ(cache.stats().commits, 1u);  // no second publish
+  EXPECT_EQ(commits.delta(), 1u);  // no second publish
   using Fn = double (*)(double);
   EXPECT_EQ(reinterpret_cast<Fn>(warm.sym)(2.0), 6.0);
   // No scratch debris: the store's build/ area is empty again.

@@ -3,6 +3,9 @@
 // generated CPU code against the interpreter for several kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "codegen/codegen.hpp"
 #include "codegen/jit.hpp"
 #include "frontend/lowering.hpp"
@@ -127,6 +130,50 @@ TEST_P(CodegenExec, CompiledCodeMatchesInterpreter) {
   for (const auto& o : k.outputs) {
     EXPECT_TRUE(rt::allclose(b.at(o), ref.at(o), 1e-9, 1e-11))
         << k.name << " output " << o;
+  }
+}
+
+// The AOT Reduce folds max/min from the first element, as the executor's
+// ops::max_all/min_all do, so infinities and NaNs give the same bits.
+TEST(Codegen, ReduceMaxMinMatchExecutorBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> leading_nan = {nan, 1.0, 3.0, 2.0};
+  for (const auto& [fn, inputs] :
+       {std::pair<std::string, std::vector<std::vector<double>>>{
+            "max", {{-inf, -inf, -inf, -inf}, leading_nan}},
+        {"min", {{inf, inf, inf, inf}, leading_nan}}}) {
+    auto sdfg = fe::compile_to_sdfg(
+        "@dace.program\n"
+        "def shift(x: dace.float64[N], out: dace.float64[N]):\n"
+        "    m = np." + fn + "(x)\n"
+        "    out[:] = x - m\n");
+    xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+    cg::CompiledProgram prog = cg::compile(*sdfg);
+    if (!prog.valid()) GTEST_SKIP() << "no host compiler available";
+    for (const auto& x : inputs) {
+      auto bind = [&] {
+        Bindings b;
+        b.emplace("x", Tensor::from_values({4}, x));
+        b.emplace("out", Tensor(ir::DType::f64, {4}));
+        return b;
+      };
+      Bindings ref = bind();
+      rt::execute(*sdfg, ref, {{"N", 4}});
+      Bindings b = bind();
+      std::vector<double*> args;
+      for (const auto& an : sdfg->arg_names()) args.push_back(b.at(an).data());
+      std::vector<long long> syms(cg::symbol_order(*sdfg).size(), 4);
+      prog.fn()(args.data(), syms.data());
+      for (int i = 0; i < 4; ++i) {
+        uint64_t got, want;
+        std::memcpy(&got, b.at("out").data() + i, sizeof(got));
+        std::memcpy(&want, ref.at("out").data() + i, sizeof(want));
+        EXPECT_EQ(got, want) << fn << " x[0]=" << x[0] << " out[" << i
+                             << "]: AOT " << b.at("out").data()[i]
+                             << ", executor " << ref.at("out").data()[i];
+      }
+    }
   }
 }
 

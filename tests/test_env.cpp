@@ -126,13 +126,6 @@ TEST(Env, JitThresholdInScientificNotationIsRejected) {
   expect_error([&] { rt::Executor ex(*sdfg); }, "DACEPP_JIT_THRESHOLD='2e6'");
 }
 
-TEST(Env, PassTimeoutWithUnitIsRejected) {
-  env::Override o("DACE_XF_PASS_TIMEOUT", "5s");  // was: 5 ms
-  auto sdfg = fe::compile_to_sdfg(kAxpy);
-  expect_error([&] { xf::auto_optimize(*sdfg, ir::DeviceType::CPU); },
-               "DACE_XF_PASS_TIMEOUT='5s'");
-}
-
 TEST(Env, AbsintNoneIsRejected) {
   env::Override o("DACE_ABSINT", "none");  // was: absint on
   // The map compiler reads the mode, so execution stops at the first map.

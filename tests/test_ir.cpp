@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
 
 #include "common/diag.hpp"
 #include "frontend/lowering.hpp"
@@ -343,6 +345,41 @@ TEST(Serialize, EscapedStringsRoundTrip) {
   EXPECT_EQ(load_sdfg(t)->name(), "scale\\");
   // An escaped quote does not close the string.
   expect_load_error("(sdfg \"scale\\\"", "E401");
+}
+
+// Every tasklet op survives save -> load, and an unknown op name is E403.
+TEST(Serialize, EveryCodeOpRoundTrips) {
+  CodeExpr x = CodeExpr::input("x");
+  CodeExpr e = CodeExpr::binary(CodeOp::Add, x, CodeExpr::symbol("N"));
+  e = CodeExpr::binary(CodeOp::Mul, e, CodeExpr::constant(2.5));
+  for (CodeOp op : {CodeOp::Sub, CodeOp::Div, CodeOp::Pow, CodeOp::Mod,
+                    CodeOp::Min, CodeOp::Max, CodeOp::Lt, CodeOp::Le,
+                    CodeOp::Gt, CodeOp::Ge, CodeOp::Eq, CodeOp::Ne,
+                    CodeOp::And, CodeOp::Or})
+    e = CodeExpr::binary(op, e, x);
+  for (CodeOp op : {CodeOp::Neg, CodeOp::Abs, CodeOp::Exp, CodeOp::Log,
+                    CodeOp::Sqrt, CodeOp::Sin, CodeOp::Cos, CodeOp::Tanh,
+                    CodeOp::Floor, CodeOp::Not})
+    e = CodeExpr::unary(op, e);
+  e = CodeExpr::select(e, x, CodeExpr::constant(-0.5));
+
+  auto g = make_scale_sdfg();
+  g->state(0).node_as<Tasklet>(4)->code = e;
+  std::string text = g->save();
+  auto reloaded = load_sdfg(text);
+  EXPECT_EQ(reloaded->save(), text);
+  EXPECT_EQ(reloaded->dump(), g->dump());
+  std::set<CodeOp> seen;
+  std::function<void(const CodeExpr&)> walk = [&](const CodeExpr& c) {
+    seen.insert(c.op());
+    for (const auto& a : c.args()) walk(a);
+  };
+  walk(reloaded->state(0).node_as<Tasklet>(4)->code);
+  EXPECT_EQ(seen.size(), 30u);
+
+  size_t at = text.find("(tanh ");
+  ASSERT_NE(at, std::string::npos);
+  expect_load_error(text.replace(at, 6, "(tanhh "), "E403");
 }
 
 TEST(Serialize, RunawayNestingIsE404) {

@@ -12,10 +12,6 @@
 //                                           0) unless DACE_PERF_STRICT=1,
 //                                           because absolute ns baselines
 //                                           are machine-dependent
-//   bench-diff --latest DIR                 trajectory mode: find the two
-//                                           highest-numbered BENCH_<n>.json
-//                                           in DIR and diff them (oldest
-//                                           of the pair as baseline)
 //   bench-diff --selftest                   synthetic-data self check
 //
 // A key regresses when new > old * (1 + threshold); it improves when
@@ -27,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -209,52 +204,6 @@ std::map<std::string, double> load(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Trajectory mode: the bench binaries write successive BENCH_<n>.json
-// snapshots at the repo root (one per PR); --latest DIR diffs the two
-// most recent by number, so CI never has to name files explicitly.
-// ---------------------------------------------------------------------------
-
-/// Parse "BENCH_<n>.json" -> n, or -1 when the name doesn't match.
-int bench_number(const std::string& name) {
-  const char* prefix = "BENCH_";
-  const char* suffix = ".json";
-  if (name.rfind(prefix, 0) != 0) return -1;
-  size_t dot = name.size() - std::strlen(suffix);
-  if (name.size() <= std::strlen(prefix) + std::strlen(suffix) ||
-      name.compare(dot, std::string::npos, suffix) != 0)
-    return -1;
-  int n = 0;
-  for (size_t i = std::strlen(prefix); i < dot; ++i) {
-    if (!std::isdigit((unsigned char)name[i])) return -1;
-    n = n * 10 + (name[i] - '0');
-  }
-  return n;
-}
-
-/// The two highest-numbered trajectory files among `names`, as
-/// {older, newer}; empty strings when fewer than two exist.
-std::pair<std::string, std::string> latest_two(
-    const std::vector<std::string>& names) {
-  int best = -1, second = -1;
-  std::string best_name, second_name;
-  for (const std::string& n : names) {
-    int v = bench_number(n);
-    if (v < 0) continue;
-    if (v > best) {
-      second = best;
-      second_name = best_name;
-      best = v;
-      best_name = n;
-    } else if (v > second) {
-      second = v;
-      second_name = n;
-    }
-  }
-  if (second < 0) return {"", ""};
-  return {second_name, best_name};
-}
-
-// ---------------------------------------------------------------------------
 // Selftest
 // ---------------------------------------------------------------------------
 
@@ -315,24 +264,6 @@ int selftest() {
     std::fprintf(stderr, "bench-diff selftest: regression sort wrong\n");
     return 1;
   }
-  // Trajectory-file selection: numeric order, not lexicographic (10 > 9),
-  // non-matching names ignored, fewer than two files -> empty pair.
-  auto pick = latest_two({"BENCH_8.json", "BENCH_10.json", "BENCH_9.json",
-                          "perf_baseline.json", "BENCH_x.json", "notes.md"});
-  if (pick.first != "BENCH_9.json" || pick.second != "BENCH_10.json") {
-    std::fprintf(stderr, "bench-diff selftest: latest_two pick wrong\n");
-    return 1;
-  }
-  if (!latest_two({"BENCH_3.json"}).first.empty() ||
-      !latest_two({}).second.empty()) {
-    std::fprintf(stderr, "bench-diff selftest: latest_two underflow wrong\n");
-    return 1;
-  }
-  if (bench_number("BENCH_12.json") != 12 || bench_number("BENCH_.json") != -1 ||
-      bench_number("BENCH_1.json.bak") != -1) {
-    std::fprintf(stderr, "bench-diff selftest: bench_number wrong\n");
-    return 1;
-  }
   std::printf("bench-diff selftest OK\n");
   return 0;
 }
@@ -341,7 +272,6 @@ void usage() {
   std::fprintf(stderr,
                "usage: bench-diff [--threshold FRAC] [--gate] OLD.json "
                "NEW.json\n"
-               "       bench-diff [--threshold FRAC] [--gate] --latest DIR\n"
                "       bench-diff --selftest\n"
                "Diffs two flat benchmark reports ({\"name\": median_ns}).\n"
                "Exits 1 when any common key regresses by more than FRAC\n"
@@ -354,19 +284,12 @@ void usage() {
 int main(int argc, char** argv) {
   double threshold = 0.15;
   bool gate = false;
-  std::string latest_dir;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--selftest") return selftest();
     if (a == "--gate") {
       gate = true;
-    } else if (a == "--latest") {
-      if (i + 1 >= argc) {
-        usage();
-        return 2;
-      }
-      latest_dir = argv[++i];
     } else if (a == "--threshold") {
       if (i + 1 >= argc) {
         usage();
@@ -383,34 +306,6 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(a);
     }
-  }
-  if (!latest_dir.empty()) {
-    if (!paths.empty()) {
-      usage();
-      return 2;
-    }
-    std::vector<std::string> names;
-    std::error_code ec;
-    for (const auto& e :
-         std::filesystem::directory_iterator(latest_dir, ec)) {
-      names.push_back(e.path().filename().string());
-    }
-    if (ec) {
-      std::fprintf(stderr, "bench-diff: cannot list '%s': %s\n",
-                   latest_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
-    auto [older, newer] = latest_two(names);
-    if (older.empty()) {
-      std::fprintf(stderr,
-                   "bench-diff: fewer than two BENCH_<n>.json files in "
-                   "'%s'\n",
-                   latest_dir.c_str());
-      return 2;
-    }
-    paths = {latest_dir + "/" + older, latest_dir + "/" + newer};
-    std::printf("bench-diff: trajectory %s -> %s\n", older.c_str(),
-                newer.c_str());
   }
   if (paths.size() != 2) {
     usage();

@@ -2,11 +2,11 @@
 // (src/codegen/artifact_cache.*).
 //
 // Usage:
-//   sdfg-cache [--dir PATH] [--json] ls        list artifacts + negative entries
+//   sdfg-cache [--dir PATH] [--json] ls        list artifacts
 //   sdfg-cache [--dir PATH] [--json] stat      one-line store summary
 //   sdfg-cache [--dir PATH] [--json] verify    checksum-verify every entry
 //   sdfg-cache [--dir PATH] evict [MB]         LRU-evict to MB (default: budget)
-//   sdfg-cache [--dir PATH] purge              drop artifacts, negatives, debris
+//   sdfg-cache [--dir PATH] purge              drop artifacts and debris
 //   sdfg-cache --selftest
 //
 // The tool operates on the same store the JIT uses: $DACE_CACHE_DIR (or
@@ -20,8 +20,8 @@
 // collectable, never load-bearing.
 //
 // --selftest exercises the full protocol in a private temp directory
-// (commit/lookup round-trip, corrupt-reject, LRU eviction order,
-// negative TTL, purge) without touching the user's cache.
+// (commit/lookup round-trip, corrupt-reject, LRU eviction order, purge)
+// without touching the user's cache.
 //
 // Exit codes: 0 = ok, 1 = verify findings / selftest failure,
 // 64 = usage error (including a malformed DACE_CACHE* setting).
@@ -97,7 +97,6 @@ void render_entry_json(std::ostream& os, const EntryInfo& e) {
 
 int cmd_ls(ArtifactCache& cache, bool json, bool verify) {
   std::vector<EntryInfo> entries = cache.list(verify);
-  auto negatives = cache.list_negative();
   int invalid = 0;
   for (const auto& e : entries) invalid += e.valid ? 0 : 1;
   if (json) {
@@ -106,15 +105,6 @@ int cmd_ls(ArtifactCache& cache, bool json, bool verify) {
     for (size_t i = 0; i < entries.size(); ++i) {
       if (i) os << ",";
       render_entry_json(os, entries[i]);
-    }
-    os << "],\"negative\":[";
-    for (size_t i = 0; i < negatives.size(); ++i) {
-      const auto& n = negatives[i];
-      if (i) os << ",";
-      os << "{\"key\":\"" << n.key << "\",\"compiler\":\""
-         << json_escape(n.compiler) << "\",\"age_s\":" << n.age_s
-         << ",\"expired\":" << (n.expired ? "true" : "false")
-         << ",\"detail\":\"" << json_escape(n.detail) << "\"}";
     }
     os << "],\"total_bytes\":" << cache.total_bytes()
        << ",\"invalid\":" << invalid << "}";
@@ -134,14 +124,6 @@ int cmd_ls(ArtifactCache& cache, bool json, bool verify) {
                       : e.dtypes.c_str());
       }
     }
-    if (!negatives.empty()) {
-      std::cout << "negative entries (known-bad builds):\n";
-      for (const auto& n : negatives) {
-        printf("  %-16s  %-8s  age %llds%s  %s\n", n.key.c_str(),
-               n.compiler.c_str(), (long long)n.age_s,
-               n.expired ? " (expired)" : "", n.detail.c_str());
-      }
-    }
     std::cout << entries.size() << " artifact(s), "
               << human_bytes(cache.total_bytes()).c_str() << " total";
     if (verify && invalid) std::cout << ", " << invalid << " INVALID";
@@ -152,23 +134,14 @@ int cmd_ls(ArtifactCache& cache, bool json, bool verify) {
 
 int cmd_stat(ArtifactCache& cache, bool json) {
   auto entries = cache.list(false);
-  auto negatives = cache.list_negative();
-  auto st = cache.stats();
   if (json) {
     std::cout << "{\"dir\":\"" << json_escape(cache.dir())
               << "\",\"enabled\":" << (cache.enabled() ? "true" : "false")
               << ",\"entries\":" << entries.size()
-              << ",\"negative\":" << negatives.size()
               << ",\"total_bytes\":" << cache.total_bytes()
               << ",\"limit_bytes\":" << cache.config().size_limit_bytes
-              << ",\"negative_ttl_s\":" << cache.config().negative_ttl_s
               << ",\"lock_timeout_ms\":" << cache.config().lock_timeout_ms
-              << ",\"session\":{\"hits\":" << st.hits
-              << ",\"misses\":" << st.misses << ",\"commits\":" << st.commits
-              << ",\"corrupt_rejected\":" << st.corrupt_rejected
-              << ",\"evictions\":" << st.evictions << "}"
-              // Live registry counters (common/metrics.hpp): identical to
-              // the session block for this process, but keyed by the same
+              // Live registry counters (common/metrics.hpp), keyed by the
               // names the serve Metrics verb exposes, so scripts can
               // correlate without a trace file.
               << ",\"metrics\":{\"hits\":"
@@ -184,9 +157,7 @@ int cmd_stat(ArtifactCache& cache, bool json) {
               << "enabled:   " << (cache.enabled() ? "yes" : "no") << "\n"
               << "artifacts: " << entries.size() << " ("
               << human_bytes(cache.total_bytes()) << " of "
-              << human_bytes(cache.config().size_limit_bytes) << " budget)\n"
-              << "negative:  " << negatives.size() << " (ttl "
-              << cache.config().negative_ttl_s << "s)\n";
+              << human_bytes(cache.config().size_limit_bytes) << " budget)\n";
   }
   return 0;
 }
@@ -236,7 +207,6 @@ int selftest() {
   cfg.enabled = true;
   cfg.dir = (root / "cache").string();
   cfg.size_limit_bytes = 1 << 20;
-  cfg.negative_ttl_s = 3600;
   cfg.lock_timeout_ms = 1000;
   ArtifactCache cache(cfg);
   ST_CHECK(cache.enabled());
@@ -269,9 +239,11 @@ int selftest() {
     f.seekp(100);
     f.put('!');
   }
+  auto& corrupt = dace::metrics::counter("dacepp_cache_corrupt_total");
+  uint64_t corrupt_before = corrupt.value();
   ST_CHECK(cache.lookup(key).empty());
   ST_CHECK(cache.list().empty());
-  ST_CHECK(cache.stats().corrupt_rejected >= 1);
+  ST_CHECK(corrupt.value() > corrupt_before);
 
   // LRU eviction: three 4K artifacts, budget for ~two; the touched one
   // must survive.
@@ -292,13 +264,6 @@ int selftest() {
   ST_CHECK(!cache.lookup(keys[0]).empty());  // recently used: kept
   ST_CHECK(cache.total_bytes() <= 2 * 4096 + 1024);
 
-  // Negative cache: store, hit, and expiry honors the TTL.
-  ST_CHECK(!cache.negative_lookup(0xdead, "cc-broken"));
-  cache.negative_store(0xdead, "cc-broken", "exit 1");
-  ST_CHECK(cache.negative_lookup(0xdead, "cc-broken"));
-  ST_CHECK(!cache.negative_lookup(0xdead, "cc-other"));
-  ST_CHECK(cache.list_negative().size() == 1);
-
   // Build scratch: created under the cache, removable, gone after release.
   std::string bd = cache.make_build_dir();
   ST_CHECK(fs::exists(bd));
@@ -308,7 +273,6 @@ int selftest() {
   // Purge leaves an empty, still-functional store.
   cache.purge();
   ST_CHECK(cache.list().empty());
-  ST_CHECK(cache.list_negative().empty());
   ST_CHECK(cache.total_bytes() == 0);
   ST_CHECK(!cache.commit(key, write_blob(root / "c.so", "zz"), ki).empty());
 

@@ -331,8 +331,6 @@ struct CacheAgg {
   int64_t commits = 0;
   int64_t corrupt_rejected = 0;
   int64_t evictions = 0;
-  int64_t negative_hits = 0;
-  int64_t negative_stores = 0;
   int64_t faults = 0;  // injected filesystem faults (chaos shim)
   int64_t errors = 0;  // lock timeouts, write errors, init failures
   double lookup_ms = 0;
@@ -340,7 +338,7 @@ struct CacheAgg {
 
   bool any() const {
     return hits || misses || commits || corrupt_rejected || evictions ||
-           negative_hits || negative_stores || faults || errors;
+           faults || errors;
   }
 };
 
@@ -570,10 +568,6 @@ Report aggregate(const JV& doc) {
         ++r.cache.corrupt_rejected;
       } else if (name == "evict") {
         ++r.cache.evictions;
-      } else if (name == "negative-hit") {
-        ++r.cache.negative_hits;
-      } else if (name == "negative-store") {
-        ++r.cache.negative_stores;
       } else if (name == "fault") {
         ++r.cache.faults;
       } else if (name == "lock-timeout" || name == "write-error" ||
@@ -718,12 +712,12 @@ std::string render_text(const Report& r, int top) {
     snprintf(line, sizeof(line),
              "artifact cache: %lld hits, %lld misses, %lld commits "
              "(%.3f ms), %lld corrupt-rejected, %lld evicted, "
-             "%lld negative hits, %lld faults injected, %lld errors\n",
+             "%lld faults injected, %lld errors\n",
              (long long)r.cache.hits, (long long)r.cache.misses,
              (long long)r.cache.commits, r.cache.commit_ms,
              (long long)r.cache.corrupt_rejected,
-             (long long)r.cache.evictions, (long long)r.cache.negative_hits,
-             (long long)r.cache.faults, (long long)r.cache.errors);
+             (long long)r.cache.evictions, (long long)r.cache.faults,
+             (long long)r.cache.errors);
     os << line;
   }
   if (r.serve.any()) {
@@ -845,8 +839,6 @@ std::string render_json(const Report& r, const std::string& file, int top) {
   os << ",\"commit_ms\":" << num
      << ",\"corrupt_rejected\":" << r.cache.corrupt_rejected
      << ",\"evictions\":" << r.cache.evictions
-     << ",\"negative_hits\":" << r.cache.negative_hits
-     << ",\"negative_stores\":" << r.cache.negative_stores
      << ",\"faults\":" << r.cache.faults << ",\"errors\":" << r.cache.errors
      << "},\"serve\":{\"accepted\":" << r.serve.accepted
      << ",\"shed\":" << r.serve.shed << ",\"deduped\":" << r.serve.deduped
@@ -923,7 +915,6 @@ const char* kSelftestTrace = R"TRACE({"traceEvents":[
 {"ph":"i","name":"hit","cat":"cache","pid":0,"tid":0,"ts":65130,"s":"t","args":{"key":"00112233aabbccdd"}},
 {"ph":"i","name":"corrupt-reject","cat":"cache","pid":0,"tid":0,"ts":66000,"s":"t","args":{"key":"ffeeddcc00112233","why":"checksum mismatch"}},
 {"ph":"i","name":"fault","cat":"cache","pid":0,"tid":0,"ts":66100,"s":"t","args":{"kind":"torn-write","op":3}},
-{"ph":"i","name":"negative-store","cat":"cache","pid":0,"tid":0,"ts":66200,"s":"t","args":{"program":"00000000000000ff"}},
 {"ph":"X","name":"stencil","cat":"node","pid":0,"tid":0,"ts":70000,"dur":1000,"args":{"kind":"map","state":1,"node":2,"tier":1,"iters":1000}},
 {"ph":"i","name":"kernel-plan","cat":"tier","pid":0,"tid":0,"ts":71000,"s":"t","args":{"map":"stencil","plan":"loops=3 jam=4 unroll=4 sink=1","jam":4,"unroll":4,"sinks":1,"chunks":8,"ns_per_iter":2.5}},
 {"ph":"i","name":"start","cat":"serve","pid":0,"tid":0,"ts":80000,"s":"t","args":{"socket":"/tmp/s.sock","workers":2}},
@@ -964,8 +955,7 @@ const char* kSelftestGolden =
     "jit: 1 compiles (50.000 ms), 1 cache hits, 0 negative, 1 promotions; "
     "1 bytecode compiles (0.300 ms)\n"
     "artifact cache: 1 hits, 1 misses, 1 commits (0.500 ms), "
-    "1 corrupt-rejected, 0 evicted, 0 negative hits, 1 faults injected, "
-    "0 errors\n"
+    "1 corrupt-rejected, 0 evicted, 1 faults injected, 0 errors\n"
     "serve: 1 accepted, 1 shed, 1 deduped, 1 completed, 0 compile errors, "
     "1 deadlines, 0 wedged, 0 crashed, 1 protocol errors, 1 faults injected\n"
     "  queue wait ms: p50=2.000 p90=8.000 p99=8.000 (2 jobs); "
@@ -1018,7 +1008,6 @@ int selftest() {
       (int)cache->get("misses")->as_num() != 1 ||
       (int)cache->get("commits")->as_num() != 1 ||
       (int)cache->get("corrupt_rejected")->as_num() != 1 ||
-      (int)cache->get("negative_stores")->as_num() != 1 ||
       (int)cache->get("faults")->as_num() != 1) {
     std::fprintf(stderr, "sdfg-prof selftest: bad cache aggregation\n");
     return 1;
@@ -1097,8 +1086,6 @@ std::string render_metrics(const Report& r) {
   c("dacepp_cache_commits_total", r.cache.commits);
   c("dacepp_cache_corrupt_total", r.cache.corrupt_rejected);
   c("dacepp_cache_evictions_total", r.cache.evictions);
-  c("dacepp_cache_negative_hits_total", r.cache.negative_hits);
-  c("dacepp_cache_negative_stores_total", r.cache.negative_stores);
   c("dacepp_cache_faults_injected_total", r.cache.faults);
   c("dacepp_serve_accepted_total", r.serve.accepted);
   c("dacepp_serve_shed_total", r.serve.shed);

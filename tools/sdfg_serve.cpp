@@ -16,7 +16,7 @@
 //
 // Exit codes: 0 = clean drain / selftest pass, 1 = startup or drain
 // failure / selftest failure, 64 = usage error (including a malformed or
-// out-of-range DACE_SERVE_* setting).
+// out-of-range DACE_SERVE_* or DACE_CACHE* setting).
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -29,6 +29,7 @@
 #include <string>
 #include <thread>
 
+#include "codegen/artifact_cache.hpp"
 #include "common/common.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -160,6 +161,9 @@ int main(int argc, char** argv) {
   ServeConfig cfg;
   try {
     cfg = ServeConfig::from_env();
+    // A job's Tier-1 build reads these; check them before any job runs.
+    dace::cg::cache::CacheConfig::from_env();
+    dace::cg::cache::FsFaultPlan::from_env();
   } catch (const dace::Error& e) {
     std::cerr << "sdfg-serve: " << e.what() << "\n";
     return 64;
